@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heatbench.harness import Scenario, _build_traces, _simulate
+from heatbench.harness import Scenario, build_traces, simulate
 
 
 def main():
@@ -25,8 +25,8 @@ def main():
     curves = {}
     for seed in args.seeds:
         scenario = Scenario(days=args.days, agent="mbrl", seed=seed)
-        trace, tariff = _build_traces(scenario)
-        _, agent = _simulate(scenario, "mbrl", trace, tariff)
+        trace, tariff = build_traces(scenario)
+        _, agent = simulate(scenario, "mbrl", trace, tariff)
         curves[seed] = dict(agent.mae_history)
         path = out / f"model_mae_seed{seed}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -6,11 +6,10 @@ import argparse
 import json
 import sys
 
-from .harness import (PLOT_KINDS, Scenario, SuiteConfig, emit_plot_data, run_scenario,
-                      run_suite, scenario_from_ini, suite_from_ini)
+from .harness import (AGENT_KINDS, PLOT_KINDS, PRICE_KINDS, Scenario, SuiteConfig,
+                      emit_plot_data, run_scenario, run_suite, scenario_from_ini,
+                      suite_from_ini)
 from .mdp import ComfortBand
-
-_PRICE_ALIASES = {"flat": "flat", "dual": "dual", "rtp": "real_time"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,8 +20,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario (plus the RBC baseline)")
     run.add_argument("--scenario", help="INI scenario file; flags override it")
-    run.add_argument("--agent", choices=["rbc", "mpc", "mbrl", "mfrl"])
-    run.add_argument("--price", choices=["flat", "dual", "rtp"])
+    run.add_argument("--agent", choices=AGENT_KINDS)
+    run.add_argument("--price", choices=PRICE_KINDS)
     run.add_argument("--days", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--name")
@@ -32,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--config", help="INI suite file")
     suite.add_argument("--days", type=int)
     suite.add_argument("--seed", type=int)
-    suite.add_argument("--price", choices=["flat", "dual", "rtp"])
+    suite.add_argument("--price", choices=PRICE_KINDS)
     suite.add_argument("--out", required=True)
 
     plot = sub.add_parser("plot", help="derive plot-ready CSVs from a log")
@@ -44,19 +43,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    overrides = {}
-    if args.agent:
-        overrides["agent"] = args.agent
+def _overrides(args) -> dict:
+    """The Scenario/SuiteConfig fields set on the command line."""
+    out = {k: getattr(args, k, None) for k in ("agent", "days", "seed", "name")}
+    out = {k: v for k, v in out.items() if v is not None}
     if args.price:
-        overrides["tariff_kind"] = _PRICE_ALIASES[args.price]
-    if args.days is not None:
-        overrides["days"] = args.days
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.name:
-        overrides["name"] = args.name
+        out["tariff_kind"] = PRICE_KINDS[args.price]
+    return out
 
+
+def _cmd_run(args) -> int:
+    overrides = _overrides(args)
     if args.scenario:
         scenario = scenario_from_ini(args.scenario, overrides)
     else:
@@ -74,20 +71,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    overrides = {}
-    if args.days is not None:
-        overrides["days"] = args.days
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.price:
-        overrides["price"] = args.price
-
+    overrides = _overrides(args)
     if args.config:
         cfg = suite_from_ini(args.config, overrides)
     else:
-        cfg = SuiteConfig(days=overrides.get("days", 30),
-                          seed=overrides.get("seed", 0),
-                          tariff_kind=_PRICE_ALIASES[overrides.get("price", "flat")])
+        cfg = SuiteConfig(**overrides)
 
     rows = run_suite(cfg, args.out)
     width = max(len(r["agent"]) for r in rows)

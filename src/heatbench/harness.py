@@ -10,7 +10,9 @@ a (scenario, seed) pair determines every output byte.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import time
+import typing
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +35,8 @@ __all__ = [
     "SuiteConfig",
     "RunReport",
     "ConvergenceEstimate",
+    "build_traces",
+    "simulate",
     "run_scenario",
     "run_suite",
     "emit_plot_data",
@@ -42,6 +46,8 @@ __all__ = [
 ]
 
 AGENT_KINDS = ("rbc", "mpc", "mbrl", "mfrl")
+# the price names of the INI files and the command line -> tariff kinds
+PRICE_KINDS = {"flat": "flat", "dual": "dual", "rtp": "real_time"}
 PLOT_KINDS = ("temperature_trace", "action_histogram", "hourly_action_heatmap",
               "model_mae")
 
@@ -86,9 +92,6 @@ class Scenario:
             raise ValueError("warmup_hours must lie within the run")
         if self.grid.levels_w[-1] > self.building.max_power_w:
             raise ValueError("action grid exceeds the heat pump's max power")
-        if self.mbrl.history_length != self.history_length \
-                or self.mfrl.history_length != self.history_length:
-            raise ValueError("agent history lengths must match the scenario")
         self.backup_config()  # trips must be ordered
 
     def backup_config(self) -> BackupConfig:
@@ -119,7 +122,8 @@ class RunReport:
     extra_paths: dict = field(default_factory=dict)
 
 
-def _build_traces(scenario: Scenario) -> tuple[AmbientTrace, TariffSignal]:
+def build_traces(scenario: Scenario) -> tuple[AmbientTrace, TariffSignal]:
+    """The scenario's ambient and tariff traces, derived from its seed."""
     horizon = scenario.horizon_hours()
     ss = np.random.SeedSequence(scenario.seed)
     ambient_seed, tariff_seed, _ = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
@@ -131,10 +135,7 @@ def _build_traces(scenario: Scenario) -> tuple[AmbientTrace, TariffSignal]:
     else:
         # one extra day so the final observation still has an ambient value
         trace = make_synthetic_ambient(ambient_seed, scenario.days + 1, scenario.ambient)
-    tariff_cfg = scenario.tariff
-    if scenario.tariff_kind == "real_time":
-        tariff_cfg = replace(tariff_cfg, rtp_seed=tariff_seed)
-    tariff = make_tariff(scenario.tariff_kind, horizon, tariff_cfg)
+    tariff = make_tariff(scenario.tariff_kind, horizon, scenario.tariff, tariff_seed)
     return trace, tariff
 
 
@@ -143,8 +144,9 @@ def _agent_rng(scenario: Scenario) -> np.random.Generator:
     return np.random.default_rng(ss.spawn(3)[2])
 
 
-def _simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
-              tariff: TariffSignal) -> tuple[EpisodeLog, object]:
+def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
+             tariff: TariffSignal) -> tuple[EpisodeLog, object]:
+    """Run one agent over the traces; returns its episode log and the agent."""
     horizon = scenario.horizon_hours()
     n = scenario.history_length
     backup = scenario.backup_config()
@@ -156,9 +158,11 @@ def _simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
     if agent_kind == "mpc":
         agent = MpcController(scenario.building, grid, scenario.mpc, rng)
     elif agent_kind == "mbrl":
-        agent = ModelBasedAgent(scenario.mbrl, grid, rng, seed=scenario.seed)
+        agent = ModelBasedAgent(scenario.mbrl, grid, rng, seed=scenario.seed,
+                                history_length=n)
     elif agent_kind == "mfrl":
-        agent = ModelFreeAgent(scenario.mfrl, grid, rng, seed=scenario.seed)
+        agent = ModelFreeAgent(scenario.mfrl, grid, rng, seed=scenario.seed,
+                               history_length=n)
     elif agent_kind != "rbc":
         raise ValueError(f"unknown agent kind {agent_kind!r}")
 
@@ -214,15 +218,15 @@ def run_scenario(scenario: Scenario, out_dir) -> RunReport:
     scenario.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace, tariff = _build_traces(scenario)
+    trace, tariff = build_traces(scenario)
 
     t0 = time.perf_counter()
-    agent_log, agent = _simulate(scenario, scenario.agent, trace, tariff)
+    agent_log, agent = simulate(scenario, scenario.agent, trace, tariff)
     wall = time.perf_counter() - t0
     if scenario.agent == "rbc":
         baseline_log = agent_log
     else:
-        baseline_log, _ = _simulate(scenario, "rbc", trace, tariff)
+        baseline_log, _ = simulate(scenario, "rbc", trace, tariff)
 
     controlled_agent = agent_log.slice_hours(scenario.warmup_hours)
     controlled_base = baseline_log.slice_hours(scenario.warmup_hours)
@@ -408,30 +412,67 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _section_kwargs(parser, section, casts) -> dict:
-    if not parser.has_section(section):
-        return {}
+def _choice(table: dict, what: str):
+    """Cast of one INI value through a table of its accepted spellings."""
+    def cast(raw: str):
+        try:
+            return table[raw.lower()]
+        except KeyError:
+            raise ValueError(f"expected {what} ({'/'.join(table)}), got {raw!r}") from None
+    return cast
+
+
+_bool = _choice(configparser.ConfigParser.BOOLEAN_STATES, "a boolean")
+
+
+def _caster(tp):
+    """Parser of one INI value into type `tp`; None when one value cannot set it."""
+    if tp is bool:
+        return _bool
+    if tp in (int, float, str):
+        return tp
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = _caster(args[0])
+        if item is not None:
+            return lambda raw: tuple(item(v) for v in raw.replace(",", " ").split())
+    if len(args) == 2 and type(None) in args:  # X | None: the value sets X
+        return _caster(next(a for a in args if a is not type(None)))
+    return None
+
+
+def _section(parser, section: str, cls, aliases: dict | None = None) -> dict:
+    """Keyword arguments for dataclass `cls` from one INI section.
+
+    The keys are the names of the fields that one value can set, each cast
+    to the field's annotated type.  `aliases` maps further keys to a
+    (field, cast) pair; a field reached through an alias loses its own key.
+    """
+    aliases = aliases or {}
+    hidden = {name for name, _ in aliases.values()}
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        cast = _caster(hints[f.name])
+        if cast is not None and f.name not in hidden:
+            keys[f.name] = (f.name, cast)
+    keys.update(aliases)
     out = {}
-    for key, raw in parser.items(section):
-        if key not in casts:
-            raise ValueError(f"[{section}] has unknown key {key!r}")
-        out[key] = casts[key](raw)
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ValueError(f"[{section}] has unknown key {key!r}")
+            name, cast = keys[key]
+            try:
+                out[name] = cast(raw)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
     return out
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
-def _bool(raw: str) -> bool:
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {raw!r}") from None
-
-
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.replace(",", " ").split())
+# INI keys whose names differ from the fields they set
+_PRICE_ALIAS = {"price": ("tariff_kind", _choice(PRICE_KINDS, "a price"))}
+_SCENARIO_ALIASES = {**_PRICE_ALIAS, "backup": ("backup_enabled", _bool)}
 
 
 def _parse_band_phases(raw: str) -> BandSchedule:
@@ -443,103 +484,50 @@ def _parse_band_phases(raw: str) -> BandSchedule:
 
 
 def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
-    """Build a Scenario from an INI file; `overrides` wins over file values."""
+    """Build a Scenario from an INI file; `overrides` wins over file values.
+
+    `[scenario]` sets Scenario's own fields; `[building]`, `[ambient]`,
+    `[tariff]`, `[rbc]`, `[cem]`, `[ga]`, `[mpc]`, `[mbrl]` and `[mfrl]`
+    set the fields of the config dataclass of the same name; `[band]`
+    takes ComfortBand's fields or a `phases` schedule.
+    """
     parser = _read_ini(path)
-    overrides = dict(overrides or {})
+    main = _section(parser, "scenario", Scenario, _SCENARIO_ALIASES)
+    band = _section(parser, "band", ComfortBand, {"phases": ("phases", _parse_band_phases)})
+    if "phases" in band:
+        if len(band) > 1:
+            raise ValueError("[band] takes either phases or t_min/t_max, not both")
+        main["band_schedule"] = band["phases"]
+    elif band:
+        main["band_schedule"] = BandSchedule.constant(ComfortBand(**band))
+    main.update(overrides or {})
 
-    main = _section_kwargs(parser, "scenario", {
-        "name": str, "days": int, "agent": str, "seed": int,
-        "price": str, "backup": _bool, "warmup_hours": int,
-        "initial_temp_c": float, "history_length": int,
-        "backup_low_trip": float, "backup_high_trip": float,
-        "ambient_csv": str,
-    })
-    if "price" in main:
-        main["tariff_kind"] = {"flat": "flat", "dual": "dual",
-                               "rtp": "real_time"}.get(main.pop("price"))
-        if main["tariff_kind"] is None:
-            raise ValueError("price must be flat, dual or rtp")
-    if "backup" in main:
-        main["backup_enabled"] = main.pop("backup")
-
-    building = _section_kwargs(parser, "building", {
-        "indoor_capacitance": float, "envelope_capacitance": float,
-        "ambient_conductance": float, "envelope_conductance": float,
-        "cop": float, "max_power_w": float, "substep_seconds": int})
-    ambient = _section_kwargs(parser, "ambient", {
-        "mean_c": float, "drift_start_c": float, "drift_end_c": float,
-        "daily_amplitude_c": float, "ar1_coeff": float, "noise_sigma_c": float})
-    tariff = _section_kwargs(parser, "tariff", {
-        "flat_price": float, "day_price": float, "night_price": float,
-        "day_start_hour": int, "day_end_hour": int, "rtp_base": float,
-        "rtp_step": float, "rtp_min": float, "rtp_max": float, "rtp_seed": int})
-    rbc = _section_kwargs(parser, "rbc", {"hysteresis_c": float})
-    cem = _section_kwargs(parser, "cem", {
-        "population": int, "elite_fraction": float, "iterations": int,
-        "smoothing": float})
-    ga = _section_kwargs(parser, "ga", {
-        "population": int, "generations": int, "tournament_size": int,
-        "crossover_rate": float, "mutation_rate": float})
-    mpc = _section_kwargs(parser, "mpc", {
-        "planner": str, "horizon": int, "warm_start": _bool})
-    mbrl = _section_kwargs(parser, "mbrl", {
-        "history_length": int, "memory_capacity": int, "epsilon_initial": float,
-        "epsilon_exponent": float, "hidden": _int_tuple, "activation": str,
-        "learning_rate": float, "epochs_per_update": int, "batch_size": int,
-        "min_train_samples": int, "holdout_fraction": float, "planner": str})
-    mfrl = _section_kwargs(parser, "mfrl", {
-        "history_length": int, "hidden": _int_tuple, "activation": str,
-        "learning_rate": float, "gamma": float, "tau": float, "batch_size": int,
-        "capacity": int, "warmup_samples": int, "priority_alpha": float,
-        "priority_offset": float, "epsilon_initial": float,
-        "epsilon_exponent": float, "train_cycles_per_update": int,
-        "selection_by_target": _bool, "random_until_warmup": _bool})
-
-    band_schedule = None
-    if parser.has_section("band"):
-        if parser.has_option("band", "phases"):
-            band_schedule = _parse_band_phases(parser.get("band", "phases"))
-        else:
-            band = ComfortBand(parser.getfloat("band", "t_min", fallback=19.0),
-                               parser.getfloat("band", "t_max", fallback=23.0))
-            band_schedule = BandSchedule.constant(band)
-
-    main.update(overrides)
-    history = main.get("history_length", Scenario().history_length)
-    cem_cfg = CemConfig(**cem)
-    ga_cfg = GaConfig(**ga)
+    cem = CemConfig(**_section(parser, "cem", CemConfig))
+    ga = GaConfig(**_section(parser, "ga", GaConfig))
     scenario = Scenario(
         **main,
-        building=BuildingParams(**building),
-        ambient=AmbientGenParams(**ambient),
-        tariff=TariffConfig(**tariff),
-        rbc=RbcConfig(**rbc),
-        mpc=MpcConfig(cem=cem_cfg, ga=ga_cfg, **mpc),
-        mbrl=MbrlConfig(cem=cem_cfg, ga=ga_cfg,
-                        **{"history_length": history, **mbrl}),
-        mfrl=MfrlConfig(**{"history_length": history, **mfrl}),
-        **({"band_schedule": band_schedule} if band_schedule else {}),
+        building=BuildingParams(**_section(parser, "building", BuildingParams)),
+        ambient=AmbientGenParams(**_section(parser, "ambient", AmbientGenParams)),
+        tariff=TariffConfig(**_section(parser, "tariff", TariffConfig)),
+        rbc=RbcConfig(**_section(parser, "rbc", RbcConfig)),
+        mpc=MpcConfig(cem=cem, ga=ga, **_section(parser, "mpc", MpcConfig)),
+        mbrl=MbrlConfig(cem=cem, ga=ga, **_section(parser, "mbrl", MbrlConfig)),
+        mfrl=MfrlConfig(**_section(parser, "mfrl", MfrlConfig)),
     )
     scenario.validate()
     return scenario
 
 
 def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
+    """Build a SuiteConfig from the `[suite]` section of an INI file; a
+    `[scenario]` section there makes the base scenario of every run."""
     parser = _read_ini(path)
-    head = _section_kwargs(parser, "suite", {
-        "name": str, "days": int, "seed": int, "price": str, "agents": str})
-    head.update(overrides or {})
-    tariff_kind = {"flat": "flat", "dual": "dual", "rtp": "real_time"}.get(
-        head.pop("price", "flat"))
-    if tariff_kind is None:
-        raise ValueError("price must be flat, dual or rtp")
-    agents = tuple(a.strip() for a in head.pop("agents", "rbc,mpc,mbrl,mfrl").split(","))
-    for a in agents:
+    head = {**_section(parser, "suite", SuiteConfig, _PRICE_ALIAS), **(overrides or {})}
+    for a in head.get("agents", ()):
         if a not in AGENT_KINDS:
             raise ValueError(f"unknown agent {a!r} in suite config")
-    base = scenario_from_ini(path, {"days": head.get("days", 30),
-                                    "seed": head.get("seed", 0)}) \
-        if parser.has_section("scenario") else Scenario()
-    return SuiteConfig(name=head.get("name", "suite"), days=head.get("days", 30),
-                       seed=head.get("seed", 0), tariff_kind=tariff_kind,
-                       agents=agents, base=base)
+    suite = SuiteConfig(**head)
+    if parser.has_section("scenario"):
+        suite = replace(suite, base=scenario_from_ini(path, {"days": suite.days,
+                                                             "seed": suite.seed}))
+    return suite

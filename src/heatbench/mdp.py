@@ -34,7 +34,6 @@ __all__ = [
     "comfort_reward",
     "comfort_reward_batch",
     "make_tariff",
-    "load_tariff_csv",
     "log_metrics",
 ]
 
@@ -178,7 +177,6 @@ class TariffConfig:
     night_price: float = 0.20
     day_start_hour: int = 7
     day_end_hour: int = 22
-    rtp_seed: int = 0
     rtp_base: float = 0.24
     rtp_step: float = 0.02
     rtp_min: float = 0.05
@@ -220,8 +218,11 @@ class TariffSignal:
 
 
 def make_tariff(kind: str, horizon_hours: int,
-                config: TariffConfig = DEFAULT_TARIFF) -> TariffSignal:
-    """Build a per-hour price signal: flat, dual (day/night) or real_time."""
+                config: TariffConfig = DEFAULT_TARIFF, seed: int = 0) -> TariffSignal:
+    """Build a per-hour price signal: flat, dual (day/night) or real_time.
+
+    `seed` drives the real_time random walk; the other kinds ignore it.
+    """
     if horizon_hours < 1:
         raise ValueError("horizon_hours must be >= 1")
     if kind == "flat":
@@ -233,7 +234,7 @@ def make_tariff(kind: str, horizon_hours: int,
             else config.night_price
             for h in range(horizon_hours))
     elif kind == "real_time":
-        rng = np.random.default_rng(config.rtp_seed)
+        rng = np.random.default_rng(seed)
         walk = np.empty(horizon_hours)
         p = config.rtp_base
         for h in range(horizon_hours):
@@ -244,30 +245,6 @@ def make_tariff(kind: str, horizon_hours: int,
     else:
         raise ValueError(f"unknown tariff kind {kind!r}")
     return TariffSignal(kind, prices)
-
-
-def load_tariff_csv(path, kind: str = "flat") -> TariffSignal:
-    """Read a per-hour price signal from a `hour,price_eur_per_kwh` CSV file."""
-    prices: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: file is empty")
-        if [c.strip() for c in header] != ["hour", "price_eur_per_kwh"]:
-            raise ValueError(f"{path}: expected header 'hour,price_eur_per_kwh'")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                hour = int(row[0])
-                price = float(row[1])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: line {line_no}: malformed row {row!r}") from None
-            if hour != len(prices):
-                raise ValueError(f"{path}: line {line_no}: expected hour {len(prices)}")
-            prices.append(price)
-    if not prices:
-        raise ValueError(f"{path}: no data rows")
-    return TariffSignal(kind, tuple(prices))
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,6 @@ class SampleMemory:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def __iter__(self):
-        return iter(self._buffer)
-
     def samples(self) -> list[TransitionSample]:
         return list(self._buffer)
 
@@ -77,7 +74,6 @@ class ExplorationSchedule:
 
 @dataclass(frozen=True)
 class MbrlConfig:
-    history_length: int = 3
     memory_capacity: int = 4096
     epsilon_initial: float = 0.5
     epsilon_exponent: float = 0.7
@@ -179,23 +175,11 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
 
 
 class LearnedDynamicsModel:
-    """DynamicsModel adapter around a TransitionModel (exact=False)."""
-
-    exact = False
+    """DynamicsModel adapter around a TransitionModel."""
 
     def __init__(self, model: TransitionModel, grid: ActionGrid):
         self._model = model
         self._grid = grid
-
-    def reset(self) -> None:
-        pass
-
-    def predict(self, obs: ObservedState, action_index: int,
-                ambient_next_c: float) -> ObservedState:
-        features = np.array(obs.indoor_history
-                            + (obs.ambient_now, self._grid.levels_w[action_index]))
-        t_next = float(self._model.predict_batch(features[None, :])[0])
-        return ObservedState((t_next,) + obs.indoor_history[:-1], float(ambient_next_c))
 
     def rollout_temps(self, start: ObservedState, actions: np.ndarray,
                       ambient_window: np.ndarray) -> np.ndarray:
@@ -226,13 +210,13 @@ class ModelBasedAgent:
     """
 
     def __init__(self, cfg: MbrlConfig, grid: ActionGrid,
-                 rng: np.random.Generator, seed: int = 0,
+                 rng: np.random.Generator, seed: int = 0, *, history_length: int,
                  dynamics_override: DynamicsModel | None = None):
         self.cfg = cfg
         self.grid = grid
         self.memory = SampleMemory(cfg.memory_capacity)
         self.schedule = ExplorationSchedule(cfg.epsilon_initial, cfg.epsilon_exponent)
-        n_features = cfg.history_length + 3  # temps window + ambient + action power
+        n_features = history_length + 3  # temps window + ambient + action power
         self.model = TransitionModel.create(n_features, cfg, seed)
         self._rng = rng
         self._override = dynamics_override

@@ -17,7 +17,7 @@ import numpy as np
 from .mdp import ActionGrid, ObservedState, TransitionSample
 from .model_based import ExplorationSchedule
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
-                     forward, forward_batch, identity_normalizer, train_minibatch)
+                     forward, forward_batch, train_minibatch)
 
 __all__ = [
     "PrioritizedReplay",
@@ -130,22 +130,23 @@ def soft_update(pair: QPair) -> QPair:
     return pair
 
 
-def q_target(sample: TransitionSample, pair: QPair, encode=None,
-             selection_by_target: bool = False) -> float:
-    """Bootstrap target for one transition.
+def q_target(samples: list[TransitionSample], pair: QPair, encode=None,
+             selection_by_target: bool = False) -> np.ndarray:
+    """Bootstrap targets for a batch of transitions, one per sample.
 
-    Terminal samples return the bare reward.  Otherwise the online
+    Terminal samples get the bare reward.  Otherwise the online
     network picks the next action and the target network values it
     (double-Q); `selection_by_target` switches the argmax to the target
     network instead.
     """
-    if sample.terminal:
-        return sample.r.total
     enc = encode if encode is not None else lambda obs: obs.features()
-    x = enc(sample.s_next)
-    selector = pair.target if selection_by_target else pair.online
-    best = int(np.argmax(forward(selector, x)))
-    return sample.r.total + pair.gamma * float(forward(pair.target, x)[best])
+    x_next = np.stack([enc(s.s_next) for s in samples])
+    q_tgt = forward_batch(pair.target, x_next)
+    selector = q_tgt if selection_by_target else forward_batch(pair.online, x_next)
+    bootstrap = q_tgt[np.arange(len(samples)), np.argmax(selector, axis=1)]
+    rewards = np.array([s.r.total for s in samples])
+    terminal = np.array([s.terminal for s in samples])
+    return np.where(terminal, rewards, rewards + pair.gamma * bootstrap)
 
 
 def compute_priority(target: float, q_sa: float, offset: float) -> float:
@@ -157,7 +158,6 @@ def compute_priority(target: float, q_sa: float, offset: float) -> float:
 
 @dataclass(frozen=True)
 class MfrlConfig:
-    history_length: int = 3
     hidden: tuple[int, ...] = (64, 64)
     activation: str = "relu"
     learning_rate: float = 1e-3
@@ -190,12 +190,12 @@ class ModelFreeAgent:
     """Epsilon-greedy double fitted Q iteration with prioritized replay."""
 
     def __init__(self, cfg: MfrlConfig, grid: ActionGrid,
-                 rng: np.random.Generator, seed: int = 0):
+                 rng: np.random.Generator, seed: int = 0, *, history_length: int):
         self.cfg = cfg
         self.grid = grid
         self.replay = PrioritizedReplay(cfg.capacity, cfg.priority_alpha,
                                         cfg.priority_offset)
-        n_features = cfg.history_length + 2  # temps window + ambient
+        n_features = history_length + 2  # temps window + ambient
         spec = MlpSpec((n_features, *cfg.hidden, len(grid)), cfg.activation,
                        init_seed=seed)
         self.pair = QPair.create(spec, cfg.tau, cfg.gamma)
@@ -229,23 +229,13 @@ class ModelFreeAgent:
         return action
 
     def observe(self, sample: TransitionSample) -> None:
-        target = q_target(sample, self.pair, self.encode, self.cfg.selection_by_target)
+        target = float(q_target([sample], self.pair, self.encode,
+                                self.cfg.selection_by_target)[0])
         q_sa = float(self.q_values(sample.s)[sample.a])
         self.replay.add(sample, compute_priority(target, q_sa, self.cfg.priority_offset))
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
             self.normalizer = fit_normalizer(
                 np.stack([s.features() for s in self.replay.states()]))
-
-    def _batch_targets(self, samples: list[TransitionSample]) -> np.ndarray:
-        x_next = np.stack([self.encode(s.s_next) for s in samples])
-        q_online = forward_batch(self.pair.online, x_next)
-        q_tgt = forward_batch(self.pair.target, x_next)
-        selector = q_tgt if self.cfg.selection_by_target else q_online
-        chosen = np.argmax(selector, axis=1)
-        bootstrap = q_tgt[np.arange(len(samples)), chosen]
-        rewards = np.array([s.r.total for s in samples])
-        terminal = np.array([s.terminal for s in samples])
-        return np.where(terminal, rewards, rewards + self.pair.gamma * bootstrap)
 
     def train_cycle(self, rng: np.random.Generator | None = None) -> bool:
         """One replay batch: masked Q step, soft target update, priority write-back.
@@ -258,7 +248,7 @@ class ModelFreeAgent:
         samples, indices = replay_sample(self.replay, self.cfg.batch_size, rng)
 
         x = np.stack([self.encode(s.s) for s in samples])
-        targets = self._batch_targets(samples)
+        targets = q_target(samples, self.pair, self.encode, self.cfg.selection_by_target)
         actions = np.array([s.a for s in samples])
         t_full = np.zeros((len(samples), len(self.grid)))
         mask = np.zeros_like(t_full)
@@ -268,7 +258,8 @@ class ModelFreeAgent:
 
         soft_update(self.pair)
 
-        new_targets = self._batch_targets(samples)
+        new_targets = q_target(samples, self.pair, self.encode,
+                               self.cfg.selection_by_target)
         q_now = forward_batch(self.pair.online, x)[np.arange(len(samples)), actions]
         for sample_i, mem_i in enumerate(indices):
             self.replay.update_priority(

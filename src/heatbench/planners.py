@@ -6,10 +6,9 @@ is a sequence of action-grid indices; its value is the summed energy
 cost plus comfort penalty along the model-predicted trajectory, with no
 discounting inside the window.
 
-Models implement the DynamicsModel protocol: a per-step `predict` plus
-a batched `rollout_temps` used to evaluate whole candidate populations
-at once.  `reset()` rewinds stateful models (the emulator clone carries
-the latent envelope temperature) to the trajectory root.
+Models implement the DynamicsModel protocol: a batched `rollout_temps`
+that predicts the indoor temperatures of a whole candidate population
+at once, always from the same root state.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "Plan",
     "CemConfig",
     "GaConfig",
-    "rollout_return",
     "plan_cem",
     "plan_ga",
     "plan_exhaustive",
@@ -37,16 +35,7 @@ __all__ = [
 
 
 class DynamicsModel(Protocol):
-    """One-step indoor-temperature predictor used by the planners."""
-
-    exact: bool
-
-    def reset(self) -> None:
-        """Rewind any per-trajectory latent state to the root."""
-
-    def predict(self, obs: ObservedState, action_index: int,
-                ambient_next_c: float) -> ObservedState:
-        """Advance one hour; `ambient_next_c` fills the returned observation."""
+    """Indoor-temperature predictor used by the planners."""
 
     def rollout_temps(self, start: ObservedState, actions: np.ndarray,
                       ambient_window: np.ndarray) -> np.ndarray:
@@ -60,28 +49,11 @@ class ExactDynamicsModel:
     integrator, so batched rollouts cost O(1) per hour per candidate.
     """
 
-    exact = True
-
     def __init__(self, params: BuildingParams, state: BuildingState, grid: ActionGrid):
         self._params = params
         self._grid = grid
         self._root = (state.indoor_temp, state.envelope_temp)
-        self._latent = self._root
         self._p, self._s = hour_affine_map(params)
-
-    def reset(self) -> None:
-        self._latent = self._root
-
-    def predict(self, obs: ObservedState, action_index: int,
-                ambient_next_c: float) -> ObservedState:
-        t_i, t_m = self._latent
-        drive = (self._params.ambient_conductance * obs.ambient_now
-                 + self._params.cop * self._grid.levels_w[action_index])
-        p, s = self._p, self._s
-        t_i2 = p[0, 0] * t_i + p[0, 1] * t_m + s[0] * drive
-        t_m2 = p[1, 0] * t_i + p[1, 1] * t_m + s[1] * drive
-        self._latent = (t_i2, t_m2)
-        return ObservedState((t_i2,) + obs.indoor_history[:-1], float(ambient_next_c))
 
     def rollout_temps(self, start: ObservedState, actions: np.ndarray,
                       ambient_window: np.ndarray) -> np.ndarray:
@@ -180,25 +152,6 @@ def evaluate_sequences(model: DynamicsModel, start: ObservedState, actions: np.n
     cons = -(powers / 1000.0) * prices[None, :]
     comfort = comfort_reward_batch(temps, band)
     return (cons + comfort).sum(axis=1)
-
-
-def rollout_return(model: DynamicsModel, start: ObservedState, actions,
-                   grid: ActionGrid, tariff_window, ambient_window,
-                   band: ComfortBand) -> float:
-    """Return of one action sequence via the per-step predict interface."""
-    actions = list(actions)
-    _check_windows(len(actions), tariff_window, ambient_window)
-    model.reset()
-    obs = start
-    total = 0.0
-    for k, a in enumerate(actions):
-        # the trailing observation's ambient is a placeholder, never read
-        ambient_next = ambient_window[k + 1] if k + 1 < len(ambient_window) \
-            else ambient_window[len(actions) - 1]
-        obs = model.predict(obs, a, ambient_next)
-        total += -(grid.levels_w[a] / 1000.0) * tariff_window[k]
-        total += float(comfort_reward_batch(np.array([obs.indoor_history[0]]), band)[0])
-    return total
 
 
 def _sequence_energy(actions: np.ndarray, grid: ActionGrid) -> np.ndarray:

@@ -14,7 +14,7 @@ from scipy import stats
 
 from heatbench.baselines import MpcConfig, MpcController
 from heatbench.emulator import BuildingParams, BuildingState, step
-from heatbench.harness import Scenario, _build_traces, _simulate, run_scenario
+from heatbench.harness import Scenario, build_traces, run_scenario, simulate
 from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, ObservedState,
                            RewardComponents, TransitionSample, log_metrics)
 from heatbench.model_based import MbrlConfig, ModelBasedAgent
@@ -33,14 +33,14 @@ WARMUP = 24
 
 def _run_battery(seed, days, tariff_kind, agents):
     scenario = Scenario(days=days, agent="rbc", seed=seed, tariff_kind=tariff_kind)
-    trace, tariff = _build_traces(scenario)
-    rbc_log, _ = _simulate(scenario, "rbc", trace, tariff)
+    trace, tariff = build_traces(scenario)
+    rbc_log, _ = simulate(scenario, "rbc", trace, tariff)
     rbc_ctrl = rbc_log.slice_hours(WARMUP)
     out = {"rbc": {"metrics": (0.0, 0.0, rbc_ctrl.total_comfort_eur()),
                    "log": rbc_log, "agent": None, "wall": 0.0}}
     for kind in agents:
         t0 = time.perf_counter()
-        log, agent = _simulate(scenario, kind, trace, tariff)
+        log, agent = simulate(scenario, kind, trace, tariff)
         wall = time.perf_counter() - t0
         metrics = log_metrics(log.slice_hours(WARMUP), rbc_ctrl)
         out[kind] = {"metrics": metrics, "log": log, "agent": agent, "wall": wall}
@@ -97,8 +97,8 @@ def test_criterion_3_model_learning_curve():
     day2, day20 = [], []
     for seed in SEEDS:
         scenario = Scenario(days=21, agent="mbrl", seed=seed)
-        trace, tariff = _build_traces(scenario)
-        _, agent = _simulate(scenario, "mbrl", trace, tariff)
+        trace, tariff = build_traces(scenario)
+        _, agent = simulate(scenario, "mbrl", trace, tariff)
         history = dict(agent.mae_history)
         day2.append(history[2])
         day20.append(history[20])
@@ -157,10 +157,11 @@ def test_criterion_5_q_learning_correctness():
     grid2 = ActionGrid((0.0, 400.0))
     errs = []
     for seed in SEEDS:
-        cfg = MfrlConfig(history_length=0, hidden=(32, 32), activation="tanh",
+        cfg = MfrlConfig(hidden=(32, 32), activation="tanh",
                          learning_rate=3e-3, gamma=gamma, tau=0.05, batch_size=8,
                          capacity=64, warmup_samples=8, train_cycles_per_update=1)
-        agent = ModelFreeAgent(cfg, grid2, np.random.default_rng(seed), seed=seed)
+        agent = ModelFreeAgent(cfg, grid2, np.random.default_rng(seed), seed=seed,
+                               history_length=0)
         for _ in range(4):
             for s, a, s2, r in transitions:
                 agent.observe(TransitionSample(s, a, s2, RewardComponents(r, 0.0)))
@@ -180,8 +181,8 @@ def test_criterion_5_q_learning_correctness():
 
     pair = QPair(bias_net([1.0, 2.0]), bias_net([10.0, 0.0]), gamma=0.9)
     sample = TransitionSample(s0, 0, s1, RewardComponents(0.0, 0.0))
-    assert q_target(sample, pair) == pytest.approx(0.0)
-    assert q_target(sample, pair, selection_by_target=True) == pytest.approx(9.0)
+    assert q_target([sample], pair)[0] == pytest.approx(0.0)
+    assert q_target([sample], pair, selection_by_target=True)[0] == pytest.approx(9.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 5 PASS: toy-MDP Q errors {[f'{e:.4f}' for e in errs]} < 1e-2; "
@@ -319,14 +320,14 @@ def test_criterion_9_byte_determinism(tmp_path):
 def test_criterion_10_relative_compute_ordering():
     """MF-RL action selection is at least 10x cheaper than one MB-RL plan."""
     obs = ObservedState((20.0,) * 4, 5.0)
-    mf = ModelFreeAgent(MfrlConfig(), GRID, np.random.default_rng(0))
+    mf = ModelFreeAgent(MfrlConfig(), GRID, np.random.default_rng(0), history_length=3)
     n_act = 300
     t0 = time.perf_counter()
     for _ in range(n_act):
         mf.act(obs, epsilon=0.0)
     act_seconds = (time.perf_counter() - t0) / n_act
 
-    mb = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0))
+    mb = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0), history_length=3)
     tariff = np.full(24, 0.24)
     ambient = np.full(24, 5.0)
     n_plan = 5

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from heatbench.baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from heatbench.emulator import BuildingParams, BuildingState, step
-from heatbench.harness import Scenario, _build_traces, _simulate
+from heatbench.harness import Scenario, build_traces, simulate
 from heatbench.mdp import ActionGrid, ComfortBand, ObservedState, log_metrics
 
 PARAMS = BuildingParams()
@@ -40,8 +40,8 @@ def test_rbc_output_is_bang_bang(t, h):
 
 def test_rbc_undershoot_regression_bound():
     scenario = Scenario(days=60, agent="rbc", seed=0, rbc=RbcConfig(hysteresis_c=0.0))
-    trace, tariff = _build_traces(scenario)
-    log, _ = _simulate(scenario, "rbc", trace, tariff)
+    trace, tariff = build_traces(scenario)
+    log, _ = simulate(scenario, "rbc", trace, tariff)
     coldest = min(r.t_i for r in log.slice_hours(24).steps)
     assert coldest >= BAND.t_min - RBC_UNDERSHOOT_BOUND_C
 
@@ -96,9 +96,9 @@ def test_mpc_cost_at_most_rbc_cost():
     # MPC can always reproduce the thermostat's feasible behaviour, so on
     # a shared trace it never pays more
     scenario = Scenario(days=10, agent="rbc", seed=4)
-    trace, tariff = _build_traces(scenario)
-    rbc_log, _ = _simulate(scenario, "rbc", trace, tariff)
-    mpc_log, _ = _simulate(scenario, "mpc", trace, tariff)
+    trace, tariff = build_traces(scenario)
+    rbc_log, _ = simulate(scenario, "rbc", trace, tariff)
+    mpc_log, _ = simulate(scenario, "mpc", trace, tariff)
     cons, cost, comfort = log_metrics(mpc_log.slice_hours(24), rbc_log.slice_hours(24))
     assert cost <= 0.0
     assert comfort == pytest.approx(0.0, abs=1e-9)
@@ -106,7 +106,7 @@ def test_mpc_cost_at_most_rbc_cost():
 
 def test_mpc_warm_start_keeps_determinism():
     scenario = Scenario(days=3, agent="mpc", seed=11)
-    trace, tariff = _build_traces(scenario)
-    a, _ = _simulate(scenario, "mpc", trace, tariff)
-    b, _ = _simulate(scenario, "mpc", trace, tariff)
+    trace, tariff = build_traces(scenario)
+    a, _ = simulate(scenario, "mpc", trace, tariff)
+    b, _ = simulate(scenario, "mpc", trace, tariff)
     assert a.steps == b.steps

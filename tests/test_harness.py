@@ -1,14 +1,15 @@
 import filecmp
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatbench.cli import main as cli_main
-from heatbench.harness import (Scenario, SuiteConfig, emit_plot_data,
+from heatbench.harness import (Scenario, SuiteConfig, build_traces, emit_plot_data,
                                estimate_convergence, run_scenario, run_suite,
-                               scenario_from_ini, suite_from_ini)
+                               scenario_from_ini, simulate, suite_from_ini)
 from heatbench.mdp import ComfortBand, EpisodeLog, StepRecord
 
 
@@ -228,6 +229,77 @@ def test_scenario_from_ini_rejects_unknown_key(tmp_path):
         scenario_from_ini(path)
 
 
+def _ini(tmp_path, text):
+    path = tmp_path / "config.ini"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_scenario_from_ini_round_trips_every_default(tmp_path):
+    # every key the parser derives from the dataclasses, set to its default
+    def render(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, tuple):
+            return ", ".join(str(v) for v in value)
+        return str(value)
+
+    base = Scenario()
+    sections = {"scenario": {k: v for k, v in vars(base).items()
+                             if isinstance(v, (int, float, str))},
+                "band": vars(base.band_schedule.band_at(0))}
+    for name in ("building", "ambient", "tariff", "rbc", "mbrl", "mfrl", "mpc"):
+        sections[name] = {k: v for k, v in vars(getattr(base, name)).items()
+                          if isinstance(v, (int, float, str, tuple))}
+    sections["cem"], sections["ga"] = vars(base.mpc.cem), vars(base.mpc.ga)
+    sections["scenario"]["price"] = sections["scenario"].pop("tariff_kind")
+    sections["scenario"]["backup"] = sections["scenario"].pop("backup_enabled")
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {render(v)}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+    assert scenario_from_ini(_ini(tmp_path, text)) == base
+
+
+@pytest.mark.parametrize("section, key, raw, field, value", [
+    ("cem", "seed_bias", "0.25", lambda s: s.mpc.cem.seed_bias, 0.25),
+    ("cem", "explore_floor", "0.1", lambda s: s.mbrl.cem.explore_floor, 0.1),
+    ("ga", "immigrants", "4", lambda s: s.mpc.ga.immigrants, 4),
+    ("scenario", "price", "rtp", lambda s: s.tariff_kind, "real_time"),
+    ("scenario", "backup_low_trip", "18.5", lambda s: s.backup_low_trip, 18.5),
+    ("scenario", "ambient_csv", "weather.csv", lambda s: s.ambient_csv, "weather.csv"),
+])
+def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, field, value):
+    scenario = scenario_from_ini(_ini(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+    assert field(scenario) == value
+    assert type(field(scenario)) is type(value)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[band]\nt_low = 21\n", "unknown key 't_low'"),
+    ("[band]\nphases = 0:19:23\nt_min = 20\n", "either phases or t_min"),
+    ("[tariff]\nrtp_seed = 5\n", "unknown key 'rtp_seed'"),
+    ("[mbrl]\nhistory_length = 2\n", "unknown key 'history_length'"),
+    ("[mfrl]\nhistory_length = 2\n", "unknown key 'history_length'"),
+    ("[scenario]\ntariff_kind = dual\n", "unknown key 'tariff_kind'"),
+    ("[scenario]\nprice = hourly\n", "expected a price"),
+    ("[scenario]\ndays = many\n", r"\[scenario\] days"),
+    ("[mpc]\nwarm_start = maybe\n", "expected a boolean"),
+])
+def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):
+    with pytest.raises(ValueError, match=match):
+        scenario_from_ini(_ini(tmp_path, text))
+
+
+def test_scenario_history_length_reaches_both_agents(tmp_path):
+    path = _ini(tmp_path, "[scenario]\nhistory_length = 1\n")
+    scenario = replace(scenario_from_ini(path), days=2)
+    trace, tariff = build_traces(scenario)
+    for kind, n_inputs in (("mbrl", 1 + 3), ("mfrl", 1 + 2)):
+        log, agent = simulate(scenario, kind, trace, tariff)
+        net = agent.model.mlp if kind == "mbrl" else agent.pair.online
+        assert net.spec.layer_sizes[0] == n_inputs
+        assert len(log) == 48
+
+
 def test_suite_from_ini(tmp_path):
     path = tmp_path / "suite.ini"
     path.write_text("[suite]\nname = table\ndays = 2\nseed = 4\nprice = dual\n"
@@ -236,6 +308,11 @@ def test_suite_from_ini(tmp_path):
     assert cfg.name == "table"
     assert cfg.tariff_kind == "dual"
     assert cfg.agents == ("rbc", "mpc")
+
+    with pytest.raises(ValueError, match="unknown agent"):
+        suite_from_ini(_ini(tmp_path, "[suite]\nagents = rbc, dqn\n"))
+    with pytest.raises(ValueError, match="unknown key 'tariff_kind'"):
+        suite_from_ini(_ini(tmp_path, "[suite]\ntariff_kind = dual\n"))
 
 
 def test_cli_run_and_plot(tmp_path, capsys):
@@ -259,6 +336,15 @@ def test_cli_suite(tmp_path, capsys):
     code = cli_main(["suite", "--config", str(path), "--out", str(out)])
     assert code == 0
     assert (out / "suite_table.csv").exists()
+
+
+def test_cli_suite_price_alias_without_config(tmp_path, capsys):
+    out = tmp_path / "rtp_out"
+    code = cli_main(["suite", "--days", "2", "--seed", "3", "--price", "rtp",
+                     "--out", str(out)])
+    assert code == 0
+    rows = (out / "suite_rbc_rbc.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len({row.split(",")[5] for row in rows}) > 1  # a real-time walk, not flat
 
 
 def test_cli_machine_readable_error(tmp_path, capsys):

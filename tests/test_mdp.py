@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
                            ObservedState, RewardComponents, StepRecord, TariffConfig,
                            comfort_reward, comfort_reward_batch, consumption_reward,
-                           encode_state, load_tariff_csv, log_metrics, make_tariff)
+                           encode_state, log_metrics, make_tariff)
 
 BAND = ComfortBand(19.0, 23.0)
 
@@ -104,10 +104,11 @@ def test_make_tariff_dual_day_boundary():
 
 
 def test_make_tariff_real_time_deterministic():
-    cfg = TariffConfig(rtp_seed=11)
-    a = make_tariff("real_time", 24, cfg)
-    b = make_tariff("real_time", 24, cfg)
+    cfg = TariffConfig()
+    a = make_tariff("real_time", 24, cfg, seed=11)
+    b = make_tariff("real_time", 24, cfg, seed=11)
     assert a.prices == b.prices
+    assert a.prices != make_tariff("real_time", 24, cfg, seed=12).prices
     assert all(cfg.rtp_min <= p <= cfg.rtp_max for p in a.prices)
 
 
@@ -118,16 +119,6 @@ def test_tariff_rejects_bad_config():
         make_tariff("flat", 0)
     with pytest.raises(ValueError):
         make_tariff("hourly", 24)
-
-
-def test_load_tariff_csv(tmp_path):
-    path = tmp_path / "tariff.csv"
-    path.write_text("hour,price_eur_per_kwh\n0,0.2\n1,0.3\n", encoding="utf-8")
-    tariff = load_tariff_csv(path)
-    assert tariff.prices == (0.2, 0.3)
-    path.write_text("hour,price_eur_per_kwh\n0,xx\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        load_tariff_csv(path)
 
 
 def test_reward_components_invariants():

@@ -82,9 +82,8 @@ def test_untrained_model_predicts_room_scale_constant():
     model = TransitionModel.create(6, MbrlConfig(), seed=0)
     learned = LearnedDynamicsModel(model, GRID)
     obs = ObservedState((20.0,) * 4, 5.0)
-    nxt = learned.predict(obs, 0, 5.0)
-    assert 15.0 < nxt.indoor_history[0] < 27.0
-    assert nxt.indoor_history[1:] == obs.indoor_history[:-1]
+    temps = learned.rollout_temps(obs, np.array([[0, 5, 2]]), np.full(3, 5.0))
+    assert np.all((15.0 < temps) & (temps < 27.0))
 
 
 def test_learned_batch_rollout_matches_per_step():
@@ -102,16 +101,18 @@ def test_learned_batch_rollout_matches_per_step():
     actions = np.array([[1, 5, 0]])
     ambient = np.array([5.0, 4.0, 3.0])
     temps = learned.rollout_temps(obs, actions, ambient)
-    o = obs
+    history = obs.indoor_history
     for k, a in enumerate(actions[0]):
-        nxt_amb = ambient[k + 1] if k + 1 < 3 else ambient[-1]
-        o = learned.predict(o, int(a), nxt_amb)
-        assert temps[0, k] == pytest.approx(o.indoor_history[0], abs=1e-9)
+        features = np.array(history + (ambient[k], GRID.levels_w[a]))
+        t_next = float(model.predict_batch(features[None, :])[0])
+        assert temps[0, k] == pytest.approx(t_next, abs=1e-9)
+        history = (t_next,) + history[:-1]
 
 
 def _agent(seed=0, **overrides):
     cfg = MbrlConfig(**overrides)
-    return ModelBasedAgent(cfg, GRID, np.random.default_rng(seed), seed=seed)
+    return ModelBasedAgent(cfg, GRID, np.random.default_rng(seed), seed=seed,
+                           history_length=3)
 
 
 def test_act_uniform_when_forced_to_explore():
@@ -163,7 +164,7 @@ def test_exact_model_injection_reduces_to_mpc_plan():
     state = BuildingState(19.5, 20.5, 0)
     exact = ExactDynamicsModel(params, state, GRID)
     agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0),
-                            seed=0, dynamics_override=exact)
+                            seed=0, history_length=3, dynamics_override=exact)
     obs = ObservedState((19.5,) * 4, 2.0)
     tariff = np.full(24, 0.24)
     ambient = np.linspace(2.0, 4.0, 24)

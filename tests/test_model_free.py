@@ -34,12 +34,12 @@ def test_q_target_terminal_returns_reward():
     sample = TransitionSample(ObservedState((0.0,), 0.0), 0,
                               ObservedState((1.0,), 0.0),
                               RewardComponents(0.0, -5.4), terminal=True)
-    assert q_target(sample, pair) == pytest.approx(-5.4)
+    assert q_target([sample], pair)[0] == pytest.approx(-5.4)
 
 
 def test_q_target_gamma_zero_is_reward():
     pair = QPair(_bias_net([3.0, 7.0], 2), _bias_net([9.0, 2.0], 2), gamma=0.0)
-    assert q_target(_sample(r=-1.0), pair) == pytest.approx(-1.0)
+    assert q_target([_sample(r=-1.0)], pair)[0] == pytest.approx(-1.0)
 
 
 def test_q_target_double_q_selection():
@@ -49,8 +49,8 @@ def test_q_target_double_q_selection():
     target = _bias_net([10.0, 0.0], 2)
     pair = QPair(online, target, gamma=0.9)
     sample = _sample(r=0.0)
-    assert q_target(sample, pair) == pytest.approx(0.0)
-    assert q_target(sample, pair, selection_by_target=True) == pytest.approx(9.0)
+    assert q_target([sample], pair)[0] == pytest.approx(0.0)
+    assert q_target([sample], pair, selection_by_target=True)[0] == pytest.approx(9.0)
 
 
 @settings(max_examples=50)
@@ -59,7 +59,7 @@ def test_q_target_double_q_selection():
        r=st.floats(-5, 0))
 def test_double_q_never_exceeds_plain_max(q_on, q_tg, r):
     pair = QPair(_bias_net(q_on, 2), _bias_net(q_tg, 2), gamma=0.9)
-    double = q_target(_sample(r=r), pair)
+    double = q_target([_sample(r=r)], pair)[0]
     plain = r + 0.9 * max(q_tg)
     assert double <= plain + 1e-12
 
@@ -158,10 +158,10 @@ def test_soft_update_gap_shrinks_by_one_minus_tau():
 
 
 def _agent(seed=0, **overrides):
-    defaults = dict(history_length=0, warmup_samples=4, batch_size=4, capacity=64)
+    defaults = dict(warmup_samples=4, batch_size=4, capacity=64)
     defaults.update(overrides)
     return ModelFreeAgent(MfrlConfig(**defaults), GRID,
-                          np.random.default_rng(seed), seed=seed)
+                          np.random.default_rng(seed), seed=seed, history_length=0)
 
 
 def test_act_argmax_and_tie_break():
@@ -239,10 +239,10 @@ def test_toy_mdp_converges_to_value_iteration():
     assert q[1, 0] == pytest.approx(-5.0, abs=1e-9)
 
     grid2 = ActionGrid((0.0, 400.0))
-    cfg = MfrlConfig(history_length=0, hidden=(32, 32), activation="tanh",
+    cfg = MfrlConfig(hidden=(32, 32), activation="tanh",
                      learning_rate=3e-3, gamma=gamma, tau=0.05, batch_size=8,
                      capacity=64, warmup_samples=8, train_cycles_per_update=1)
-    agent = ModelFreeAgent(cfg, grid2, np.random.default_rng(0), seed=0)
+    agent = ModelFreeAgent(cfg, grid2, np.random.default_rng(0), seed=0, history_length=0)
     for _ in range(4):
         for s, a, s2, r in transitions:
             agent.observe(TransitionSample(s, a, s2, RewardComponents(r, 0.0)))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from heatbench.emulator import BuildingParams, BuildingState, step
-from heatbench.mdp import ActionGrid, ComfortBand, ObservedState
-from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, plan_cem,
-                                plan_exhaustive, plan_ga, rollout_return)
+from heatbench.mdp import ActionGrid, ComfortBand, ObservedState, comfort_reward
+from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig,
+                                evaluate_sequences, plan_cem, plan_exhaustive, plan_ga)
 
 PARAMS = BuildingParams()
 GRID = ActionGrid()
@@ -14,16 +14,8 @@ BAND = ComfortBand(19.0, 23.0)
 class ConstantModel:
     """Temperature never moves; isolates the reward arithmetic."""
 
-    exact = False
-
     def __init__(self, t_i=21.0):
         self.t_i = t_i
-
-    def reset(self):
-        pass
-
-    def predict(self, obs, action_index, ambient_next_c):
-        return ObservedState((self.t_i,) + obs.indoor_history[:-1], ambient_next_c)
 
     def rollout_temps(self, start, actions, ambient_window):
         return np.full((len(actions), np.asarray(actions).shape[1]), self.t_i)
@@ -44,37 +36,45 @@ def _random_instance(seed, horizon):
     return model, ObservedState((t_i,) * 4, ambient[0]), prices, ambient
 
 
+def _rollout_return(model, obs, actions, prices, ambient):
+    """Return of one action sequence: a one-row batch through the planners' path."""
+    return float(evaluate_sequences(model, obs, np.array([actions]), GRID,
+                                    prices, ambient, BAND)[0])
+
+
 def test_rollout_return_zero_when_idle_inside_band():
     model = ConstantModel(21.0)
     obs = ObservedState((21.0,) * 4, 5.0)
-    assert rollout_return(model, obs, [0], GRID, [0.05], [5.0], BAND) == 0.0
+    assert _rollout_return(model, obs, [0], [0.05], [5.0]) == 0.0
 
 
 def test_rollout_return_consumption_only():
     model = ConstantModel(21.0)
     obs = ObservedState((21.0,) * 4, 5.0)
-    ret = rollout_return(model, obs, [5], GRID, [0.05], [5.0], BAND)
+    ret = _rollout_return(model, obs, [5], [0.05], [5.0])
     assert ret == pytest.approx(-0.10)
 
 
 def test_rollout_return_additive_over_steps():
     model, obs = _exact(20.0, 20.0, 5.0)
     actions = [3, 1]
-    total = rollout_return(model, obs, actions, GRID, [0.2, 0.3], [5.0, 4.0], BAND)
+    total = _rollout_return(model, obs, actions, [0.2, 0.3], [5.0, 4.0])
 
-    first = rollout_return(model, obs, actions[:1], GRID, [0.2], [5.0], BAND)
+    first = _rollout_return(model, obs, actions[:1], [0.2], [5.0])
     mid, _ = step(BuildingState(20.0, 20.0, 0), PARAMS, 5.0, GRID.levels_w[3])
     model2 = ExactDynamicsModel(PARAMS, mid, GRID)
     obs2 = ObservedState((mid.indoor_temp,) * 4, 4.0)
-    second = rollout_return(model2, obs2, actions[1:], GRID, [0.3], [4.0], BAND)
+    second = _rollout_return(model2, obs2, actions[1:], [0.3], [4.0])
     assert total == pytest.approx(first + second, abs=1e-9)
 
 
 def test_rollout_return_rejects_short_windows():
     model = ConstantModel()
     obs = ObservedState((21.0,) * 4, 5.0)
-    with pytest.raises(ValueError):
-        rollout_return(model, obs, [0, 0], GRID, [0.2], [5.0, 5.0], BAND)
+    with pytest.raises(ValueError, match="shorter than the planning horizon"):
+        plan_exhaustive(model, obs, 2, GRID, [0.2], [5.0, 5.0], BAND)
+    with pytest.raises(ValueError, match="shorter than the planning horizon"):
+        plan_exhaustive(model, obs, 2, GRID, [0.2, 0.2], [5.0], BAND)
 
 
 def test_rollout_matches_realized_episode_return():
@@ -89,12 +89,11 @@ def test_rollout_matches_realized_episode_return():
     for k, a in enumerate(actions):
         s, applied = step(s, PARAMS, ambient[k], GRID.levels_w[a])
         realized += -(applied / 1000.0) * prices[k]
-        from heatbench.mdp import comfort_reward
         realized += comfort_reward(s.indoor_temp, BAND)
 
     model = ExactDynamicsModel(PARAMS, state, GRID)
     obs = ObservedState((19.5,) * 4, ambient[0])
-    planned = rollout_return(model, obs, actions, GRID, prices, ambient, BAND)
+    planned = _rollout_return(model, obs, actions, prices, ambient)
     assert planned == pytest.approx(realized, abs=1e-9)
 
 
@@ -219,15 +218,13 @@ def test_planners_never_beat_the_oracle():
             assert plan.expected_return <= oracle.expected_return + 1e-9
 
 
-def test_batch_rollout_matches_per_step_predict():
+def test_batch_rollout_matches_emulator_step():
     model, obs = _exact(19.0, 20.0, 2.0)
     actions = np.array([[2, 4, 0], [5, 0, 1]])
     ambient = np.array([2.0, 1.0, 0.5])
     temps = model.rollout_temps(obs, actions, ambient)
     for row, seq in enumerate(actions):
-        model.reset()
-        o = obs
+        s = BuildingState(19.0, 20.0, 0)
         for k, a in enumerate(seq):
-            nxt_amb = ambient[k + 1] if k + 1 < len(ambient) else ambient[-1]
-            o = model.predict(o, int(a), nxt_amb)
-            assert temps[row, k] == pytest.approx(o.indoor_history[0], abs=1e-9)
+            s, _ = step(s, PARAMS, ambient[k], GRID.levels_w[a])
+            assert temps[row, k] == pytest.approx(s.indoor_temp, abs=1e-9)
