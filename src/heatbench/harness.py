@@ -405,10 +405,19 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
 # Plain key-value (INI) configuration files
 # ---------------------------------------------------------------------------
 
-def _read_ini(path) -> configparser.ConfigParser:
+# the sections of a scenario INI file, each read by scenario_from_ini
+_SCENARIO_SECTIONS = ("scenario", "band", "building", "ambient", "tariff", "rbc",
+                      "cem", "ga", "mpc", "mbrl", "mfrl")
+
+
+def _read_ini(path, sections) -> configparser.ConfigParser:
+    """Parse an INI file whose sections must all be among `sections`."""
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
+    for name in parser.sections():
+        if name not in sections:
+            raise ValueError(f"{path}: unknown section [{name}]")
     return parser
 
 
@@ -489,9 +498,13 @@ def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
     `[scenario]` sets Scenario's own fields; `[building]`, `[ambient]`,
     `[tariff]`, `[rbc]`, `[cem]`, `[ga]`, `[mpc]`, `[mbrl]` and `[mfrl]`
     set the fields of the config dataclass of the same name; `[band]`
-    takes ComfortBand's fields or a `phases` schedule.
+    takes ComfortBand's fields or a `phases` schedule.  Any other section
+    is rejected.
     """
-    parser = _read_ini(path)
+    return _scenario(_read_ini(path, _SCENARIO_SECTIONS), overrides)
+
+
+def _scenario(parser, overrides: dict | None) -> Scenario:
     main = _section(parser, "scenario", Scenario, _SCENARIO_ALIASES)
     band = _section(parser, "band", ComfortBand, {"phases": ("phases", _parse_band_phases)})
     if "phases" in band:
@@ -519,15 +532,16 @@ def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
 
 
 def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
-    """Build a SuiteConfig from the `[suite]` section of an INI file; a
-    `[scenario]` section there makes the base scenario of every run."""
-    parser = _read_ini(path)
+    """Build a SuiteConfig from the `[suite]` section of an INI file; the
+    sections of a scenario file (see scenario_from_ini) there make the base
+    scenario of every run.  Any other section is rejected."""
+    parser = _read_ini(path, ("suite", *_SCENARIO_SECTIONS))
     head = {**_section(parser, "suite", SuiteConfig, _PRICE_ALIAS), **(overrides or {})}
     for a in head.get("agents", ()):
         if a not in AGENT_KINDS:
             raise ValueError(f"unknown agent {a!r} in suite config")
     suite = SuiteConfig(**head)
-    if parser.has_section("scenario"):
-        suite = replace(suite, base=scenario_from_ini(path, {"days": suite.days,
-                                                             "seed": suite.seed}))
+    if set(parser.sections()) & set(_SCENARIO_SECTIONS):
+        suite = replace(suite, base=_scenario(parser, {"days": suite.days,
+                                                       "seed": suite.seed}))
     return suite

@@ -159,12 +159,13 @@ def comfort_reward(t_i: float, band: ComfortBand) -> float:
 
 
 def comfort_reward_batch(temps: np.ndarray, band: ComfortBand) -> np.ndarray:
-    """Vectorized :func:`comfort_reward` over an array of temperatures."""
+    """Vectorized :func:`comfort_reward`; a NaN or infinite temperature scores -inf."""
     out = np.zeros_like(temps, dtype=float)
     above = temps > band.t_max
     below = temps < band.t_min
     out[above] = -_ABOVE_SCALE * _ABOVE_GROWTH ** (temps[above] - band.t_max)
     out[below] = -_BELOW_SCALE * _BELOW_GROWTH ** (band.t_min - temps[below])
+    out[np.isnan(temps)] = -np.inf
     return out
 
 
@@ -241,7 +242,7 @@ def make_tariff(kind: str, horizon_hours: int,
             p = float(np.clip(p + rng.uniform(-config.rtp_step, config.rtp_step),
                               config.rtp_min, config.rtp_max))
             walk[h] = p
-        prices = tuple(walk)
+        prices = tuple(walk.tolist())
     else:
         raise ValueError(f"unknown tariff kind {kind!r}")
     return TariffSignal(kind, prices)

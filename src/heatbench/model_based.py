@@ -9,7 +9,6 @@ Exploration follows a harmonic schedule eps(d) = eps0 / d**x over days.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,26 +26,51 @@ __all__ = [
     "LearnedDynamicsModel",
     "ModelBasedAgent",
     "train_transition_model",
+    "training_matrix",
 ]
 
 
 class SampleMemory:
-    """Bounded transition buffer with strict FIFO eviction."""
+    """Bounded transition store: ring arrays with strict FIFO eviction.
+
+    Each added sample fills one slot of the arrays `s` and `s_next` (the
+    features of both observed states), `a` (action index), `r` (total
+    reward) and `terminal`.  The arrays are allocated at the first `add`,
+    when the feature width is known; `rows` reads one oldest-first.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buffer: deque[TransitionSample] = deque(maxlen=capacity)
+        self._size = 0
+        self._next = 0
 
-    def add(self, sample: TransitionSample) -> None:
-        self._buffer.append(sample)
+    def add(self, sample: TransitionSample) -> int:
+        """File the sample over the oldest one once full; returns its slot."""
+        if self._size == 0:
+            width = len(sample.s.indoor_history) + 1
+            self.s = np.empty((self.capacity, width))
+            self.a = np.empty(self.capacity, dtype=int)
+            self.r = np.empty(self.capacity)
+            self.s_next = np.empty((self.capacity, width))
+            self.terminal = np.empty(self.capacity, dtype=bool)
+        i = self._next
+        self.s[i] = sample.s.features()
+        self.a[i] = sample.a
+        self.r[i] = sample.r.total
+        self.s_next[i] = sample.s_next.features()
+        self.terminal[i] = sample.terminal
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+        return i
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
-    def samples(self) -> list[TransitionSample]:
-        return list(self._buffer)
+    def rows(self, column: np.ndarray) -> np.ndarray:
+        """The filled rows of one of the store's arrays, oldest first."""
+        return np.roll(column[:self._size], -self._next, axis=0)
 
 
 @dataclass
@@ -95,6 +119,8 @@ class MbrlConfig:
             raise ValueError("holdout_fraction must be in (0, 1)")
         if self.min_train_samples < 2:
             raise ValueError("min_train_samples must be >= 2")
+        if self.memory_capacity < self.min_train_samples:
+            raise ValueError("memory_capacity must hold min_train_samples")
 
 
 @dataclass
@@ -125,16 +151,12 @@ class TransitionModel:
         return y * self.out_scale + self.out_shift
 
 
-def sample_features(sample: TransitionSample, grid: ActionGrid) -> np.ndarray:
-    return np.array(sample.s.indoor_history
-                    + (sample.s.ambient_now, grid.levels_w[sample.a]))
-
-
-def _training_matrix(memory: SampleMemory, grid: ActionGrid):
-    samples = memory.samples()
-    x = np.stack([sample_features(s, grid) for s in samples])
-    y = np.array([s.s_next.indoor_history[0] for s in samples])
-    return x, y
+def training_matrix(memory: SampleMemory, grid: ActionGrid):
+    """Model inputs (temperature window, ambient, action power) and next
+    indoor temperatures of the stored transitions, oldest first."""
+    power = np.asarray(grid.levels_w)[memory.rows(memory.a)]
+    return (np.column_stack([memory.rows(memory.s), power]),
+            memory.rows(memory.s_next)[:, 0])
 
 
 def train_transition_model(memory: SampleMemory, model: TransitionModel,
@@ -148,7 +170,7 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
     if len(memory) < cfg.min_train_samples:
         return model, None
 
-    x, y = _training_matrix(memory, grid)
+    x, y = training_matrix(memory, grid)
     order = rng.permutation(len(y))
     n_holdout = max(1, int(round(len(y) * cfg.holdout_fraction)))
     holdout, train = order[:n_holdout], order[n_holdout:]

@@ -10,12 +10,12 @@ follows the online one through soft updates w_tgt <- tau*w + (1-tau)*w_tgt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mdp import ActionGrid, ObservedState, TransitionSample
-from .model_based import ExplorationSchedule
+from .model_based import ExplorationSchedule, SampleMemory
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward, forward_batch, train_minibatch)
 
@@ -31,69 +31,50 @@ __all__ = [
 ]
 
 
-class PrioritizedReplay:
-    """Bounded ring buffer of transitions with proportional priorities."""
+class PrioritizedReplay(SampleMemory):
+    """Transition store with a proportional replay priority per slot."""
 
     def __init__(self, capacity: int, alpha: float = 0.6, offset: float = 1e-3):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        super().__init__(capacity)
         if alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if not offset > 0.0:
             raise ValueError("priority offset must be > 0")
-        self.capacity = capacity
         self.alpha = alpha
         self.offset = offset
-        self._samples: list[TransitionSample] = []
         self._priorities = np.zeros(capacity)
-        self._next = 0
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def add(self, sample: TransitionSample, priority: float) -> None:
+    def add(self, sample: TransitionSample, priority: float) -> int:
         if not priority > 0.0:
             raise ValueError("priority must be > 0")
-        if len(self._samples) < self.capacity:
-            self._samples.append(sample)
-            self._priorities[len(self._samples) - 1] = priority
-        else:
-            self._samples[self._next] = sample
-            self._priorities[self._next] = priority
-            self._next = (self._next + 1) % self.capacity
-
-    def get(self, index: int) -> TransitionSample:
-        return self._samples[index]
+        i = super().add(sample)
+        self._priorities[i] = priority
+        return i
 
     def priority(self, index: int) -> float:
         return float(self._priorities[index])
 
-    def update_priority(self, index: int, priority: float) -> None:
-        if not priority > 0.0:
+    def update_priorities(self, indices, priorities) -> None:
+        """Overwrite the priorities of the given slots."""
+        if not np.all(np.asarray(priorities) > 0.0):
             raise ValueError("priority must be > 0")
-        self._priorities[index] = priority
+        self._priorities[indices] = priorities
 
     def probabilities(self) -> np.ndarray:
-        p = self._priorities[:len(self._samples)] ** self.alpha
+        p = self._priorities[:len(self)] ** self.alpha
         return p / p.sum()
-
-    def states(self) -> list[ObservedState]:
-        return [s.s for s in self._samples]
 
 
 def replay_sample(memory: PrioritizedReplay, batch_size: int,
-                  rng: np.random.Generator):
-    """Draw a batch without replacement, proportional to priority**alpha.
-
-    Returns (samples, indices); the indices allow priority write-back.
-    """
+                  rng: np.random.Generator) -> np.ndarray:
+    """Draw a batch of slot indices without replacement, proportional to
+    priority**alpha; the same indices serve the priority write-back."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if len(memory) < batch_size:
         raise ValueError(f"memory holds {len(memory)} < batch_size {batch_size}")
-    indices = rng.choice(len(memory), size=batch_size, replace=False,
-                         p=memory.probabilities())
-    return [memory.get(int(i)) for i in indices], indices
+    return rng.choice(len(memory), size=batch_size, replace=False,
+                      p=memory.probabilities())
 
 
 @dataclass
@@ -130,27 +111,24 @@ def soft_update(pair: QPair) -> QPair:
     return pair
 
 
-def q_target(samples: list[TransitionSample], pair: QPair, encode=None,
-             selection_by_target: bool = False) -> np.ndarray:
-    """Bootstrap targets for a batch of transitions, one per sample.
+def q_target(x_next: np.ndarray, rewards: np.ndarray, terminal: np.ndarray,
+             pair: QPair, selection_by_target: bool = False) -> np.ndarray:
+    """Bootstrap targets for a batch of transitions, one per row.
 
-    Terminal samples get the bare reward.  Otherwise the online
-    network picks the next action and the target network values it
-    (double-Q); `selection_by_target` switches the argmax to the target
-    network instead.
+    `x_next` holds the encoded next states.  Terminal rows get the bare
+    reward.  Otherwise the online network picks the next action and the
+    target network values it (double-Q); `selection_by_target` switches
+    the argmax to the target network instead.
     """
-    enc = encode if encode is not None else lambda obs: obs.features()
-    x_next = np.stack([enc(s.s_next) for s in samples])
     q_tgt = forward_batch(pair.target, x_next)
     selector = q_tgt if selection_by_target else forward_batch(pair.online, x_next)
-    bootstrap = q_tgt[np.arange(len(samples)), np.argmax(selector, axis=1)]
-    rewards = np.array([s.r.total for s in samples])
-    terminal = np.array([s.terminal for s in samples])
+    bootstrap = q_tgt[np.arange(len(q_tgt)), np.argmax(selector, axis=1)]
     return np.where(terminal, rewards, rewards + pair.gamma * bootstrap)
 
 
-def compute_priority(target: float, q_sa: float, offset: float) -> float:
-    """Replay priority: absolute TD error plus a strictly positive offset."""
+def compute_priority(target, q_sa, offset: float):
+    """Replay priority: absolute TD error plus a strictly positive offset;
+    elementwise over arrays."""
     if not offset > 0.0:
         raise ValueError("offset must be > 0")
     return abs(target - q_sa) + offset
@@ -176,12 +154,12 @@ class MfrlConfig:
     # One call to train_cycle takes one gradient step; this many cycles run
     # at each 24 h boundary.
     train_cycles_per_update: int = 192
-    selection_by_target: bool = False
-    random_until_warmup: bool = True
 
     def __post_init__(self):
         if self.warmup_samples < self.batch_size:
             raise ValueError("warmup must cover at least one batch")
+        if self.capacity < self.warmup_samples:
+            raise ValueError("capacity must hold warmup_samples")
         if self.train_cycles_per_update < 1:
             raise ValueError("train_cycles_per_update must be >= 1")
 
@@ -206,19 +184,18 @@ class ModelFreeAgent:
         self._started = False
         self.q_trace: list[tuple[int, tuple[float, ...], int]] = []
 
-    def encode(self, obs: ObservedState) -> np.ndarray:
-        x = obs.features()
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Normalise state features, one vector or a matrix of rows."""
         return self.normalizer.apply(x) if self.normalizer is not None else x
 
     def q_values(self, obs: ObservedState) -> np.ndarray:
-        return forward(self.pair.online, self.encode(obs))
+        return forward(self.pair.online, self.encode(obs.features()))
 
     def act(self, obs: ObservedState, hour: int | None = None,
             epsilon: float | None = None) -> int:
         q = self.q_values(obs)
         # an explicitly passed epsilon overrides the warm-up random phase
-        warming = (epsilon is None and self.cfg.random_until_warmup
-                   and len(self.replay) < self.cfg.warmup_samples)
+        warming = epsilon is None and len(self.replay) < self.cfg.warmup_samples
         eps = self.schedule.epsilon() if epsilon is None else epsilon
         if warming or (eps > 0.0 and self._rng.random() < eps):
             action = int(self._rng.integers(len(self.grid)))
@@ -229,43 +206,41 @@ class ModelFreeAgent:
         return action
 
     def observe(self, sample: TransitionSample) -> None:
-        target = float(q_target([sample], self.pair, self.encode,
-                                self.cfg.selection_by_target)[0])
-        q_sa = float(self.q_values(sample.s)[sample.a])
-        self.replay.add(sample, compute_priority(target, q_sa, self.cfg.priority_offset))
+        target = q_target(self.encode(sample.s_next.features()[None, :]),
+                          np.array([sample.r.total]), np.array([sample.terminal]),
+                          self.pair)
+        q_sa = self.q_values(sample.s)[sample.a]
+        self.replay.add(sample, compute_priority(float(target[0]), float(q_sa),
+                                                 self.cfg.priority_offset))
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
-            self.normalizer = fit_normalizer(
-                np.stack([s.features() for s in self.replay.states()]))
+            self.normalizer = fit_normalizer(self.replay.rows(self.replay.s))
 
     def train_cycle(self, rng: np.random.Generator | None = None) -> bool:
         """One replay batch: masked Q step, soft target update, priority write-back.
 
         Returns False (skip signal) while the replay is below warm-up.
         """
-        if len(self.replay) < max(self.cfg.warmup_samples, self.cfg.batch_size):
+        if len(self.replay) < self.cfg.warmup_samples:
             return False
         rng = rng if rng is not None else self._rng
-        samples, indices = replay_sample(self.replay, self.cfg.batch_size, rng)
+        mem = self.replay
+        idx = replay_sample(mem, self.cfg.batch_size, rng)
+        x, x_next = self.encode(mem.s[idx]), self.encode(mem.s_next[idx])
+        rewards, terminal, actions = mem.r[idx], mem.terminal[idx], mem.a[idx]
+        rows = np.arange(len(idx))
 
-        x = np.stack([self.encode(s.s) for s in samples])
-        targets = q_target(samples, self.pair, self.encode, self.cfg.selection_by_target)
-        actions = np.array([s.a for s in samples])
-        t_full = np.zeros((len(samples), len(self.grid)))
+        t_full = np.zeros((len(idx), len(self.grid)))
         mask = np.zeros_like(t_full)
-        t_full[np.arange(len(samples)), actions] = targets
-        mask[np.arange(len(samples)), actions] = 1.0
+        t_full[rows, actions] = q_target(x_next, rewards, terminal, self.pair)
+        mask[rows, actions] = 1.0
         train_minibatch(self.pair.online, x, t_full, self._optimizer, mask)
 
         soft_update(self.pair)
 
-        new_targets = q_target(samples, self.pair, self.encode,
-                               self.cfg.selection_by_target)
-        q_now = forward_batch(self.pair.online, x)[np.arange(len(samples)), actions]
-        for sample_i, mem_i in enumerate(indices):
-            self.replay.update_priority(
-                int(mem_i),
-                compute_priority(float(new_targets[sample_i]), float(q_now[sample_i]),
-                                 self.cfg.priority_offset))
+        new_targets = q_target(x_next, rewards, terminal, self.pair)
+        q_now = forward_batch(self.pair.online, x)[rows, actions]
+        mem.update_priorities(
+            idx, compute_priority(new_targets, q_now, self.cfg.priority_offset))
         return True
 
     def daily_update(self) -> int:

@@ -180,9 +180,10 @@ def test_criterion_5_q_learning_correctness():
         return p
 
     pair = QPair(bias_net([1.0, 2.0]), bias_net([10.0, 0.0]), gamma=0.9)
-    sample = TransitionSample(s0, 0, s1, RewardComponents(0.0, 0.0))
-    assert q_target([sample], pair)[0] == pytest.approx(0.0)
-    assert q_target([sample], pair, selection_by_target=True)[0] == pytest.approx(9.0)
+    # one non-terminal transition s0 -> s1 with reward 0
+    batch = (s1.features()[None, :], np.array([0.0]), np.array([False]))
+    assert q_target(*batch, pair)[0] == pytest.approx(0.0)
+    assert q_target(*batch, pair, selection_by_target=True)[0] == pytest.approx(9.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 5 PASS: toy-MDP Q errors {[f'{e:.4f}' for e in errs]} < 1e-2; "
@@ -286,7 +287,7 @@ def test_criterion_8_prioritized_replay_statistics():
     rng = np.random.default_rng(2)
     counts = np.zeros(3)
     for _ in range(10_000):
-        _, idx = replay_sample(mem, 1, rng)
+        idx = replay_sample(mem, 1, rng)
         counts[idx[0]] += 1
     chi2 = ((counts - expected) ** 2 / expected).sum()
     p_value = stats.chi2.sf(chi2, df=2)

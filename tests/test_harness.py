@@ -44,6 +44,15 @@ def test_flat_tariff_cost_equals_consumption_change(tmp_path):
                                                    rel=1e-12, abs=1e-12)
 
 
+def test_real_time_log_reads_back(tmp_path):
+    scenario = Scenario(name="rtp", days=2, agent="rbc", tariff_kind="real_time", seed=7)
+    report = run_scenario(scenario, tmp_path)
+    log = EpisodeLog.read_csv(report.agent_log_path)
+    prices = build_traces(scenario)[1].prices
+    assert [r.price for r in log.steps] == list(prices)
+    assert len(set(prices)) > 1
+
+
 def test_run_scenario_validates_before_simulating(tmp_path):
     with pytest.raises(ValueError):
         run_scenario(Scenario(days=0), tmp_path)
@@ -283,6 +292,10 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[scenario]\nprice = hourly\n", "expected a price"),
     ("[scenario]\ndays = many\n", r"\[scenario\] days"),
     ("[mpc]\nwarm_start = maybe\n", "expected a boolean"),
+    ("[mfrl_typo]\ngamma = 0.5\n", r"unknown section \[mfrl_typo\]"),
+    ("[suite]\ndays = 2\n", r"unknown section \[suite\]"),
+    ("[mfrl]\nselection_by_target = true\n", "unknown key 'selection_by_target'"),
+    ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
 ])
 def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):
     with pytest.raises(ValueError, match=match):
@@ -313,6 +326,15 @@ def test_suite_from_ini(tmp_path):
         suite_from_ini(_ini(tmp_path, "[suite]\nagents = rbc, dqn\n"))
     with pytest.raises(ValueError, match="unknown key 'tariff_kind'"):
         suite_from_ini(_ini(tmp_path, "[suite]\ntariff_kind = dual\n"))
+    with pytest.raises(ValueError, match=r"unknown section \[mfrl_typo\]"):
+        suite_from_ini(_ini(tmp_path, "[suite]\ndays = 2\n[mfrl_typo]\ngamma = 0.5\n"))
+
+
+def test_suite_from_ini_scenario_sections_set_the_base(tmp_path):
+    cfg = suite_from_ini(_ini(tmp_path, "[suite]\ndays = 2\nseed = 4\n"
+                                        "[mfrl]\ngamma = 0.5\n"))
+    assert cfg.base.mfrl.gamma == 0.5
+    assert (cfg.base.days, cfg.base.seed) == (2, 4)
 
 
 def test_cli_run_and_plot(tmp_path, capsys):

@@ -80,6 +80,11 @@ def test_comfort_batch_matches_scalar(t):
     assert batch[0] == pytest.approx(comfort_reward(t, BAND), rel=1e-12, abs=1e-12)
 
 
+def test_comfort_batch_non_finite_is_minus_infinity():
+    temps = np.array([np.nan, np.inf, -np.inf, 21.0])
+    assert comfort_reward_batch(temps, BAND).tolist() == [-np.inf] * 3 + [0.0]
+
+
 def test_action_grid_validation():
     with pytest.raises(ValueError):
         ActionGrid((400.0, 800.0))  # must start at 0

@@ -7,7 +7,8 @@ from heatbench.mdp import (ActionGrid, ComfortBand, ObservedState, RewardCompone
                            TransitionSample)
 from heatbench.model_based import (ExplorationSchedule, LearnedDynamicsModel,
                                    MbrlConfig, ModelBasedAgent, SampleMemory,
-                                   TransitionModel, train_transition_model)
+                                   TransitionModel, train_transition_model,
+                                   training_matrix)
 from heatbench.planners import ExactDynamicsModel, plan_cem
 
 GRID = ActionGrid()
@@ -26,12 +27,37 @@ def test_memory_fifo_eviction():
     for s in samples:
         mem.add(s)
     assert len(mem) == 3
-    assert mem.samples() == samples[1:]  # oldest evicted first
+    # oldest evicted first; rows come back oldest-first after the ring wraps
+    assert mem.rows(mem.s).tolist() == [list(s.s.features()) for s in samples[1:]]
+    assert mem.rows(mem.s_next).tolist() == [list(s.s_next.features())
+                                             for s in samples[1:]]
+
+
+def test_training_matrix_of_wrapped_memory_matches_per_sample_build():
+    rng = np.random.default_rng(4)
+    mem = SampleMemory(capacity=5)
+    samples = []
+    for _ in range(12):
+        t = float(rng.uniform(17.0, 24.0))
+        samples.append(_sample(t=t, a=int(rng.integers(6)), t_next=t + rng.uniform(-1, 1)))
+        mem.add(samples[-1])
+    x, y = training_matrix(mem, GRID)
+    kept = samples[-5:]
+    x_ref = np.stack([np.array(s.s.indoor_history + (s.s.ambient_now, GRID.levels_w[s.a]))
+                      for s in kept])
+    y_ref = np.array([s.s_next.indoor_history[0] for s in kept])
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
 
 def test_memory_rejects_zero_capacity():
     with pytest.raises(ValueError):
         SampleMemory(0)
+
+
+def test_config_rejects_capacity_below_min_train_samples():
+    with pytest.raises(ValueError, match="memory_capacity"):
+        MbrlConfig(memory_capacity=10, min_train_samples=24)
+    MbrlConfig(memory_capacity=24, min_train_samples=24)
 
 
 def test_exploration_schedule_values():

@@ -29,17 +29,25 @@ def _sample(r=-1.0, terminal=False, a=0):
     return TransitionSample(s, a, s2, RewardComponents(r, 0.0), terminal)
 
 
+def _next_batch(*samples):
+    """q_target's inputs for unnormalised samples: next-state features,
+    total rewards and terminal flags."""
+    return (np.stack([s.s_next.features() for s in samples]),
+            np.array([s.r.total for s in samples]),
+            np.array([s.terminal for s in samples]))
+
+
 def test_q_target_terminal_returns_reward():
     pair = QPair(_bias_net([0.0, 0.0], 2), _bias_net([0.0, 0.0], 2), gamma=0.9)
     sample = TransitionSample(ObservedState((0.0,), 0.0), 0,
                               ObservedState((1.0,), 0.0),
                               RewardComponents(0.0, -5.4), terminal=True)
-    assert q_target([sample], pair)[0] == pytest.approx(-5.4)
+    assert q_target(*_next_batch(sample), pair)[0] == pytest.approx(-5.4)
 
 
 def test_q_target_gamma_zero_is_reward():
     pair = QPair(_bias_net([3.0, 7.0], 2), _bias_net([9.0, 2.0], 2), gamma=0.0)
-    assert q_target([_sample(r=-1.0)], pair)[0] == pytest.approx(-1.0)
+    assert q_target(*_next_batch(_sample(r=-1.0)), pair)[0] == pytest.approx(-1.0)
 
 
 def test_q_target_double_q_selection():
@@ -48,9 +56,9 @@ def test_q_target_double_q_selection():
     online = _bias_net([1.0, 2.0], 2)
     target = _bias_net([10.0, 0.0], 2)
     pair = QPair(online, target, gamma=0.9)
-    sample = _sample(r=0.0)
-    assert q_target([sample], pair)[0] == pytest.approx(0.0)
-    assert q_target([sample], pair, selection_by_target=True)[0] == pytest.approx(9.0)
+    batch = _next_batch(_sample(r=0.0))
+    assert q_target(*batch, pair)[0] == pytest.approx(0.0)
+    assert q_target(*batch, pair, selection_by_target=True)[0] == pytest.approx(9.0)
 
 
 @settings(max_examples=50)
@@ -59,7 +67,7 @@ def test_q_target_double_q_selection():
        r=st.floats(-5, 0))
 def test_double_q_never_exceeds_plain_max(q_on, q_tg, r):
     pair = QPair(_bias_net(q_on, 2), _bias_net(q_tg, 2), gamma=0.9)
-    double = q_target([_sample(r=r)], pair)[0]
+    double = q_target(*_next_batch(_sample(r=r)), pair)[0]
     plain = r + 0.9 * max(q_tg)
     assert double <= plain + 1e-12
 
@@ -68,6 +76,8 @@ def test_compute_priority():
     assert compute_priority(1.0, 0.5, 0.001) == pytest.approx(0.501)
     assert compute_priority(0.7, 0.7, 0.001) == pytest.approx(0.001)
     assert compute_priority(1.0, 0.5, 0.001) == compute_priority(0.5, 1.0, 0.001)
+    batch = compute_priority(np.array([1.0, 0.7]), np.array([0.5, 0.7]), 0.001)
+    assert batch.tolist() == [compute_priority(1.0, 0.5, 0.001), 0.001]
     with pytest.raises(ValueError):
         compute_priority(1.0, 0.5, 0.0)
 
@@ -79,7 +89,7 @@ def test_replay_proportional_sampling_chi_square():
     rng = np.random.default_rng(0)
     counts = np.zeros(2)
     for _ in range(10_000):
-        _, idx = replay_sample(mem, 1, rng)
+        idx = replay_sample(mem, 1, rng)
         counts[idx[0]] += 1
     expected = np.array([7500.0, 2500.0])
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -105,7 +115,7 @@ def test_replay_full_batch_is_permutation():
     mem = PrioritizedReplay(capacity=8, alpha=0.6)
     for i in range(5):
         mem.add(_sample(a=i % 2), priority=float(i + 1))
-    _, idx = replay_sample(mem, 5, np.random.default_rng(1))
+    idx = replay_sample(mem, 5, np.random.default_rng(1))
     assert sorted(idx) == list(range(5))
 
 
@@ -121,6 +131,7 @@ def test_replay_ring_eviction_and_priority_floor():
     for i in range(5):
         mem.add(_sample(a=i % 2), priority=compute_priority(0.0, 0.0, 1e-3))
     assert len(mem) == 2
+    assert mem.rows(mem.a).tolist() == [1, 0]  # samples 3 and 4, oldest first
     assert all(mem.priority(i) >= 1e-3 for i in range(2))
     with pytest.raises(ValueError):
         mem.add(_sample(), priority=0.0)
@@ -185,12 +196,18 @@ def test_act_greedy_invariant_under_constant_shift():
 
 
 def test_act_uniform_at_full_exploration():
-    agent = _agent(random_until_warmup=False)
+    agent = _agent()
     obs = ObservedState((20.0,), 5.0)
     draws = np.array([agent.act(obs, epsilon=1.0) for _ in range(10_000)])
     counts = np.bincount(draws, minlength=6)
     chi2 = ((counts - len(draws) / 6) ** 2 / (len(draws) / 6)).sum()
     assert stats.chi2.sf(chi2, df=5) > 0.01
+
+
+def test_config_rejects_capacity_below_warmup():
+    with pytest.raises(ValueError, match="capacity"):
+        MfrlConfig(capacity=50, warmup_samples=96)
+    MfrlConfig(capacity=96, warmup_samples=96)
 
 
 def test_observe_stores_with_td_priority():

@@ -218,6 +218,34 @@ def test_planners_never_beat_the_oracle():
             assert plan.expected_return <= oracle.expected_return + 1e-9
 
 
+class NanWhenFirstIdleModel(ConstantModel):
+    """Diverges (NaN) on every sequence that starts idle, the cheapest ones."""
+
+    def rollout_temps(self, start, actions, ambient_window):
+        temps = super().rollout_temps(start, actions, ambient_window)
+        temps[np.asarray(actions)[:, 0] == 0, -1] = np.nan
+        return temps
+
+
+def test_planners_never_return_a_nan_trajectory():
+    model = NanWhenFirstIdleModel()
+    obs = ObservedState((21.0,) * 4, 5.0)
+    prices, ambient = [0.24] * 3, [5.0] * 3
+    plans = [plan_exhaustive(model, obs, 3, GRID, prices, ambient, BAND)]
+    for seed in range(3):
+        plans.append(plan_cem(model, obs, 3, GRID, prices, ambient, BAND,
+                              CemConfig(), np.random.default_rng(seed)))
+        plans.append(plan_ga(model, obs, 3, GRID, prices, ambient, BAND,
+                             GaConfig(), np.random.default_rng(seed)))
+    for plan in plans:
+        assert plan.actions[0] != 0
+        assert np.isfinite(plan.expected_return)
+    assert plans[0].actions == (1, 0, 0)
+    # a model that diverges everywhere still yields a plan, valued -inf
+    everywhere = plan_exhaustive(ConstantModel(np.nan), obs, 2, GRID, prices, ambient, BAND)
+    assert everywhere.expected_return == -np.inf
+
+
 def test_batch_rollout_matches_emulator_step():
     model, obs = _exact(19.0, 20.0, 2.0)
     actions = np.array([[2, 4, 0], [5, 0, 1]])
