@@ -11,9 +11,8 @@ prioritized replay.
 from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
                        BuildingState, load_ambient_csv, make_synthetic_ambient, step)
 from .mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog, ObservedState,
-                  RewardComponents, TariffConfig, TariffSignal, TransitionSample,
-                  comfort_reward, consumption_reward, encode_state, log_metrics,
-                  make_tariff)
+                  TariffConfig, TariffSignal, comfort_reward, consumption_reward,
+                  encode_state, log_metrics, make_tariff)
 from .baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from .harness import (RunReport, Scenario, SuiteConfig, emit_plot_data,
                       estimate_convergence, run_scenario, run_suite)

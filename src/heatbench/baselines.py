@@ -82,14 +82,12 @@ class MpcController:
         self._previous: tuple[int, ...] | None = None
 
     def decide(self, state: BuildingState, obs: ObservedState, tariff_window,
-               ambient_window, band: ComfortBand,
-               rng: np.random.Generator | None = None) -> int:
+               ambient_window, band: ComfortBand) -> int:
         """Plan over min(horizon, window) hours and return the first action."""
         horizon = min(self.config.horizon, len(tariff_window), len(ambient_window))
         if horizon < 1:
             raise ValueError("no lookahead left to plan over")
         model = ExactDynamicsModel(self.params, state, self.grid)
-        rng = rng if rng is not None else self._rng
 
         seed_seq = None
         if self.config.warm_start and self._previous is not None:
@@ -98,10 +96,10 @@ class MpcController:
 
         if self.config.planner == "cem":
             plan = plan_cem(model, obs, horizon, self.grid, tariff_window,
-                            ambient_window, band, self.config.cem, rng, seed_seq)
+                            ambient_window, band, self.config.cem, self._rng, seed_seq)
         elif self.config.planner == "ga":
             plan = plan_ga(model, obs, horizon, self.grid, tariff_window,
-                           ambient_window, band, self.config.ga, rng, seed_seq)
+                           ambient_window, band, self.config.ga, self._rng, seed_seq)
         else:
             plan = plan_exhaustive(model, obs, horizon, self.grid, tariff_window,
                                    ambient_window, band)

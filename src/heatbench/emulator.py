@@ -56,7 +56,8 @@ class BuildingParams:
     """Physical constants of the two-node model.
 
     Capacitances in J/K, conductances in W/K, max_power_w in W (electrical).
-    substep_seconds must divide one hour exactly.
+    substep_seconds must divide one hour exactly and keep explicit Euler
+    stable and monotone: dt*(U_a+H_m) < C_i and dt*H_m < C_m.
     """
 
     indoor_capacitance: float = 2.0e6
@@ -80,6 +81,13 @@ class BuildingParams:
             raise ValueError("max_power_w must be > 0")
         if self.substep_seconds <= 0 or 3600 % self.substep_seconds != 0:
             raise ValueError("substep_seconds must divide 3600 exactly")
+        dt, h_m = self.substep_seconds, self.envelope_conductance
+        if not dt * (self.ambient_conductance + h_m) < self.indoor_capacitance:
+            raise ValueError("unstable sub-step: substep_seconds * (ambient_conductance"
+                             " + envelope_conductance) must be < indoor_capacitance")
+        if not dt * h_m < self.envelope_capacitance:
+            raise ValueError("unstable sub-step: substep_seconds * envelope_conductance"
+                             " must be < envelope_capacitance")
 
 
 DEFAULT_BUILDING = BuildingParams()

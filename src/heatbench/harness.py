@@ -22,10 +22,9 @@ import numpy as np
 from .baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
                        BuildingState, load_ambient_csv, make_synthetic_ambient, step)
-from .mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog, ObservedState,
-                  RewardComponents, StepRecord, TariffConfig, TariffSignal,
-                  TransitionSample, comfort_reward, consumption_reward, encode_state,
-                  log_metrics, make_tariff)
+from .mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog, StepRecord,
+                  TariffConfig, TariffSignal, comfort_reward, consumption_reward,
+                  encode_state, log_metrics, make_tariff)
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import CemConfig, GaConfig
@@ -169,10 +168,10 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
     state = BuildingState(scenario.initial_temp_c, scenario.initial_temp_c, 0)
     history = deque([scenario.initial_temp_c] * (n + 1), maxlen=n + 1)
     log = EpisodeLog()
+    obs = encode_state(history, trace[0], n)
 
     for t in range(horizon):
         controlled = t >= scenario.warmup_hours
-        obs = encode_state(list(history), trace[t], n)
         band_now = schedule.band_at(t)
 
         if controlled and t % 24 == 0:
@@ -192,7 +191,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
             action = agent.decide(state, obs, tariff.window(t, window),
                                   trace.as_array()[t:t + window], band_now)
         elif agent_kind == "mbrl":
-            action = agent.act(obs, t % 24)
+            action = agent.act(t % 24)
         else:
             action = agent.act(obs, t)
 
@@ -206,10 +205,10 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
         log.append(StepRecord(t, trace[t], state.indoor_temp, state.envelope_temp,
                               applied, tariff[t], r_cons, r_comfort))
 
+        obs_next = encode_state(history, trace[t + 1], n)
         if controlled and agent_kind in ("mbrl", "mfrl"):
-            obs_next = encode_state(list(history), trace[t + 1], n)
-            agent.observe(TransitionSample(obs, action, obs_next,
-                                           RewardComponents(r_cons, r_comfort)))
+            agent.observe(obs, action, r_cons + r_comfort, obs_next)
+        obs = obs_next
     return log, agent
 
 

@@ -23,8 +23,6 @@ __all__ = [
     "BandSchedule",
     "TariffConfig",
     "TariffSignal",
-    "RewardComponents",
-    "TransitionSample",
     "StepRecord",
     "EpisodeLog",
     "DEFAULT_GRID",
@@ -186,8 +184,8 @@ class TariffConfig:
     def __post_init__(self):
         for name in ("flat_price", "day_price", "night_price", "rtp_base",
                      "rtp_min", "rtp_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 <= self.day_start_hour < self.day_end_hour <= 24:
             raise ValueError("day window must satisfy 0 <= start < end <= 24")
 
@@ -203,8 +201,8 @@ class TariffSignal:
     def __post_init__(self):
         if self.kind not in ("flat", "dual", "real_time"):
             raise ValueError(f"unknown tariff kind {self.kind!r}")
-        if any(not p > 0.0 for p in self.prices):
-            raise ValueError("all prices must be > 0")
+        if any(not 0.0 < p < math.inf for p in self.prices):
+            raise ValueError("all prices must be finite and > 0")
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -246,33 +244,6 @@ def make_tariff(kind: str, horizon_hours: int,
     else:
         raise ValueError(f"unknown tariff kind {kind!r}")
     return TariffSignal(kind, prices)
-
-
-@dataclass(frozen=True)
-class RewardComponents:
-    """One step's reward split: energy cost + comfort penalty, both <= 0."""
-
-    cons: float
-    comfort: float
-
-    def __post_init__(self):
-        if self.cons > 0.0 or self.comfort > 0.0:
-            raise ValueError("reward components must be <= 0")
-
-    @property
-    def total(self) -> float:
-        return self.cons + self.comfort
-
-
-@dataclass(frozen=True)
-class TransitionSample:
-    """One experience tuple; `a` indexes the action grid."""
-
-    s: ObservedState
-    a: int
-    s_next: ObservedState
-    r: RewardComponents
-    terminal: bool = False
 
 
 @dataclass(frozen=True)

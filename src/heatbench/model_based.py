@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ActionGrid, ComfortBand, ObservedState, TransitionSample
+from .mdp import ActionGrid, ComfortBand, ObservedState
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward_batch, train_minibatch)
 from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan_cem, plan_ga
@@ -33,10 +33,10 @@ __all__ = [
 class SampleMemory:
     """Bounded transition store: ring arrays with strict FIFO eviction.
 
-    Each added sample fills one slot of the arrays `s` and `s_next` (the
-    features of both observed states), `a` (action index), `r` (total
-    reward) and `terminal`.  The arrays are allocated at the first `add`,
-    when the feature width is known; `rows` reads one oldest-first.
+    Each added transition fills one slot of the arrays `s` and `s_next`
+    (the features of both observed states), `a` (action index) and `r`
+    (reward).  The arrays are allocated at the first `add`, when the
+    feature width is known; `rows` reads one oldest-first.
     """
 
     def __init__(self, capacity: int):
@@ -46,21 +46,15 @@ class SampleMemory:
         self._size = 0
         self._next = 0
 
-    def add(self, sample: TransitionSample) -> int:
-        """File the sample over the oldest one once full; returns its slot."""
+    def add(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray) -> int:
+        """File the transition over the oldest one once full; returns its slot."""
         if self._size == 0:
-            width = len(sample.s.indoor_history) + 1
-            self.s = np.empty((self.capacity, width))
+            self.s = np.empty((self.capacity, len(s)))
             self.a = np.empty(self.capacity, dtype=int)
             self.r = np.empty(self.capacity)
-            self.s_next = np.empty((self.capacity, width))
-            self.terminal = np.empty(self.capacity, dtype=bool)
+            self.s_next = np.empty((self.capacity, len(s)))
         i = self._next
-        self.s[i] = sample.s.features()
-        self.a[i] = sample.a
-        self.r[i] = sample.r.total
-        self.s_next[i] = sample.s_next.features()
-        self.terminal[i] = sample.terminal
+        self.s[i], self.a[i], self.r[i], self.s_next[i] = s, a, r, s_next
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         return i
@@ -262,15 +256,15 @@ class ModelBasedAgent:
     def cem_or_ga(self):
         return self.cfg.cem if self.cfg.planner == "cem" else self.cfg.ga
 
-    def act(self, obs: ObservedState, hour_of_day: int,
-            epsilon: float | None = None) -> int:
+    def act(self, hour_of_day: int, epsilon: float | None = None) -> int:
         eps = self.schedule.epsilon() if epsilon is None else epsilon
         if eps > 0.0 and self._rng.random() < eps:
             return int(self._rng.integers(len(self.grid)))
         return self._plan[hour_of_day % 24]
 
-    def observe(self, sample: TransitionSample) -> None:
-        self.memory.add(sample)
+    def observe(self, obs: ObservedState, action: int, reward: float,
+                obs_next: ObservedState) -> None:
+        self.memory.add(obs.features(), action, reward, obs_next.features())
 
     def daily_update(self, obs: ObservedState, tariff_window, ambient_window,
                      band: ComfortBand) -> float | None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ActionGrid, ObservedState, TransitionSample
+from .mdp import ActionGrid, ObservedState
 from .model_based import ExplorationSchedule, SampleMemory
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward, forward_batch, train_minibatch)
@@ -34,20 +34,18 @@ __all__ = [
 class PrioritizedReplay(SampleMemory):
     """Transition store with a proportional replay priority per slot."""
 
-    def __init__(self, capacity: int, alpha: float = 0.6, offset: float = 1e-3):
+    def __init__(self, capacity: int, alpha: float = 0.6):
         super().__init__(capacity)
         if alpha < 0.0:
             raise ValueError("alpha must be >= 0")
-        if not offset > 0.0:
-            raise ValueError("priority offset must be > 0")
         self.alpha = alpha
-        self.offset = offset
         self._priorities = np.zeros(capacity)
 
-    def add(self, sample: TransitionSample, priority: float) -> int:
+    def add(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray,
+            priority: float) -> int:
         if not priority > 0.0:
             raise ValueError("priority must be > 0")
-        i = super().add(sample)
+        i = super().add(s, a, r, s_next)
         self._priorities[i] = priority
         return i
 
@@ -111,19 +109,18 @@ def soft_update(pair: QPair) -> QPair:
     return pair
 
 
-def q_target(x_next: np.ndarray, rewards: np.ndarray, terminal: np.ndarray,
-             pair: QPair, selection_by_target: bool = False) -> np.ndarray:
+def q_target(x_next: np.ndarray, rewards: np.ndarray, pair: QPair,
+             selection_by_target: bool = False) -> np.ndarray:
     """Bootstrap targets for a batch of transitions, one per row.
 
-    `x_next` holds the encoded next states.  Terminal rows get the bare
-    reward.  Otherwise the online network picks the next action and the
-    target network values it (double-Q); `selection_by_target` switches
-    the argmax to the target network instead.
+    `x_next` holds the encoded next states.  The online network picks the
+    next action and the target network values it (double-Q);
+    `selection_by_target` switches the argmax to the target network instead.
     """
     q_tgt = forward_batch(pair.target, x_next)
     selector = q_tgt if selection_by_target else forward_batch(pair.online, x_next)
     bootstrap = q_tgt[np.arange(len(q_tgt)), np.argmax(selector, axis=1)]
-    return np.where(terminal, rewards, rewards + pair.gamma * bootstrap)
+    return rewards + pair.gamma * bootstrap
 
 
 def compute_priority(target, q_sa, offset: float):
@@ -162,6 +159,8 @@ class MfrlConfig:
             raise ValueError("capacity must hold warmup_samples")
         if self.train_cycles_per_update < 1:
             raise ValueError("train_cycles_per_update must be >= 1")
+        if not self.priority_offset > 0.0:
+            raise ValueError("priority_offset must be > 0")
 
 
 class ModelFreeAgent:
@@ -171,8 +170,7 @@ class ModelFreeAgent:
                  rng: np.random.Generator, seed: int = 0, *, history_length: int):
         self.cfg = cfg
         self.grid = grid
-        self.replay = PrioritizedReplay(cfg.capacity, cfg.priority_alpha,
-                                        cfg.priority_offset)
+        self.replay = PrioritizedReplay(cfg.capacity, cfg.priority_alpha)
         n_features = history_length + 2  # temps window + ambient
         spec = MlpSpec((n_features, *cfg.hidden, len(grid)), cfg.activation,
                        init_seed=seed)
@@ -205,39 +203,39 @@ class ModelFreeAgent:
             self.q_trace.append((hour, tuple(float(v) for v in q), action))
         return action
 
-    def observe(self, sample: TransitionSample) -> None:
-        target = q_target(self.encode(sample.s_next.features()[None, :]),
-                          np.array([sample.r.total]), np.array([sample.terminal]),
-                          self.pair)
-        q_sa = self.q_values(sample.s)[sample.a]
-        self.replay.add(sample, compute_priority(float(target[0]), float(q_sa),
-                                                 self.cfg.priority_offset))
+    def observe(self, obs: ObservedState, action: int, reward: float,
+                obs_next: ObservedState) -> None:
+        s_next = obs_next.features()
+        target = q_target(self.encode(s_next[None, :]), np.array([reward]), self.pair)
+        q_sa = self.q_values(obs)[action]
+        self.replay.add(obs.features(), action, reward, s_next,
+                        compute_priority(float(target[0]), float(q_sa),
+                                         self.cfg.priority_offset))
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
             self.normalizer = fit_normalizer(self.replay.rows(self.replay.s))
 
-    def train_cycle(self, rng: np.random.Generator | None = None) -> bool:
+    def train_cycle(self) -> bool:
         """One replay batch: masked Q step, soft target update, priority write-back.
 
         Returns False (skip signal) while the replay is below warm-up.
         """
         if len(self.replay) < self.cfg.warmup_samples:
             return False
-        rng = rng if rng is not None else self._rng
         mem = self.replay
-        idx = replay_sample(mem, self.cfg.batch_size, rng)
+        idx = replay_sample(mem, self.cfg.batch_size, self._rng)
         x, x_next = self.encode(mem.s[idx]), self.encode(mem.s_next[idx])
-        rewards, terminal, actions = mem.r[idx], mem.terminal[idx], mem.a[idx]
+        rewards, actions = mem.r[idx], mem.a[idx]
         rows = np.arange(len(idx))
 
         t_full = np.zeros((len(idx), len(self.grid)))
         mask = np.zeros_like(t_full)
-        t_full[rows, actions] = q_target(x_next, rewards, terminal, self.pair)
+        t_full[rows, actions] = q_target(x_next, rewards, self.pair)
         mask[rows, actions] = 1.0
         train_minibatch(self.pair.online, x, t_full, self._optimizer, mask)
 
         soft_update(self.pair)
 
-        new_targets = q_target(x_next, rewards, terminal, self.pair)
+        new_targets = q_target(x_next, rewards, self.pair)
         q_now = forward_batch(self.pair.online, x)[rows, actions]
         mem.update_priorities(
             idx, compute_priority(new_targets, q_now, self.cfg.priority_offset))

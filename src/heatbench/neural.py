@@ -28,9 +28,6 @@ __all__ = [
     "train_minibatch",
     "gradient_check",
     "fit_normalizer",
-    "identity_normalizer",
-    "save_params",
-    "load_params",
 ]
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -278,9 +275,6 @@ class Normalizer:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return (np.asarray(vec, dtype=float) - np.asarray(self.shift)) / np.asarray(self.scale)
 
-    def invert(self, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec, dtype=float) * np.asarray(self.scale) + np.asarray(self.shift)
-
 
 _MIN_SCALE = 1e-6
 
@@ -294,26 +288,3 @@ def fit_normalizer(samples) -> Normalizer:
     scale = np.maximum(mat.std(axis=0), _MIN_SCALE)
     return Normalizer(tuple(shift), tuple(scale))
 
-
-def identity_normalizer(n_features: int) -> Normalizer:
-    return Normalizer((0.0,) * n_features, (1.0,) * n_features)
-
-
-def save_params(path, params: MlpParams) -> None:
-    """Text snapshot: layer-size header, activation, then one value per line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(" ".join(str(s) for s in params.spec.layer_sizes) + "\n")
-        fh.write(f"{params.spec.activation} {params.spec.init_seed}\n")
-        for v in params.flat():
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_params(path) -> MlpParams:
-    with open(path, encoding="utf-8") as fh:
-        sizes = tuple(int(s) for s in fh.readline().split())
-        activation, seed = fh.readline().split()
-        spec = MlpSpec(sizes, activation, int(seed))
-        values = np.array([float(line) for line in fh if line.strip()])
-    params = MlpParams.init(spec)
-    params.set_flat(values)
-    return params

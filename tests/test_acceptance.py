@@ -16,7 +16,7 @@ from heatbench.baselines import MpcConfig, MpcController
 from heatbench.emulator import BuildingParams, BuildingState, step
 from heatbench.harness import Scenario, build_traces, run_scenario, simulate
 from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, ObservedState,
-                           RewardComponents, TransitionSample, log_metrics)
+                           log_metrics)
 from heatbench.model_based import MbrlConfig, ModelBasedAgent
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, q_target, replay_sample)
@@ -164,7 +164,7 @@ def test_criterion_5_q_learning_correctness():
                                history_length=0)
         for _ in range(4):
             for s, a, s2, r in transitions:
-                agent.observe(TransitionSample(s, a, s2, RewardComponents(r, 0.0)))
+                agent.observe(s, a, r, s2)
         for _ in range(4000):
             agent.train_cycle()
         learned = np.array([agent.q_values(s0), agent.q_values(s1)])
@@ -180,8 +180,8 @@ def test_criterion_5_q_learning_correctness():
         return p
 
     pair = QPair(bias_net([1.0, 2.0]), bias_net([10.0, 0.0]), gamma=0.9)
-    # one non-terminal transition s0 -> s1 with reward 0
-    batch = (s1.features()[None, :], np.array([0.0]), np.array([False]))
+    # one transition s0 -> s1 with reward 0
+    batch = (s1.features()[None, :], np.array([0.0]))
     assert q_target(*batch, pair)[0] == pytest.approx(0.0)
     assert q_target(*batch, pair, selection_by_target=True)[0] == pytest.approx(9.0)
     elapsed = time.perf_counter() - t0
@@ -274,14 +274,11 @@ def test_criterion_7_robustness_scenarios(tmp_path):
 def test_criterion_8_prioritized_replay_statistics():
     """Sampling frequencies match priority^alpha proportions (chi-square);
     alpha = 0 reduces to uniform."""
-    def make_sample():
-        s = ObservedState((0.0,), 0.0)
-        return TransitionSample(s, 0, s, RewardComponents(-1.0, 0.0))
-
+    s = ObservedState((0.0,), 0.0).features()
     mem = PrioritizedReplay(capacity=8, alpha=0.6)
     priorities = [3.0, 1.0, 0.5]
     for p in priorities:
-        mem.add(make_sample(), p)
+        mem.add(s, 0, -1.0, s, p)
     weights = np.array(priorities) ** 0.6
     expected = 10_000 * weights / weights.sum()
     rng = np.random.default_rng(2)
@@ -295,7 +292,7 @@ def test_criterion_8_prioritized_replay_statistics():
 
     uniform = PrioritizedReplay(capacity=8, alpha=0.0)
     for p in (100.0, 0.01):
-        uniform.add(make_sample(), p)
+        uniform.add(s, 0, -1.0, s, p)
     assert uniform.probabilities() == pytest.approx([0.5, 0.5])
     print(f"\nACCEPTANCE 8 PASS: replay frequencies match priority^alpha "
           f"(chi-square p={p_value:.3f}); alpha=0 uniform")

@@ -101,8 +101,34 @@ def test_params_validation():
         BuildingParams(cop=0.5)
     with pytest.raises(ValueError):
         BuildingParams(substep_seconds=7)  # does not divide 3600
+    with pytest.raises(ValueError, match="unstable sub-step"):
+        BuildingParams(indoor_capacitance=1e5, substep_seconds=3600)
     with pytest.raises(ValueError):
         BackupConfig(enabled=True, low_trip=23.0, high_trip=19.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c_i=st.floats(4.0, 7.0).map(lambda e: 10.0 ** e),
+       c_m=st.floats(5.0, 8.0).map(lambda e: 10.0 ** e),
+       u_a=st.floats(10.0, 500.0), h_m=st.floats(10.0, 1000.0),
+       dt=st.sampled_from([10, 60, 300, 900, 3600]), ambient=st.floats(-20.0, 40.0))
+def test_params_accepted_only_where_euler_stays_bounded(c_i, c_m, u_a, h_m, dt, ambient):
+    kwargs = dict(indoor_capacitance=c_i, envelope_capacitance=c_m,
+                  ambient_conductance=u_a, envelope_conductance=h_m, substep_seconds=dt)
+    if not (dt * (u_a + h_m) < c_i and dt * h_m < c_m):
+        with pytest.raises(ValueError, match="unstable sub-step"):
+            BuildingParams(**kwargs)
+        return
+    params = BuildingParams(**kwargs)
+    # a monotone update never leaves the box spanned by the start and the
+    # full-power equilibrium
+    lo = min(20.0, ambient)
+    hi = max(20.0, ambient + params.cop * params.max_power_w / u_a)
+    state = BuildingState(20.0, 20.0, 0)
+    for _ in range(24):
+        state, _ = step(state, params, ambient, params.max_power_w)
+        assert lo - 1e-6 <= state.indoor_temp <= hi + 1e-6
+        assert lo - 1e-6 <= state.envelope_temp <= hi + 1e-6
 
 
 def test_affine_map_matches_loop_integrator():

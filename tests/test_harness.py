@@ -296,6 +296,9 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[suite]\ndays = 2\n", r"unknown section \[suite\]"),
     ("[mfrl]\nselection_by_target = true\n", "unknown key 'selection_by_target'"),
     ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
+    ("[mfrl]\npriority_offset = 0\n", "priority_offset must be > 0"),
+    ("[tariff]\nflat_price = inf\n", "flat_price must be finite"),
+    ("[building]\nindoor_capacitance = 1e5\nsubstep_seconds = 3600\n", "unstable sub-step"),
 ])
 def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):
     with pytest.raises(ValueError, match=match):
@@ -311,6 +314,19 @@ def test_scenario_history_length_reaches_both_agents(tmp_path):
         net = agent.model.mlp if kind == "mbrl" else agent.pair.online
         assert net.spec.layer_sizes[0] == n_inputs
         assert len(log) == 48
+
+
+@pytest.mark.parametrize("kind", ["mbrl", "mfrl"])
+def test_agents_store_one_chained_transition_per_controlled_hour(kind):
+    scenario = Scenario(days=3, agent=kind, seed=2)
+    trace, tariff = build_traces(scenario)
+    log, agent = simulate(scenario, kind, trace, tariff)
+    store = agent.memory if kind == "mbrl" else agent.replay
+    controlled = log.steps[scenario.warmup_hours:]
+    assert len(store) == len(controlled) == 48
+    # each hour starts from the observation that ended the hour before
+    assert np.array_equal(store.rows(store.s)[1:], store.rows(store.s_next)[:-1])
+    assert store.rows(store.r).tolist() == [r.r_cons + r.r_comfort for r in controlled]
 
 
 def test_suite_from_ini(tmp_path):

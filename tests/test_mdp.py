@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
-                           ObservedState, RewardComponents, StepRecord, TariffConfig,
+                           ObservedState, StepRecord, TariffConfig, TariffSignal,
                            comfort_reward, comfort_reward_batch, consumption_reward,
                            encode_state, log_metrics, make_tariff)
 
@@ -126,11 +126,15 @@ def test_tariff_rejects_bad_config():
         make_tariff("hourly", 24)
 
 
-def test_reward_components_invariants():
-    r = RewardComponents(-0.1, -5.4)
-    assert r.total == pytest.approx(-5.5)
-    with pytest.raises(ValueError):
-        RewardComponents(0.1, 0.0)
+@given(price=st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0]),
+                       st.floats(max_value=0.0)),
+       field=st.sampled_from(["flat_price", "day_price", "night_price", "rtp_base",
+                              "rtp_min", "rtp_max"]))
+def test_tariff_rejects_non_finite_or_non_positive_prices(price, field):
+    with pytest.raises(ValueError, match=field):
+        TariffConfig(**{field: price})
+    with pytest.raises(ValueError, match="finite"):
+        TariffSignal("flat", (0.24, price))
 
 
 def _make_log(powers, price=0.24, t_i=21.0):

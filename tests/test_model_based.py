@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from heatbench.emulator import BuildingParams, BuildingState
-from heatbench.mdp import (ActionGrid, ComfortBand, ObservedState, RewardComponents,
-                           TransitionSample)
+from heatbench.mdp import ActionGrid, ComfortBand, ObservedState
 from heatbench.model_based import (ExplorationSchedule, LearnedDynamicsModel,
                                    MbrlConfig, ModelBasedAgent, SampleMemory,
                                    TransitionModel, train_transition_model,
@@ -15,37 +14,44 @@ GRID = ActionGrid()
 BAND = ComfortBand(19.0, 23.0)
 
 
-def _sample(t=20.0, a=0, t_next=None):
+def _transition(t=20.0, a=0, t_next=None):
+    """(obs, action, reward, next obs) of one hour at 5 degC ambient."""
     s = ObservedState((t,) * 4, 5.0)
     s2 = ObservedState((t_next if t_next is not None else t,) + (t,) * 3, 5.0)
-    return TransitionSample(s, a, s2, RewardComponents(-0.05, 0.0))
+    return s, a, -0.05, s2
+
+
+def _add(mem, s, a, r, s2):
+    """File one transition, given as observed states, in the memory."""
+    mem.add(s.features(), a, r, s2.features())
 
 
 def test_memory_fifo_eviction():
     mem = SampleMemory(capacity=3)
-    samples = [_sample(t=20.0 + i) for i in range(4)]
-    for s in samples:
-        mem.add(s)
+    transitions = [_transition(t=20.0 + i) for i in range(4)]
+    for transition in transitions:
+        _add(mem, *transition)
     assert len(mem) == 3
     # oldest evicted first; rows come back oldest-first after the ring wraps
-    assert mem.rows(mem.s).tolist() == [list(s.s.features()) for s in samples[1:]]
-    assert mem.rows(mem.s_next).tolist() == [list(s.s_next.features())
-                                             for s in samples[1:]]
+    assert mem.rows(mem.s).tolist() == [list(s.features()) for s, *_ in transitions[1:]]
+    assert mem.rows(mem.s_next).tolist() == [list(s2.features())
+                                             for *_, s2 in transitions[1:]]
 
 
 def test_training_matrix_of_wrapped_memory_matches_per_sample_build():
     rng = np.random.default_rng(4)
     mem = SampleMemory(capacity=5)
-    samples = []
+    transitions = []
     for _ in range(12):
         t = float(rng.uniform(17.0, 24.0))
-        samples.append(_sample(t=t, a=int(rng.integers(6)), t_next=t + rng.uniform(-1, 1)))
-        mem.add(samples[-1])
+        transitions.append(_transition(t=t, a=int(rng.integers(6)),
+                                       t_next=t + rng.uniform(-1, 1)))
+        _add(mem, *transitions[-1])
     x, y = training_matrix(mem, GRID)
-    kept = samples[-5:]
-    x_ref = np.stack([np.array(s.s.indoor_history + (s.s.ambient_now, GRID.levels_w[s.a]))
-                      for s in kept])
-    y_ref = np.array([s.s_next.indoor_history[0] for s in kept])
+    kept = transitions[-5:]
+    x_ref = np.stack([np.array(s.indoor_history + (s.ambient_now, GRID.levels_w[a]))
+                      for s, a, _, _ in kept])
+    y_ref = np.array([s2.indoor_history[0] for *_, s2 in kept])
     assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
 
@@ -98,7 +104,7 @@ def test_train_learns_constant_trajectory():
     cfg = MbrlConfig()
     mem = SampleMemory(128)
     for _ in range(48):
-        mem.add(_sample(t=20.0))
+        _add(mem, *_transition(t=20.0))
     model = TransitionModel.create(6, cfg, seed=0)
     model, mae = train_transition_model(mem, model, GRID, cfg, np.random.default_rng(0))
     assert mae is not None and mae < 0.05
@@ -118,7 +124,7 @@ def test_learned_batch_rollout_matches_per_step():
     rng = np.random.default_rng(0)
     for _ in range(64):
         t = rng.uniform(17.0, 24.0)
-        mem.add(_sample(t=t, a=int(rng.integers(6)), t_next=t + rng.uniform(-1, 1)))
+        _add(mem, *_transition(t=t, a=int(rng.integers(6)), t_next=t + rng.uniform(-1, 1)))
     model = TransitionModel.create(6, cfg, seed=0)
     model, _ = train_transition_model(mem, model, GRID, cfg, rng)
     learned = LearnedDynamicsModel(model, GRID)
@@ -143,8 +149,7 @@ def _agent(seed=0, **overrides):
 
 def test_act_uniform_when_forced_to_explore():
     agent = _agent()
-    obs = ObservedState((20.0,) * 4, 5.0)
-    draws = np.array([agent.act(obs, 0, epsilon=1.0) for _ in range(10_000)])
+    draws = np.array([agent.act(0, epsilon=1.0) for _ in range(10_000)])
     counts = np.bincount(draws, minlength=len(GRID))
     chi2 = ((counts - len(draws) / 6) ** 2 / (len(draws) / 6)).sum()
     assert stats.chi2.sf(chi2, df=5) > 0.01
@@ -153,9 +158,8 @@ def test_act_uniform_when_forced_to_explore():
 def test_act_follows_plan_when_greedy():
     agent = _agent()
     agent._plan = tuple(range(6)) + (0,) * 18
-    obs = ObservedState((20.0,) * 4, 5.0)
     for hour in range(6):
-        assert agent.act(obs, hour, epsilon=0.0) == hour
+        assert agent.act(hour, epsilon=0.0) == hour
 
 
 def test_daily_update_deterministic():
@@ -167,7 +171,8 @@ def test_daily_update_deterministic():
         agent = _agent(seed=3)
         rng = np.random.default_rng(9)
         for _ in range(48):
-            agent.observe(_sample(t=float(rng.uniform(18, 23)), a=int(rng.integers(6))))
+            agent.observe(*_transition(t=float(rng.uniform(18, 23)),
+                                       a=int(rng.integers(6))))
         agent.daily_update(obs, tariff, ambient, BAND)
         plans.append(agent._plan)
     assert plans[0] == plans[1]
@@ -207,5 +212,5 @@ def test_exact_model_injection_reduces_to_mpc_plan():
 def test_observe_fills_memory():
     agent = _agent()
     for i in range(5):
-        agent.observe(_sample(t=20.0 + i))
+        agent.observe(*_transition(t=20.0 + i))
     assert len(agent.memory) == 5

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from heatbench.mdp import (ActionGrid, ObservedState, RewardComponents,
-                           TransitionSample)
+from heatbench.mdp import ActionGrid, ObservedState
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, compute_priority, q_target, replay_sample,
                                   soft_update)
@@ -23,31 +22,22 @@ def _bias_net(biases, n_inputs=1):
     return params
 
 
-def _sample(r=-1.0, terminal=False, a=0):
-    s = ObservedState((0.0,), 0.0)
-    s2 = ObservedState((1.0,), 0.0)
-    return TransitionSample(s, a, s2, RewardComponents(r, 0.0), terminal)
+S0, S1 = ObservedState((0.0,), 0.0), ObservedState((1.0,), 0.0)
 
 
-def _next_batch(*samples):
-    """q_target's inputs for unnormalised samples: next-state features,
-    total rewards and terminal flags."""
-    return (np.stack([s.s_next.features() for s in samples]),
-            np.array([s.r.total for s in samples]),
-            np.array([s.terminal for s in samples]))
+def _add(mem, priority, a=0, r=-1.0):
+    """File the transition S0 -a-> S1 with reward r."""
+    return mem.add(S0.features(), a, r, S1.features(), priority)
 
 
-def test_q_target_terminal_returns_reward():
-    pair = QPair(_bias_net([0.0, 0.0], 2), _bias_net([0.0, 0.0], 2), gamma=0.9)
-    sample = TransitionSample(ObservedState((0.0,), 0.0), 0,
-                              ObservedState((1.0,), 0.0),
-                              RewardComponents(0.0, -5.4), terminal=True)
-    assert q_target(*_next_batch(sample), pair)[0] == pytest.approx(-5.4)
+def _target(pair, r, **kwargs):
+    """q_target of the one transition into S1 with reward r (unnormalised)."""
+    return q_target(S1.features()[None, :], np.array([r]), pair, **kwargs)[0]
 
 
 def test_q_target_gamma_zero_is_reward():
     pair = QPair(_bias_net([3.0, 7.0], 2), _bias_net([9.0, 2.0], 2), gamma=0.0)
-    assert q_target(*_next_batch(_sample(r=-1.0)), pair)[0] == pytest.approx(-1.0)
+    assert _target(pair, -1.0) == pytest.approx(-1.0)
 
 
 def test_q_target_double_q_selection():
@@ -56,9 +46,8 @@ def test_q_target_double_q_selection():
     online = _bias_net([1.0, 2.0], 2)
     target = _bias_net([10.0, 0.0], 2)
     pair = QPair(online, target, gamma=0.9)
-    batch = _next_batch(_sample(r=0.0))
-    assert q_target(*batch, pair)[0] == pytest.approx(0.0)
-    assert q_target(*batch, pair, selection_by_target=True)[0] == pytest.approx(9.0)
+    assert _target(pair, 0.0) == pytest.approx(0.0)
+    assert _target(pair, 0.0, selection_by_target=True) == pytest.approx(9.0)
 
 
 @settings(max_examples=50)
@@ -67,7 +56,7 @@ def test_q_target_double_q_selection():
        r=st.floats(-5, 0))
 def test_double_q_never_exceeds_plain_max(q_on, q_tg, r):
     pair = QPair(_bias_net(q_on, 2), _bias_net(q_tg, 2), gamma=0.9)
-    double = q_target(*_next_batch(_sample(r=r)), pair)[0]
+    double = _target(pair, r)
     plain = r + 0.9 * max(q_tg)
     assert double <= plain + 1e-12
 
@@ -84,8 +73,8 @@ def test_compute_priority():
 
 def test_replay_proportional_sampling_chi_square():
     mem = PrioritizedReplay(capacity=8, alpha=1.0)
-    mem.add(_sample(a=0), priority=3.0)
-    mem.add(_sample(a=1), priority=1.0)
+    _add(mem, 3.0, a=0)
+    _add(mem, 1.0, a=1)
     rng = np.random.default_rng(0)
     counts = np.zeros(2)
     for _ in range(10_000):
@@ -98,8 +87,8 @@ def test_replay_proportional_sampling_chi_square():
 
 def test_replay_alpha_zero_is_uniform():
     mem = PrioritizedReplay(capacity=8, alpha=0.0)
-    mem.add(_sample(a=0), priority=100.0)
-    mem.add(_sample(a=1), priority=0.01)
+    _add(mem, 100.0, a=0)
+    _add(mem, 0.01, a=1)
     probs = mem.probabilities()
     assert probs == pytest.approx([0.5, 0.5])
 
@@ -107,34 +96,34 @@ def test_replay_alpha_zero_is_uniform():
 def test_replay_equal_priorities_is_uniform():
     mem = PrioritizedReplay(capacity=8, alpha=0.6)
     for i in range(4):
-        mem.add(_sample(a=i % 2), priority=2.5)
+        _add(mem, 2.5, a=i % 2)
     assert mem.probabilities() == pytest.approx([0.25] * 4)
 
 
 def test_replay_full_batch_is_permutation():
     mem = PrioritizedReplay(capacity=8, alpha=0.6)
     for i in range(5):
-        mem.add(_sample(a=i % 2), priority=float(i + 1))
+        _add(mem, float(i + 1), a=i % 2)
     idx = replay_sample(mem, 5, np.random.default_rng(1))
     assert sorted(idx) == list(range(5))
 
 
 def test_replay_undersized_memory_rejected():
     mem = PrioritizedReplay(capacity=8)
-    mem.add(_sample(), 1.0)
+    _add(mem, 1.0)
     with pytest.raises(ValueError):
         replay_sample(mem, 2, np.random.default_rng(0))
 
 
 def test_replay_ring_eviction_and_priority_floor():
-    mem = PrioritizedReplay(capacity=2, alpha=0.6, offset=1e-3)
+    mem = PrioritizedReplay(capacity=2, alpha=0.6)
     for i in range(5):
-        mem.add(_sample(a=i % 2), priority=compute_priority(0.0, 0.0, 1e-3))
+        _add(mem, compute_priority(0.0, 0.0, 1e-3), a=i % 2)
     assert len(mem) == 2
     assert mem.rows(mem.a).tolist() == [1, 0]  # samples 3 and 4, oldest first
     assert all(mem.priority(i) >= 1e-3 for i in range(2))
     with pytest.raises(ValueError):
-        mem.add(_sample(), priority=0.0)
+        _add(mem, 0.0)
 
 
 def test_soft_update_tau_one_copies():
@@ -204,6 +193,12 @@ def test_act_uniform_at_full_exploration():
     assert stats.chi2.sf(chi2, df=5) > 0.01
 
 
+def test_config_rejects_non_positive_priority_offset():
+    for offset in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="priority_offset"):
+            MfrlConfig(priority_offset=offset)
+
+
 def test_config_rejects_capacity_below_warmup():
     with pytest.raises(ValueError, match="capacity"):
         MfrlConfig(capacity=50, warmup_samples=96)
@@ -212,7 +207,7 @@ def test_config_rejects_capacity_below_warmup():
 
 def test_observe_stores_with_td_priority():
     agent = _agent()
-    agent.observe(_sample(r=-2.0))
+    agent.observe(S0, 0, -2.0, S1)
     assert len(agent.replay) == 1
     assert agent.replay.priority(0) >= agent.cfg.priority_offset
 
@@ -220,7 +215,7 @@ def test_observe_stores_with_td_priority():
 def test_train_cycle_skips_before_warmup_bit_identical():
     agent = _agent(warmup_samples=8, batch_size=4)
     for _ in range(3):
-        agent.observe(_sample())
+        agent.observe(S0, 0, -1.0, S1)
     before = agent.pair.online.flat()
     assert agent.train_cycle() is False
     assert np.array_equal(agent.pair.online.flat(), before)
@@ -229,7 +224,7 @@ def test_train_cycle_skips_before_warmup_bit_identical():
 def test_train_cycle_updates_priorities_in_place():
     agent = _agent()
     for i in range(6):
-        agent.observe(_sample(r=-float(i)))
+        agent.observe(S0, 0, -float(i), S1)
     priorities_before = [agent.replay.priority(i) for i in range(6)]
     assert agent.train_cycle() is True
     priorities_after = [agent.replay.priority(i) for i in range(6)]
@@ -262,7 +257,7 @@ def test_toy_mdp_converges_to_value_iteration():
     agent = ModelFreeAgent(cfg, grid2, np.random.default_rng(0), seed=0, history_length=0)
     for _ in range(4):
         for s, a, s2, r in transitions:
-            agent.observe(TransitionSample(s, a, s2, RewardComponents(r, 0.0)))
+            agent.observe(s, a, r, s2)
     for _ in range(4000):
         agent.train_cycle()
     learned = np.array([agent.q_values(s0), agent.q_values(s1)])
@@ -272,7 +267,7 @@ def test_toy_mdp_converges_to_value_iteration():
 def test_daily_update_runs_cycles_and_decays_epsilon():
     agent = _agent(train_cycles_per_update=3)
     for _ in range(8):
-        agent.observe(_sample())
+        agent.observe(S0, 0, -1.0, S1)
     done = agent.daily_update()
     assert done == 3
     assert agent.schedule.day == 1
