@@ -72,13 +72,12 @@ class MpcController:
     shifted by one step, seeds the next optimization.
     """
 
-    def __init__(self, params: BuildingParams, grid: ActionGrid,
-                 config: MpcConfig = MpcConfig(),
-                 rng: np.random.Generator | None = None):
+    def __init__(self, params: BuildingParams, grid: ActionGrid, config: MpcConfig,
+                 rng: np.random.Generator):
         self.params = params
         self.grid = grid
         self.config = config
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
         self._previous: tuple[int, ...] | None = None
 
     def decide(self, state: BuildingState, obs: ObservedState, tariff_window,

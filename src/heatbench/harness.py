@@ -151,6 +151,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
     backup = scenario.backup_config()
     schedule = scenario.band_schedule
     grid = scenario.grid
+    ambient = trace.as_array()
     rng = _agent_rng(scenario)
 
     agent: object = None
@@ -178,7 +179,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
             if agent_kind == "mbrl":
                 window = min(24, horizon - t)
                 agent.daily_update(obs, tariff.window(t, window),
-                                   trace.as_array()[t:t + window], band_now)
+                                   ambient[t:t + window], band_now)
             elif agent_kind == "mfrl":
                 agent.daily_update()
 
@@ -189,7 +190,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
         elif agent_kind == "mpc":
             window = min(scenario.mpc.horizon, horizon - t)
             action = agent.decide(state, obs, tariff.window(t, window),
-                                  trace.as_array()[t:t + window], band_now)
+                                  ambient[t:t + window], band_now)
         elif agent_kind == "mbrl":
             action = agent.act(t % 24)
         else:

@@ -186,6 +186,10 @@ class TariffConfig:
                      "rtp_min", "rtp_max"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        if not self.rtp_min <= self.rtp_max:
+            raise ValueError("rtp_min must not exceed rtp_max")
+        if not 0.0 <= self.rtp_step < math.inf:
+            raise ValueError("rtp_step must be finite and >= 0")
         if not 0 <= self.day_start_hour < self.day_end_hour <= 24:
             raise ValueError("day window must satisfy 0 <= start < end <= 24")
 

@@ -201,18 +201,19 @@ class LearnedDynamicsModel:
                       ambient_window: np.ndarray) -> np.ndarray:
         actions = np.asarray(actions)
         n_seq, horizon = actions.shape
-        levels = np.asarray(self._grid.levels_w)
-        hist = np.tile(np.asarray(start.indoor_history), (n_seq, 1))
+        powers = np.asarray(self._grid.levels_w)[actions]
+        n_hist = len(start.indoor_history)
+        # one feature matrix per rollout: temperature window, ambient, power
+        features = np.empty((n_seq, n_hist + 2))
+        features[:, :n_hist] = start.indoor_history
         out = np.empty((n_seq, horizon))
         for k in range(horizon):
-            features = np.column_stack([
-                hist,
-                np.full(n_seq, ambient_window[k]),
-                levels[actions[:, k]],
-            ])
+            features[:, n_hist] = ambient_window[k]
+            features[:, n_hist + 1] = powers[:, k]
             t_next = self._model.predict_batch(features)
             out[:, k] = t_next
-            hist = np.column_stack([t_next, hist[:, :-1]])
+            features[:, 1:n_hist] = features[:, :n_hist - 1]
+            features[:, 0] = t_next
         return out
 
 
@@ -246,12 +247,11 @@ class ModelBasedAgent:
         return LearnedDynamicsModel(self.model, self.grid)
 
     def plan_day(self, obs: ObservedState, tariff_window, ambient_window,
-                 band: ComfortBand, rng: np.random.Generator | None = None) -> Plan:
-        rng = rng if rng is not None else self._rng
+                 band: ComfortBand) -> Plan:
         planner = plan_cem if self.cfg.planner == "cem" else plan_ga
         planner_cfg = self.cem_or_ga()
         return planner(self.dynamics(), obs, min(24, len(tariff_window)), self.grid,
-                       tariff_window, ambient_window, band, planner_cfg, rng)
+                       tariff_window, ambient_window, band, planner_cfg, self._rng)
 
     def cem_or_ga(self):
         return self.cfg.cem if self.cfg.planner == "cem" else self.cfg.ga

@@ -13,6 +13,7 @@ at once, always from the same root state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Protocol
@@ -42,37 +43,49 @@ class DynamicsModel(Protocol):
         """Predicted arrival temperatures, shape (n_sequences, horizon)."""
 
 
+@functools.lru_cache(maxsize=64)
+def _impulse_response(params: BuildingParams, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, gain) of H hours of the one-hour affine map (P, s): the indoor
+    arrival temperature of hour k is lead[k] @ [T_i, T_m] + sum_j gain[k, j] *
+    drive_j, with lead[k] = (P^(k+1))[0] and gain[k, j] = (P^(k-j) s)[0] for
+    j <= k, else 0.  Read-only, because the cache hands both to every caller."""
+    p, s = hour_affine_map(params)
+    lead, impulse = np.empty((horizon, 2)), np.empty(horizon)
+    power, response = p, s
+    for k in range(horizon):
+        lead[k], impulse[k] = power[0], response[0]
+        power, response = p @ power, p @ response
+    hours = np.arange(horizon)
+    gain = np.tril(impulse[np.abs(hours[:, None] - hours)])
+    lead.setflags(write=False)
+    gain.setflags(write=False)
+    return lead, gain
+
+
 class ExactDynamicsModel:
     """Emulator clone: the true building dynamics from a known latent state.
 
-    Uses the precomputed one-hour affine map of the emulator's Euler
-    integrator, so batched rollouts cost O(1) per hour per candidate.
+    The emulator's hour update is affine, so an H-hour rollout is closed
+    form: the root state's free response plus the action drive through the
+    lower-triangular impulse response of the one-hour map, cached per
+    (building, horizon).  One matrix product serves a whole candidate batch
+    and equals the hour-by-hour recursion up to floating-point re-association.
     """
 
     def __init__(self, params: BuildingParams, state: BuildingState, grid: ActionGrid):
         self._params = params
         self._grid = grid
-        self._root = (state.indoor_temp, state.envelope_temp)
-        self._p, self._s = hour_affine_map(params)
+        self._root = np.array([state.indoor_temp, state.envelope_temp])
 
     def rollout_temps(self, start: ObservedState, actions: np.ndarray,
                       ambient_window: np.ndarray) -> np.ndarray:
         actions = np.asarray(actions)
-        n_seq, horizon = actions.shape
-        levels = np.asarray(self._grid.levels_w)
-        u_a = self._params.ambient_conductance
-        cop = self._params.cop
-        p, s = self._p, self._s
-
-        t_i = np.full(n_seq, self._root[0])
-        t_m = np.full(n_seq, self._root[1])
-        out = np.empty((n_seq, horizon))
-        for k in range(horizon):
-            drive = u_a * ambient_window[k] + cop * levels[actions[:, k]]
-            t_i, t_m = (p[0, 0] * t_i + p[0, 1] * t_m + s[0] * drive,
-                        p[1, 0] * t_i + p[1, 1] * t_m + s[1] * drive)
-            out[:, k] = t_i
-        return out
+        horizon = actions.shape[1]
+        lead, gain = _impulse_response(self._params, horizon)
+        ambient = np.asarray(ambient_window)[:horizon]
+        free = lead @ self._root + gain @ (self._params.ambient_conductance * ambient)
+        heat = self._params.cop * np.asarray(self._grid.levels_w)[actions]
+        return free + heat @ gain.T
 
 
 @dataclass(frozen=True)
@@ -154,10 +167,6 @@ def evaluate_sequences(model: DynamicsModel, start: ObservedState, actions: np.n
     return (cons + comfort).sum(axis=1)
 
 
-def _sequence_energy(actions: np.ndarray, grid: ActionGrid) -> np.ndarray:
-    return np.asarray(grid.levels_w)[np.asarray(actions)].sum(axis=1)
-
-
 class _BestTracker:
     """Keeps the best (return, lower-energy tie break) sequence seen so far."""
 
@@ -168,12 +177,13 @@ class _BestTracker:
         self._energy = np.inf
 
     def offer(self, actions: np.ndarray, returns: np.ndarray) -> None:
-        energies = _sequence_energy(actions, self._grid)
-        for i in range(len(returns)):
-            if (returns[i], -energies[i]) > (self.value, -self._energy):
-                self.value = float(returns[i])
-                self._energy = float(energies[i])
-                self.sequence = actions[i].copy()
+        energies = np.asarray(self._grid.levels_w)[actions].sum(axis=1)
+        # stable sort: the earliest of exact ties; NaN sorts last and never wins
+        i = np.lexsort((energies, -returns))[0]
+        if (returns[i], -energies[i]) > (self.value, -self._energy):
+            self.value = float(returns[i])
+            self._energy = float(energies[i])
+            self.sequence = actions[i].copy()
 
     def plan(self) -> Plan:
         return Plan(tuple(int(a) for a in self.sequence), self.value)
@@ -198,15 +208,15 @@ def plan_exhaustive(model: DynamicsModel, start: ObservedState, horizon: int,
 
 
 def _sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample (n, horizon) action indices from per-step categoricals."""
-    horizon, n_actions = probs.shape
-    u = rng.random((n, horizon))
-    out = np.empty((n, horizon), dtype=int)
-    for k in range(horizon):
-        cum = np.cumsum(probs[k])
-        cum[-1] = 1.0  # guard against float shortfall
-        out[:, k] = np.searchsorted(cum, u[:, k], side="right")
-    return np.minimum(out, n_actions - 1)
+    """Sample (n, horizon) action indices from per-step categoricals: an index
+    counts the cumulative bounds its uniform draw reaches, leaving out the last
+    so that a row summing to slightly less than 1 stays on the grid."""
+    u = rng.random((n, probs.shape[0]))
+    cum = np.cumsum(probs, axis=1)
+    out = np.zeros(u.shape, dtype=int)
+    for a in range(probs.shape[1] - 1):  # a few actions; candidates and hours vectorised
+        out += u >= cum[:, a]
+    return out
 
 
 def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
@@ -238,9 +248,9 @@ def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
                                      tariff_window, ambient_window, band)
         tracker.offer(population, returns)
         elite = population[np.argsort(-returns, kind="stable")[:config.elite_count]]
-        freqs = np.empty_like(probs)
-        for k in range(horizon):
-            freqs[k] = np.bincount(elite[:, k], minlength=n_actions) / len(elite)
+        counts = np.bincount((elite + n_actions * np.arange(horizon)).ravel(),
+                             minlength=horizon * n_actions)
+        freqs = counts.reshape(horizon, n_actions) / len(elite)
         probs = config.smoothing * freqs + (1.0 - config.smoothing) * probs
         probs = (1.0 - config.explore_floor) * probs + config.explore_floor / n_actions
     return tracker.plan()

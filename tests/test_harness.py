@@ -298,6 +298,9 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
     ("[mfrl]\npriority_offset = 0\n", "priority_offset must be > 0"),
     ("[tariff]\nflat_price = inf\n", "flat_price must be finite"),
+    ("[tariff]\nrtp_min = 0.5\nrtp_max = 0.1\n", "rtp_min must not exceed rtp_max"),
+    ("[tariff]\nrtp_step = inf\n", "rtp_step must be finite"),
+    ("[tariff]\nrtp_step = -0.5\n", "rtp_step must be finite and >= 0"),
     ("[building]\nindoor_capacitance = 1e5\nsubstep_seconds = 3600\n", "unstable sub-step"),
 ])
 def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):

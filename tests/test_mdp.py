@@ -137,6 +137,20 @@ def test_tariff_rejects_non_finite_or_non_positive_prices(price, field):
         TariffSignal("flat", (0.24, price))
 
 
+
+@given(low=st.floats(0.01, 1.0), gap=st.floats(1e-6, 1.0))
+def test_tariff_rejects_inverted_rtp_bounds(low, gap):
+    with pytest.raises(ValueError, match="rtp_min must not exceed rtp_max"):
+        TariffConfig(rtp_min=low + gap, rtp_max=low)
+    TariffConfig(rtp_min=low, rtp_max=low)  # a constant real_time price is allowed
+
+
+@given(step=st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]),
+                      st.floats(max_value=-1e-300)))
+def test_tariff_rejects_negative_or_non_finite_rtp_step(step):
+    with pytest.raises(ValueError, match="rtp_step must be finite and >= 0"):
+        TariffConfig(rtp_step=step)
+
 def _make_log(powers, price=0.24, t_i=21.0):
     log = EpisodeLog()
     for hour, p in enumerate(powers):

@@ -141,6 +141,42 @@ def test_learned_batch_rollout_matches_per_step():
         history = (t_next,) + history[:-1]
 
 
+
+def _column_stack_rollout(model, start, actions, ambient_window):
+    """Reference rollout that rebuilds the feature matrix every hour."""
+    n_seq, horizon = actions.shape
+    levels = np.asarray(GRID.levels_w)
+    hist = np.tile(np.asarray(start.indoor_history), (n_seq, 1))
+    out = np.empty((n_seq, horizon))
+    for k in range(horizon):
+        features = np.column_stack([hist, np.full(n_seq, ambient_window[k]),
+                                    levels[actions[:, k]]])
+        t_next = model.predict_batch(features)
+        out[:, k] = t_next
+        hist = np.column_stack([t_next, hist[:, :-1]])
+    return out
+
+
+@pytest.mark.parametrize("history_length", [0, 1, 3])
+def test_learned_rollout_equals_column_stack_reference(history_length):
+    cfg = MbrlConfig()
+    n = history_length + 1
+    rng = np.random.default_rng(history_length)
+    mem = SampleMemory(128)
+    for _ in range(64):
+        t, ambient = rng.uniform(17.0, 24.0, size=n + 1), rng.uniform(-5.0, 10.0)
+        mem.add(np.append(t[1:], ambient), int(rng.integers(6)), -0.05,
+                np.append(t[:-1], ambient))
+    model = TransitionModel.create(n + 2, cfg, seed=1)
+    model, _ = train_transition_model(mem, model, GRID, cfg, rng)
+
+    obs = ObservedState(tuple(rng.uniform(18.0, 22.0, size=n)), 4.0)
+    actions = rng.integers(len(GRID), size=(16, 24))
+    ambient = rng.uniform(-5.0, 10.0, size=24)
+    temps = LearnedDynamicsModel(model, GRID).rollout_temps(obs, actions, ambient)
+    assert np.array_equal(temps, _column_stack_rollout(model, obs, actions, ambient))
+
+
 def _agent(seed=0, **overrides):
     cfg = MbrlConfig(**overrides)
     return ModelBasedAgent(cfg, GRID, np.random.default_rng(seed), seed=seed,
@@ -194,14 +230,13 @@ def test_exact_model_injection_reduces_to_mpc_plan():
     params = BuildingParams()
     state = BuildingState(19.5, 20.5, 0)
     exact = ExactDynamicsModel(params, state, GRID)
-    agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0),
+    agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(123),
                             seed=0, history_length=3, dynamics_override=exact)
     obs = ObservedState((19.5,) * 4, 2.0)
     tariff = np.full(24, 0.24)
     ambient = np.linspace(2.0, 4.0, 24)
 
-    plan_agent = agent.plan_day(obs, tariff, ambient, BAND,
-                                rng=np.random.default_rng(123))
+    plan_agent = agent.plan_day(obs, tariff, ambient, BAND)
     plan_mpc = plan_cem(ExactDynamicsModel(params, state, GRID), obs, 24, GRID,
                         tariff, ambient, BAND, MbrlConfig().cem,
                         np.random.default_rng(123))

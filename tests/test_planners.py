@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from heatbench.emulator import BuildingParams, BuildingState, step
+from heatbench.emulator import BuildingParams, BuildingState, hour_affine_map, step
 from heatbench.mdp import ActionGrid, ComfortBand, ObservedState, comfort_reward
-from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig,
+from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, _sample_categorical,
                                 evaluate_sequences, plan_cem, plan_exhaustive, plan_ga)
 
 PARAMS = BuildingParams()
@@ -256,3 +260,150 @@ def test_batch_rollout_matches_emulator_step():
         for k, a in enumerate(seq):
             s, _ = step(s, PARAMS, ambient[k], GRID.levels_w[a])
             assert temps[row, k] == pytest.approx(s.indoor_temp, abs=1e-9)
+
+
+def _recursive_rollout(params, state, actions, ambient):
+    """Reference exact rollout: the one-hour affine map applied hour by hour."""
+    p, s = hour_affine_map(params)
+    x = np.tile([state.indoor_temp, state.envelope_temp], (len(actions), 1))
+    out = np.empty(actions.shape)
+    for k in range(actions.shape[1]):
+        drive = (params.ambient_conductance * ambient[k]
+                 + params.cop * np.asarray(GRID.levels_w)[actions[:, k]])
+        x = x @ p.T + drive[:, None] * s
+        out[:, k] = x[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("horizon", range(1, 25))
+def test_closed_form_rollout_matches_hourly_recursion(horizon):
+    rng = np.random.default_rng(horizon)
+    params = BuildingParams(cop=2.5, ambient_conductance=150.0)
+    state = BuildingState(rng.uniform(15.0, 25.0), rng.uniform(15.0, 25.0), 0)
+    actions = rng.integers(len(GRID), size=(32, horizon))
+    ambient = rng.uniform(-15.0, 15.0, size=horizon)
+    model = ExactDynamicsModel(params, state, GRID)
+    temps = model.rollout_temps(ObservedState((state.indoor_temp,) * 4, ambient[0]),
+                                actions, ambient)
+    reference = _recursive_rollout(params, state, actions, ambient)
+    assert np.max(np.abs(temps - reference)) <= 1e-12
+
+
+def _searchsorted_sample(probs, n, rng):
+    """Reference sampler: one searchsorted per horizon step."""
+    horizon, n_actions = probs.shape
+    u = rng.random((n, horizon))
+    out = np.empty((n, horizon), dtype=int)
+    for k in range(horizon):
+        cum = np.cumsum(probs[k])
+        cum[-1] = 1.0
+        out[:, k] = np.searchsorted(cum, u[:, k], side="right")
+    return np.minimum(out, n_actions - 1)
+
+
+_weight = st.sampled_from([0.0, 1e-12, 0.1, 0.5, 1.0, 3.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), horizon=st.integers(1, 6), n_actions=st.integers(1, 7),
+       shortfall=st.sampled_from([0.0, 1e-16, 1e-9, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_sampler_matches_searchsorted_reference(data, horizon, n_actions, shortfall, seed):
+    rows = st.lists(_weight, min_size=n_actions, max_size=n_actions)
+    # the tiny floor turns an all-zero row into a uniform one
+    weights = np.array(data.draw(st.lists(rows, min_size=horizon, max_size=horizon))) + 1e-300
+    probs = weights / weights.sum(axis=1, keepdims=True) * (1.0 - shortfall)
+    got = _sample_categorical(probs, 64, np.random.default_rng(seed))
+    want = _searchsorted_sample(probs, 64, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+def _loop_best(actions, returns, grid, best=(-np.inf, np.inf, None)):
+    """Reference tracker: strict (return, -energy) improvement, candidate by candidate."""
+    value, energy, sequence = best
+    energies = np.asarray(grid.levels_w)[actions].sum(axis=1)
+    for i in range(len(returns)):
+        if (returns[i], -energies[i]) > (value, -energy):
+            value, energy, sequence = float(returns[i]), float(energies[i]), actions[i]
+    return value, energy, sequence
+
+
+class IndexSumModel:
+    """Arrival temperatures depend only on the sequence's summed action index,
+    so permutations of a sequence tie in both return and energy."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+
+    def rollout_temps(self, start, actions, ambient_window):
+        keys = np.asarray(actions).sum(axis=1) % self.table.shape[1]
+        return self.table[:, keys].T
+
+
+# in band, out of band on either side, diverged; and a free, priced or infinite
+# price (an idle hour at an infinite price returns NaN, a heated one -inf)
+_temps = st.sampled_from([21.0, 18.0, 25.0, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), horizon=st.integers(1, 3), n_actions=st.integers(1, 4),
+       price=st.sampled_from([0.0, 0.2, np.inf]))
+def test_best_sequence_matches_loop_on_ties_nan_and_minus_inf(data, horizon, n_actions,
+                                                             price):
+    grid = ActionGrid(tuple(400.0 * a for a in range(n_actions)))
+    table = data.draw(st.lists(st.lists(_temps, min_size=3, max_size=3),
+                               min_size=horizon, max_size=horizon))
+    model, obs = IndexSumModel(table), ObservedState((21.0,) * 4, 5.0)
+    prices, ambient = [price] * horizon, [5.0] * horizon
+    actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
+    with np.errstate(invalid="ignore"):
+        returns = evaluate_sequences(model, obs, actions, grid, prices, ambient, BAND)
+        assume(not np.isnan(returns).all())  # no sequence to return at all
+        plan = plan_exhaustive(model, obs, horizon, grid, prices, ambient, BAND)
+    value, _, sequence = _loop_best(actions, returns, grid)
+    assert plan.actions == tuple(sequence)
+    assert plan.expected_return == value
+
+
+def _loop_cem(model, obs, horizon, grid, prices, ambient, config, rng, seed_sequence):
+    """Reference CEM: per-step sampling, refit and candidate-by-candidate tracking."""
+    n_actions = len(grid)
+    probs = np.full((horizon, n_actions), 1.0 / n_actions)
+    if seed_sequence is not None:
+        probs *= 1.0 - config.seed_bias
+        probs[np.arange(horizon), np.asarray(seed_sequence)] += config.seed_bias
+    best = (-np.inf, np.inf, None)
+    for _ in range(config.iterations):
+        population = _searchsorted_sample(probs, config.population, rng)
+        if seed_sequence is not None:
+            population[0] = seed_sequence
+        returns = evaluate_sequences(model, obs, population, grid, prices, ambient, BAND)
+        best = _loop_best(population, returns, grid, best)
+        elite = population[np.argsort(-returns, kind="stable")[:config.elite_count]]
+        freqs = np.empty_like(probs)
+        for k in range(horizon):
+            freqs[k] = np.bincount(elite[:, k], minlength=n_actions) / len(elite)
+        probs = config.smoothing * freqs + (1.0 - config.smoothing) * probs
+        probs = (1.0 - config.explore_floor) * probs + config.explore_floor / n_actions
+    return best[0], tuple(int(a) for a in best[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), horizon=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       smoothing=st.floats(0.05, 1.0), explore_floor=st.floats(0.0, 0.5),
+       warm=st.booleans())
+def test_cem_matches_loop_reference(data, horizon, seed, smoothing, explore_floor, warm):
+    table = data.draw(st.lists(st.lists(st.floats(15.0, 27.0), min_size=3, max_size=3),
+                               min_size=horizon, max_size=horizon))
+    prices = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]),
+                                min_size=horizon, max_size=horizon))
+    seed_sequence = (tuple(data.draw(st.lists(st.integers(0, 5), min_size=horizon,
+                                              max_size=horizon))) if warm else None)
+    config = CemConfig(population=24, elite_fraction=0.25, iterations=4,
+                       smoothing=smoothing, explore_floor=explore_floor)
+    model, obs, ambient = IndexSumModel(table), ObservedState((21.0,) * 4, 5.0), [5.0] * horizon
+    plan = plan_cem(model, obs, horizon, GRID, prices, ambient, BAND, config,
+                    np.random.default_rng(seed), seed_sequence)
+    value, actions = _loop_cem(model, obs, horizon, GRID, prices, ambient, config,
+                               np.random.default_rng(seed), seed_sequence)
+    assert plan.actions == actions
+    assert plan.expected_return == value
