@@ -10,6 +10,7 @@ a (scenario, seed) pair determines every output byte.
 from __future__ import annotations
 
 import configparser
+import csv
 import dataclasses
 import time
 import typing
@@ -319,9 +320,9 @@ def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
     cols = ["agent", "consumption_change_pct", "cost_change_pct", "comfort_loss_eur",
             "wall_clock_s", "convergence_hours", "status"]
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([row[c] for c in cols] for row in rows)
     return rows
 
 

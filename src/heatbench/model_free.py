@@ -99,13 +99,9 @@ class QPair:
 
 
 def soft_update(pair: QPair) -> QPair:
-    """Move the target weights a fraction tau toward the online weights."""
-    for w_t, w_o in zip(pair.target.weights, pair.online.weights):
-        w_t *= 1.0 - pair.tau
-        w_t += pair.tau * w_o
-    for b_t, b_o in zip(pair.target.biases, pair.online.biases):
-        b_t *= 1.0 - pair.tau
-        b_t += pair.tau * b_o
+    """Move the target parameters a fraction tau toward the online ones."""
+    pair.target.theta *= 1.0 - pair.tau
+    pair.target.theta += pair.tau * pair.online.theta
     return pair
 
 

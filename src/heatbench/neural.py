@@ -6,14 +6,16 @@ minimises a masked mean squared error: the mask selects which output
 units of which samples receive gradient, which is how Q-learning trains
 only the taken action's head.
 
-Everything is plain numpy; parameters are lists of (fan_in, fan_out)
-weight matrices plus bias vectors, with a flattened view for the
-finite-difference gradient check.
+Everything is plain numpy.  The parameters are one float64 vector, laid
+out layer by layer with each (fan_in, fan_out) weight matrix before its
+bias vector; the per-layer weights and biases are views into it.  The
+gradient and the optimizer moments share that layout, so each update is
+a handful of whole-vector operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,63 +50,66 @@ class MlpSpec:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
 
 
-class MlpParams:
-    """Weights and biases for an MlpSpec; mutated in place by training."""
+def _layer_views(sizes: tuple[int, ...], vec: np.ndarray):
+    """Per-layer weight and bias views into a vector in the parameter layout."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(vec[pos:pos + fan_out])
+        pos += fan_out
+    if pos != vec.size:
+        raise ValueError(f"parameter vector has {vec.size} entries, the spec needs {pos}")
+    return weights, biases
 
-    def __init__(self, spec: MlpSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
-        sizes = spec.layer_sizes
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ValueError(f"layer {i} shapes inconsistent with spec")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
+
+class MlpParams:
+    """Parameters of an MlpSpec, mutated in place by training.
+
+    `theta` is the one vector that holds them; `weights[i]` and `biases[i]`
+    are read-write views into it.
+    """
+
+    def __init__(self, spec: MlpSpec, theta):
+        theta = np.array(theta, dtype=float)
+        if theta.ndim != 1:
+            raise ValueError("theta must be a 1-D vector")
+        self.weights, self.biases = _layer_views(spec.layer_sizes, theta)
+        if not np.isfinite(theta).all():
+            raise ValueError("parameters must be finite")
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
+        self.theta = theta
 
     @classmethod
     def init(cls, spec: MlpSpec) -> "MlpParams":
         """Fan-in-scaled uniform weights, zero biases, seeded."""
         rng = np.random.default_rng(spec.init_seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
-            limit = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(spec, weights, biases)
+        sizes = spec.layer_sizes
+        theta = np.zeros(sum((fan_in + 1) * fan_out
+                             for fan_in, fan_out in zip(sizes, sizes[1:])))
+        for w in _layer_views(sizes, theta)[0]:
+            limit = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        return cls(spec, theta)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.spec, [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
-    def param_count(self) -> int:
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out
-                   in zip(self.spec.layer_sizes, self.spec.layer_sizes[1:]))
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        if vec.size != self.param_count():
-            raise ValueError("flat vector size mismatch")
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = vec[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = vec[pos:pos + b.size]
-            pos += b.size
+        return MlpParams(self.spec, self.theta)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0.0).astype(float) if kind == "relu" else 1.0 - a * a
+def _layer_outputs(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """The input followed by every layer's output; hidden layers activated."""
+    outputs = [x]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = outputs[-1] @ w
+        h += b
+        if i < last:
+            if params.spec.activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
+        outputs.append(h)
+    return outputs
 
 
 def forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
@@ -112,12 +117,7 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.spec.layer_sizes[0]:
         raise ValueError(f"expected inputs of width {params.spec.layer_sizes[0]}")
-    n_layers = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = x @ w + b
-        if i < n_layers - 1:
-            x = _activate(x, params.spec.activation)
-    return x
+    return _layer_outputs(params, x)[-1]
 
 
 def forward(params: MlpParams, input_vec) -> np.ndarray:
@@ -129,8 +129,8 @@ def forward(params: MlpParams, input_vec) -> np.ndarray:
 
 
 def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
-                    mask: np.ndarray | None):
-    """Masked MSE (mean over masked entries) and its parameter gradients."""
+                    mask: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """Masked MSE (mean over masked entries) and its gradient in theta's layout."""
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
     if x.ndim != 2 or t.shape != (x.shape[0], params.spec.layer_sizes[-1]):
@@ -145,28 +145,23 @@ def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
     if denom <= 0.0:
         raise ValueError("mask selects no outputs")
 
-    kind = params.spec.activation
-    n_layers = len(params.weights)
-    pre, post = [], [x]
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = _activate(z, kind) if i < n_layers - 1 else z
-        post.append(h)
-
+    post = _layer_outputs(params, x)
     err = (post[-1] - t) * m
     loss = float((err * (post[-1] - t)).sum() / denom)
 
     delta = 2.0 * err / denom
-    grads_w = [np.empty_like(w) for w in params.weights]
-    grads_b = [np.empty_like(b) for b in params.biases]
-    for i in range(n_layers - 1, -1, -1):
-        grads_w[i] = post[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+    grad = np.empty_like(params.theta)
+    grad_w, grad_b = _layer_views(params.spec.layer_sizes, grad)
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(post[i].T, delta, out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * _activate_grad(pre[i - 1], post[i], kind)
-    return loss, grads_w, grads_b
+            # the activation's derivative from its output: relu a > 0 iff z > 0,
+            # tanh 1 - a^2
+            a = post[i]
+            slope = (a > 0.0).astype(float) if params.spec.activation == "relu" else 1.0 - a * a
+            delta = (delta @ params.weights[i].T) * slope
+    return loss, grad
 
 
 class SgdOptimizer:
@@ -175,10 +170,8 @@ class SgdOptimizer:
     def __init__(self, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
 
-    def step(self, params: MlpParams, grads_w, grads_b) -> None:
-        for w, b, gw, gb in zip(params.weights, params.biases, grads_w, grads_b):
-            w -= self.learning_rate * gw
-            b -= self.learning_rate * gb
+    def step(self, params: MlpParams, grad: np.ndarray) -> None:
+        params.theta -= self.learning_rate * grad
 
 
 class AdamOptimizer:
@@ -190,25 +183,22 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self._t = 0
 
-    def step(self, params: MlpParams, grads_w, grads_b) -> None:
-        grads = list(grads_w) + list(grads_b)
-        tensors = list(params.weights) + list(params.biases)
+    def step(self, params: MlpParams, grad: np.ndarray) -> None:
         if self._m is None:
-            self._m = [np.zeros_like(g) for g in grads]
-            self._v = [np.zeros_like(g) for g in grads]
+            self._m = np.zeros_like(grad)
+            self._v = np.zeros_like(grad)
         self._t += 1
         lr_t = self.learning_rate * (np.sqrt(1.0 - self.beta2 ** self._t)
                                      / (1.0 - self.beta1 ** self._t))
-        for tensor, g, m, v in zip(tensors, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            tensor -= lr_t * m / (np.sqrt(v) + self.eps)
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * grad
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * grad * grad
+        params.theta -= lr_t * self._m / (np.sqrt(self._v) + self.eps)
 
 
 def train_minibatch(params: MlpParams, inputs, targets, optimizer,
@@ -217,11 +207,10 @@ def train_minibatch(params: MlpParams, inputs, targets, optimizer,
 
     Raises ValueError when gradients are non-finite (divergent training).
     """
-    loss, grads_w, grads_b = _loss_and_grads(params, inputs, targets, mask)
-    for g in grads_w + grads_b:
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient; lower the learning rate or check inputs")
-    optimizer.step(params, grads_w, grads_b)
+    loss, grad = _loss_and_grads(params, inputs, targets, mask)
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient; lower the learning rate or check inputs")
+    optimizer.step(params, grad)
     return params, loss
 
 
@@ -235,36 +224,28 @@ def gradient_check(params: MlpParams, input_vec, target, mask=None,
     t = np.atleast_2d(np.asarray(target, dtype=float))
     m = None if mask is None else np.atleast_2d(np.asarray(mask, dtype=float))
 
-    _, grads_w, grads_b = _loss_and_grads(params, x, t, m)
-    # flat() interleaves (w, b) per layer; lay the analytic gradient out the same way
-    analytic = np.concatenate(
-        [np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in zip(grads_w, grads_b)])
-
+    _, analytic = _loss_and_grads(params, x, t, m)
     probe = params.copy()
-    theta = probe.flat()
-    numeric = np.empty_like(theta)
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + eps
-        probe.set_flat(theta)
-        hi, _, _ = _loss_and_grads(probe, x, t, m)
-        theta[i] = orig - eps
-        probe.set_flat(theta)
-        lo, _, _ = _loss_and_grads(probe, x, t, m)
-        theta[i] = orig
+    numeric = np.empty_like(analytic)
+    for i in range(probe.theta.size):
+        orig = probe.theta[i]
+        probe.theta[i] = orig + eps
+        hi, _ = _loss_and_grads(probe, x, t, m)
+        probe.theta[i] = orig - eps
+        lo, _ = _loss_and_grads(probe, x, t, m)
+        probe.theta[i] = orig
         numeric[i] = (hi - lo) / (2.0 * eps)
-    probe.set_flat(theta)
 
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Normalizer:
     """Per-feature shift and scale; scale is clamped strictly positive."""
 
-    shift: tuple[float, ...]
-    scale: tuple[float, ...]
+    shift: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
         if len(self.shift) != len(self.scale):
@@ -273,7 +254,7 @@ class Normalizer:
             raise ValueError("scales must be > 0")
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return (np.asarray(vec, dtype=float) - np.asarray(self.shift)) / np.asarray(self.scale)
+        return (np.asarray(vec, dtype=float) - self.shift) / self.scale
 
 
 _MIN_SCALE = 1e-6
@@ -286,5 +267,4 @@ def fit_normalizer(samples) -> Normalizer:
         raise ValueError("need at least 2 samples to fit a normalizer")
     shift = mat.mean(axis=0)
     scale = np.maximum(mat.std(axis=0), _MIN_SCALE)
-    return Normalizer(tuple(shift), tuple(scale))
-
+    return Normalizer(shift, scale)

@@ -150,6 +150,9 @@ def _check_windows(horizon: int, tariff_window, ambient_window) -> None:
         raise ValueError("horizon must be >= 1")
     if len(tariff_window) < horizon or len(ambient_window) < horizon:
         raise ValueError("lookahead windows shorter than the planning horizon")
+    for name, window in (("tariff", tariff_window), ("ambient", ambient_window)):
+        if np.isnan(np.asarray(window, dtype=float)[:horizon]).any():
+            raise ValueError(f"{name} window holds NaN within the planning horizon")
 
 
 def evaluate_sequences(model: DynamicsModel, start: ObservedState, actions: np.ndarray,
@@ -186,6 +189,9 @@ class _BestTracker:
             self.sequence = actions[i].copy()
 
     def plan(self) -> Plan:
+        if self.sequence is None:
+            raise ValueError("no plan: every candidate sequence's return was NaN "
+                             "(an idle hour at an infinite price returns NaN)")
         return Plan(tuple(int(a) for a in self.sequence), self.value)
 
 
@@ -295,7 +301,7 @@ def plan_ga(model: DynamicsModel, start: ObservedState, horizon: int,
             children[-config.immigrants:] = rng.integers(
                 n_actions, size=(config.immigrants, horizon))
 
-        population = np.vstack([tracker.sequence[None, :], children])
+        population = np.vstack([tracker.plan().actions, children])
         returns = evaluate_sequences(model, start, population, grid,
                                      tariff_window, ambient_window, band)
         tracker.offer(population, returns)

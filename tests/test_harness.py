@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 from dataclasses import replace
@@ -94,10 +95,16 @@ def test_suite_four_agent_table_shape(tmp_path):
 
 
 def test_suite_records_partial_failure(tmp_path):
-    cfg = SuiteConfig(name="broken", days=2, agents=("rbc", "mpc"),
-                      base=Scenario(warmup_hours=400))
-    rows = run_suite(cfg, tmp_path)
-    assert all(r["status"].startswith("error") for r in rows)
+    # the second base fails with a message that contains a comma
+    for i, base in enumerate((Scenario(warmup_hours=400),
+                              Scenario(ambient_csv="/nonexistent, file.csv"))):
+        cfg = SuiteConfig(name=f"broken{i}", days=2, agents=("rbc", "mpc"), base=base)
+        rows = run_suite(cfg, tmp_path)
+        assert all(r["status"].startswith("error") for r in rows)
+        with open(tmp_path / f"broken{i}_table.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert [len(r) for r in table] == [7] * 3
+        assert [r[-1] for r in table[1:]] == [r["status"] for r in rows]
 
 
 def _log_with_comfort(days, dirty_days, penalty=-1.0):

@@ -14,10 +14,10 @@ GRID = ActionGrid()
 BAND = ComfortBand(19.0, 23.0)
 
 
-def _transition(t=20.0, a=0, t_next=None):
-    """(obs, action, reward, next obs) of one hour at 5 degC ambient."""
-    s = ObservedState((t,) * 4, 5.0)
-    s2 = ObservedState((t_next if t_next is not None else t,) + (t,) * 3, 5.0)
+def _transition(t=20.0, a=0, t_next=None, ambient=5.0):
+    """(obs, action, reward, next obs) of one hour at the given ambient in degC."""
+    s = ObservedState((t,) * 4, ambient)
+    s2 = ObservedState((t_next if t_next is not None else t,) + (t,) * 3, ambient)
     return s, a, -0.05, s2
 
 
@@ -123,8 +123,11 @@ def test_learned_batch_rollout_matches_per_step():
     mem = SampleMemory(128)
     rng = np.random.default_rng(0)
     for _ in range(64):
+        # a varied ambient keeps that feature's scale from collapsing to the
+        # 1e-6 floor, which would saturate the network and hide the window
         t = rng.uniform(17.0, 24.0)
-        _add(mem, *_transition(t=t, a=int(rng.integers(6)), t_next=t + rng.uniform(-1, 1)))
+        _add(mem, *_transition(t=t, a=int(rng.integers(6)), t_next=t + rng.uniform(-1, 1),
+                               ambient=rng.uniform(-5.0, 15.0)))
     model = TransitionModel.create(6, cfg, seed=0)
     model, _ = train_transition_model(mem, model, GRID, cfg, rng)
     learned = LearnedDynamicsModel(model, GRID)

@@ -8,7 +8,7 @@ from heatbench.mdp import ActionGrid, ObservedState
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, compute_priority, q_target, replay_sample,
                                   soft_update)
-from heatbench.neural import MlpParams, MlpSpec
+from heatbench.neural import AdamOptimizer, MlpParams, MlpSpec, train_minibatch
 
 GRID = ActionGrid()
 
@@ -129,15 +129,15 @@ def test_replay_ring_eviction_and_priority_floor():
 def test_soft_update_tau_one_copies():
     pair = QPair(_bias_net([1.0, 2.0], 2), _bias_net([5.0, 6.0], 2), tau=1.0)
     soft_update(pair)
-    assert np.array_equal(pair.target.flat(), pair.online.flat())
+    assert np.array_equal(pair.target.theta, pair.online.theta)
 
 
 def test_soft_update_tau_zero_is_identity():
     pair = QPair(_bias_net([1.0, 2.0], 2), _bias_net([5.0, 6.0], 2), tau=0.5)
     pair.tau = 0.0  # boundary value, disallowed by the constructor
-    before = pair.target.flat()
+    before = pair.target.theta.copy()
     soft_update(pair)
-    assert np.array_equal(pair.target.flat(), before)
+    assert np.array_equal(pair.target.theta, before)
     with pytest.raises(ValueError):
         QPair(_bias_net([1.0], 1), _bias_net([1.0], 1), tau=0.0)
 
@@ -145,16 +145,77 @@ def test_soft_update_tau_zero_is_identity():
 def test_soft_update_fixed_point_when_equal():
     pair = QPair(_bias_net([1.0, 2.0], 2), _bias_net([1.0, 2.0], 2), tau=0.3)
     soft_update(pair)
-    assert np.array_equal(pair.target.flat(), pair.online.flat())
+    assert np.array_equal(pair.target.theta, pair.online.theta)
 
 
 def test_soft_update_gap_shrinks_by_one_minus_tau():
     pair = QPair.create(MlpSpec((2, 8, 2), init_seed=0), tau=0.25)
     pair.online.biases[-1][...] = 4.0  # open a gap while online stays fixed
-    gap0 = np.linalg.norm(pair.online.flat() - pair.target.flat())
+    gap0 = np.linalg.norm(pair.online.theta - pair.target.theta)
     soft_update(pair)
-    gap1 = np.linalg.norm(pair.online.flat() - pair.target.flat())
+    gap1 = np.linalg.norm(pair.online.theta - pair.target.theta)
     assert gap1 == pytest.approx(0.75 * gap0)
+
+
+def _per_tensor(vec, sizes):
+    """Per-layer copies of a parameter-layout vector: the weights, then the biases."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(vec[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out).copy())
+        pos += fan_in * fan_out
+        biases.append(vec[pos:pos + fan_out].copy())
+        pos += fan_out
+    return weights + biases
+
+
+class _PerTensorAdam:
+    """Reference: Adam as one loop over the per-layer tensors."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.m = self.v = None
+        self.t = 0
+
+    def step(self, tensors, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(g) for g in grads]
+            self.v = [np.zeros_like(g) for g in grads]
+        self.t += 1
+        lr_t = self.lr * (np.sqrt(1.0 - self.beta2 ** self.t) / (1.0 - self.beta1 ** self.t))
+        for tensor, g, m, v in zip(tensors, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            tensor -= lr_t * m / (np.sqrt(v) + self.eps)
+
+
+def test_flat_adam_and_soft_update_match_per_tensor_loops():
+    spec = MlpSpec((5, 16, 16, 6), "relu", init_seed=3)
+    sizes = spec.layer_sizes
+    pair = QPair.create(spec, tau=0.1)
+    grads = []
+
+    class RecordingAdam(AdamOptimizer):
+        def step(self, params, grad):
+            grads.append(grad.copy())
+            super().step(params, grad)
+
+    optimizer, reference = RecordingAdam(0.01), _PerTensorAdam(0.01)
+    online, target = _per_tensor(pair.online.theta, sizes), _per_tensor(pair.target.theta, sizes)
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        train_minibatch(pair.online, rng.normal(size=(8, 5)), rng.normal(size=(8, 6)),
+                        optimizer)
+        soft_update(pair)
+        reference.step(online, _per_tensor(grads[-1], sizes))
+        for t_tensor, o_tensor in zip(target, online):
+            t_tensor *= 1.0 - pair.tau
+            t_tensor += pair.tau * o_tensor
+    for flat, tensors in ((pair.online, online), (pair.target, target)):
+        for mine, ref in zip(_per_tensor(flat.theta, sizes), tensors):
+            assert np.array_equal(mine, ref)
+    assert not np.array_equal(pair.online.theta, pair.target.theta)
 
 
 def _agent(seed=0, **overrides):
@@ -216,9 +277,9 @@ def test_train_cycle_skips_before_warmup_bit_identical():
     agent = _agent(warmup_samples=8, batch_size=4)
     for _ in range(3):
         agent.observe(S0, 0, -1.0, S1)
-    before = agent.pair.online.flat()
+    before = agent.pair.online.theta.copy()
     assert agent.train_cycle() is False
-    assert np.array_equal(agent.pair.online.flat(), before)
+    assert np.array_equal(agent.pair.online.theta, before)
 
 
 def test_train_cycle_updates_priorities_in_place():

@@ -10,10 +10,7 @@ from heatbench.neural import (AdamOptimizer, MlpParams, MlpSpec, SgdOptimizer,
 
 def zero_params(spec: MlpSpec) -> MlpParams:
     params = MlpParams.init(spec)
-    for w in params.weights:
-        w[...] = 0.0
-    for b in params.biases:
-        b[...] = 0.0
+    params.theta[...] = 0.0
     return params
 
 
@@ -46,10 +43,10 @@ def test_train_no_gradient_when_targets_match():
     params = MlpParams.init(MlpSpec((2, 8, 1), init_seed=1))
     x = np.array([[0.5, -0.5]])
     y = forward_batch(params, x)
-    before = params.flat()
+    before = params.theta.copy()
     _, mse = train_minibatch(params, x, y, SgdOptimizer(0.1))
     assert mse == 0.0
-    assert np.array_equal(params.flat(), before)
+    assert np.array_equal(params.theta, before)
 
 
 def test_single_weight_gradient_step_hand_computed():
@@ -134,8 +131,36 @@ def test_param_count_formula(sizes):
     spec = MlpSpec(tuple(sizes))
     params = MlpParams.init(spec)
     expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-    assert params.param_count() == expected
-    assert params.flat().size == expected
+    assert params.theta.shape == (expected,)
+    with pytest.raises(ValueError):
+        MlpParams(spec, np.zeros(expected + 1))
+
+
+def test_theta_layout_and_views_write_through():
+    params = MlpParams.init(MlpSpec((2, 3, 1), init_seed=4))
+    # layer by layer, the row-major weight matrix before its bias vector
+    layout = np.concatenate([params.weights[0].ravel(), params.biases[0],
+                             params.weights[1].ravel(), params.biases[1]])
+    assert np.array_equal(params.theta, layout)
+    x = np.array([0.3, -0.7])
+    before = forward(params, x)
+
+    params.theta[-1] += 0.5  # the output layer's one bias
+    assert params.biases[1][0] == layout[-1] + 0.5
+    assert forward(params, x)[0] == pytest.approx(before[0] + 0.5)
+
+    params.weights[0][1, 2] = 7.0  # row 1, column 2 of the first matrix
+    assert params.theta[1 * 3 + 2] == 7.0
+    assert not np.array_equal(forward(params, x), before + 0.5)
+
+
+def test_copy_shares_no_memory():
+    params = MlpParams.init(MlpSpec((3, 4, 2), init_seed=6))
+    dup = params.copy()
+    assert np.array_equal(dup.theta, params.theta)
+    assert not np.shares_memory(dup.theta, params.theta)
+    for mine, theirs in zip(dup.weights + dup.biases, params.weights + params.biases):
+        assert not np.shares_memory(mine, theirs)
 
 
 def test_spec_validation():

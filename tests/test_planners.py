@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatbench.emulator import BuildingParams, BuildingState, hour_affine_map, step
@@ -357,11 +357,43 @@ def test_best_sequence_matches_loop_on_ties_nan_and_minus_inf(data, horizon, n_a
     actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
     with np.errstate(invalid="ignore"):
         returns = evaluate_sequences(model, obs, actions, grid, prices, ambient, BAND)
-        assume(not np.isnan(returns).all())  # no sequence to return at all
+        if np.isnan(returns).all():  # no sequence to return at all
+            with pytest.raises(ValueError, match="return was NaN"):
+                plan_exhaustive(model, obs, horizon, grid, prices, ambient, BAND)
+            return
         plan = plan_exhaustive(model, obs, horizon, grid, prices, ambient, BAND)
     value, _, sequence = _loop_best(actions, returns, grid)
     assert plan.actions == tuple(sequence)
     assert plan.expected_return == value
+
+
+def _plan(planner, model, obs, grid, prices, ambient):
+    """Plan three hours ahead with one of the three public planners."""
+    if planner == "exhaustive":
+        return plan_exhaustive(model, obs, 3, grid, prices, ambient, BAND)
+    rng = np.random.default_rng(0)
+    if planner == "cem":
+        return plan_cem(model, obs, 3, grid, prices, ambient, BAND, CemConfig(), rng)
+    return plan_ga(model, obs, 3, grid, prices, ambient, BAND, GaConfig(), rng)
+
+
+@pytest.mark.parametrize("planner", ["exhaustive", "cem", "ga"])
+def test_planners_reject_nan_windows(planner):
+    model, obs = _exact(21.0, 21.0, 5.0)
+    prices, ambient = [0.2, 0.3, 0.25, np.nan], [5.0, 4.0, 3.0, np.nan]
+    _plan(planner, model, obs, GRID, prices, ambient)  # past the horizon, NaN is unread
+    for bad_prices, bad_ambient in (([0.2, np.nan, 0.25], ambient),
+                                    (prices, [5.0, 4.0, np.nan])):
+        with pytest.raises(ValueError, match="window holds NaN"):
+            _plan(planner, model, obs, GRID, bad_prices, bad_ambient)
+
+
+@pytest.mark.parametrize("planner", ["exhaustive", "cem", "ga"])
+def test_planners_name_the_cause_when_every_return_is_nan(planner):
+    idle_only = ActionGrid((0.0,))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="return was NaN"):
+        _plan(planner, ConstantModel(), ObservedState((21.0,) * 4, 5.0), idle_only,
+              [np.inf] * 3, [5.0] * 3)
 
 
 def _loop_cem(model, obs, horizon, grid, prices, ambient, config, rng, seed_sequence):
