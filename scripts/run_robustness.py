@@ -38,8 +38,7 @@ def main():
                             seed=args.seed, band_schedule=setpoint_schedule())
         report = run_scenario(scenario, args.out)
         log = EpisodeLog.read_csv(report.agent_log_path)
-        losses = [round(-sum(r.r_comfort for r in log.slice_hours(lo, hi).steps), 1)
-                  for lo, hi in phases]
+        losses = [round(log.slice_hours(lo, hi).total_comfort_eur(), 1) for lo, hi in phases]
         print(f"  {agent}: per-phase comfort loss {losses} EUR")
 
     print("== backup filter on (weekly comfort loss) ==")
@@ -47,9 +46,9 @@ def main():
         scenario = Scenario(name=f"backup_{agent}", days=36, agent=agent,
                             seed=args.seed, backup_enabled=True)
         report = run_scenario(scenario, args.out)
-        log = EpisodeLog.read_csv(report.agent_log_path).slice_hours(24)
-        weekly = [round(-sum(r.r_comfort for r in log.steps[w * 168:(w + 1) * 168]), 1)
-                  for w in range(5)]
+        log = EpisodeLog.read_csv(report.agent_log_path)
+        weekly = [round(log.slice_hours(lo, lo + 168).total_comfort_eur(), 1)
+                  for lo in range(24, 24 + 5 * 168, 168)]
         print(f"  {agent}: weekly comfort loss {weekly} EUR")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import itertools
 import time
 import typing
 from collections import deque
@@ -23,9 +24,9 @@ import numpy as np
 from .baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
                        BuildingState, load_ambient_csv, make_synthetic_ambient, step)
-from .mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog, StepRecord,
-                  TariffConfig, TariffSignal, comfort_reward, consumption_reward,
-                  encode_state, log_metrics, make_tariff)
+from .mdp import (EPISODE_DTYPE, ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
+                  TariffConfig, TariffSignal, _left_sum, _write_rows, comfort_reward,
+                  consumption_reward, encode_state, log_metrics, make_tariff)
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import CemConfig, GaConfig
@@ -169,7 +170,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
 
     state = BuildingState(scenario.initial_temp_c, scenario.initial_temp_c, 0)
     history = deque([scenario.initial_temp_c] * (n + 1), maxlen=n + 1)
-    log = EpisodeLog()
+    steps = np.recarray(horizon, dtype=EPISODE_DTYPE)
     obs = encode_state(history, trace[0], n)
 
     for t in range(horizon):
@@ -204,14 +205,14 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
         band_arrival = schedule.band_at(t + 1)
         r_cons = consumption_reward(applied, tariff[t])
         r_comfort = comfort_reward(state.indoor_temp, band_arrival)
-        log.append(StepRecord(t, trace[t], state.indoor_temp, state.envelope_temp,
-                              applied, tariff[t], r_cons, r_comfort))
+        steps[t] = (t, trace[t], state.indoor_temp, state.envelope_temp,
+                    applied, tariff[t], r_cons, r_comfort)
 
         obs_next = encode_state(history, trace[t + 1], n)
         if controlled and agent_kind in ("mbrl", "mfrl"):
             agent.observe(obs, action, r_cons + r_comfort, obs_next)
         obs = obs_next
-    return log, agent
+    return EpisodeLog(steps), agent
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunReport:
@@ -241,11 +242,13 @@ def run_scenario(scenario: Scenario, out_dir) -> RunReport:
     extra = {}
     if scenario.agent == "mbrl":
         mae_path = out / f"{scenario.name}_model_mae.csv"
-        _write_mae_csv(mae_path, agent.mae_history)
+        _write_rows(mae_path, ["day", "holdout_mae_c"], agent.mae_history)
         extra["model_mae"] = str(mae_path)
     elif scenario.agent == "mfrl":
         q_path = out / f"{scenario.name}_qtrace.csv"
-        _write_qtrace_csv(q_path, agent.q_trace, len(scenario.grid))
+        q_cols = [f"q{i}" for i in range(len(scenario.grid))]
+        _write_rows(q_path, ["hour", *q_cols, "chosen"],
+                    ((hour, *q, chosen) for hour, q, chosen in agent.q_trace))
         extra["qtrace"] = str(q_path)
 
     metrics_path = out / f"{scenario.name}_metrics.csv"
@@ -260,20 +263,6 @@ def run_scenario(scenario: Scenario, out_dir) -> RunReport:
 
     return RunReport(scenario.name, scenario.agent, str(agent_path), str(base_path),
                      metrics[0], metrics[1], metrics[2], wall, convergence, extra)
-
-
-def _write_mae_csv(path, mae_history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("day,holdout_mae_c\n")
-        for day, mae in mae_history:
-            fh.write(f"{day},{mae!r}\n")
-
-
-def _write_qtrace_csv(path, q_trace, n_actions: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("hour," + ",".join(f"q{i}" for i in range(n_actions)) + ",chosen\n")
-        for hour, q, chosen in q_trace:
-            fh.write(f"{hour}," + ",".join(repr(v) for v in q) + f",{chosen}\n")
 
 
 @dataclass(frozen=True)
@@ -336,10 +325,9 @@ def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05,
     n_days = len(log) // 24
     if n_days < 7:
         raise ValueError("need at least 7 days of log to estimate convergence")
-    daily = np.array([
-        -sum(r.r_comfort for r in log.steps[d * 24:(d + 1) * 24])
-        for d in range(n_days)
-    ])
+    # row h of the transposed (days, 24) view is hour h of every day: adding the
+    # rows in order sums each day's hours left to right
+    daily = -_left_sum(log.steps.r_comfort[:n_days * 24].reshape(n_days, 24).T)
     windows = np.array([daily[d:d + window_days].sum()
                         for d in range(n_days - window_days + 1)])
     dirty = np.nonzero(windows >= threshold_eur)[0]
@@ -372,33 +360,25 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
             fh.write(header + "\n" + body)
         return str(dest)
 
-    log = EpisodeLog.read_csv(log_path)
+    steps = EpisodeLog.read_csv(log_path).steps
     if kind == "temperature_trace":
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write("hour,t_i,t_a,band_low,band_high\n")
-            for r in log.steps:
-                fh.write(f"{r.hour},{r.t_i!r},{r.t_a!r},{band.t_min!r},{band.t_max!r}\n")
+        _write_rows(dest, ["hour", "t_i", "t_a", "band_low", "band_high"],
+                    zip(steps.hour.tolist(), steps.t_i.tolist(), steps.t_a.tolist(),
+                        itertools.repeat(band.t_min), itertools.repeat(band.t_max)))
     elif kind == "action_histogram":
-        counts: dict[float, int] = {}
-        for r in log.steps:
-            counts[r.power_w] = counts.get(r.power_w, 0) + 1
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write("level_w,count\n")
-            for level in sorted(counts):
-                fh.write(f"{level!r},{counts[level]}\n")
+        levels, counts = np.unique(steps.power_w, return_counts=True)
+        _write_rows(dest, ["level_w", "count"], zip(levels.tolist(), counts.tolist()))
     else:  # hourly_action_heatmap
         levels = tuple(levels_w) if levels_w is not None else ActionGrid().levels_w
+        match = steps.power_w[:, None] == np.asarray(levels)
+        off_grid = ~match.any(axis=1)
+        if off_grid.any():
+            raise ValueError(f"power {steps.power_w[off_grid.argmax()]} W "
+                             "not on the action grid")
         matrix = np.zeros((24, len(levels)), dtype=int)
-        for r in log.steps:
-            try:
-                col = levels.index(r.power_w)
-            except ValueError:
-                raise ValueError(f"power {r.power_w} W not on the action grid") from None
-            matrix[r.hour % 24, col] += 1
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write("hour_of_day," + ",".join(f"n_{int(l)}w" for l in levels) + "\n")
-            for h in range(24):
-                fh.write(f"{h}," + ",".join(str(c) for c in matrix[h]) + "\n")
+        np.add.at(matrix, (steps.hour % 24, match.argmax(axis=1)), 1)
+        _write_rows(dest, ["hour_of_day", *(f"n_{int(l)}w" for l in levels)],
+                    np.column_stack((np.arange(24), matrix)).tolist())
     return str(dest)
 
 

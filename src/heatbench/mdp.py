@@ -11,8 +11,10 @@ it (under-heating is punished harder than over-heating).
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ __all__ = [
     "BandSchedule",
     "TariffConfig",
     "TariffSignal",
-    "StepRecord",
     "EpisodeLog",
     "DEFAULT_GRID",
     "DEFAULT_BAND",
@@ -250,70 +251,87 @@ def make_tariff(kind: str, horizon_hours: int,
     return TariffSignal(kind, prices)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One simulated hour: arrival temperatures plus the action that caused them."""
-
-    hour: int
-    t_a: float
-    t_i: float
-    t_mass: float
-    power_w: float
-    price: float
-    r_cons: float
-    r_comfort: float
-
-
 EPISODE_CSV_HEADER = ["hour", "t_a", "t_i", "t_mass", "power_w", "price",
                       "r_cons", "r_comfort"]
+# one row per simulated hour: arrival temperatures plus the action that caused them
+EPISODE_DTYPE = np.dtype([(name, np.int64 if name == "hour" else np.float64)
+                          for name in EPISODE_CSV_HEADER])
 
 
-@dataclass
+def _left_sum(terms):
+    """`terms` (floats, or equal-shaped arrays) added left to right from 0.0.
+
+    Python 3.12's sum() of floats compensates and np.sum adds pairwise, so
+    neither gives the same last bits on every interpreter; this order does."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write a CSV of plain ints and floats, each float as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 class EpisodeLog:
-    """Per-step record of a run; the source of every reported metric."""
+    """Per-hour record of a run; the source of every reported metric.
 
-    steps: list[StepRecord] = field(default_factory=list)
+    `steps` is a record array with one row per hour and the fields of
+    EPISODE_CSV_HEADER: `steps.t_i` is a column, `steps[t].t_i` one value.
+    """
 
-    def append(self, record: StepRecord) -> None:
-        if self.steps and record.hour != self.steps[-1].hour + 1:
-            raise ValueError("episode log hours must be contiguous")
-        self.steps.append(record)
+    def __init__(self, steps):
+        """`steps`: a record array or a sequence of 8-tuples, hours contiguous."""
+        self.steps = np.asarray(steps, dtype=EPISODE_DTYPE).view(np.recarray)
+        if self.steps.ndim != 1 or np.any(np.diff(self.steps.hour) != 1):
+            raise ValueError("episode log must hold one row per hour, hours contiguous")
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def slice_hours(self, start: int, end: int | None = None) -> "EpisodeLog":
-        end = len(self.steps) if end is None else end
-        return EpisodeLog([r for r in self.steps if start <= r.hour < end])
+        """The hours in [start, end); a missing end means through the last hour."""
+        hours = self.steps.hour
+        end = math.inf if end is None else end
+        return EpisodeLog(self.steps[(hours >= start) & (hours < end)])
 
     def total_kwh(self) -> float:
-        return sum(r.power_w / 1000.0 for r in self.steps)
+        return _left_sum((self.steps.power_w / 1000.0).tolist())
 
     def total_cost_eur(self) -> float:
-        return sum((r.power_w / 1000.0) * r.price for r in self.steps)
+        return _left_sum((self.steps.power_w / 1000.0 * self.steps.price).tolist())
 
     def total_comfort_eur(self) -> float:
         """Accumulated comfort loss as a positive Eur-equivalent figure."""
-        return -sum(r.r_comfort for r in self.steps)
+        return -_left_sum(self.steps.r_comfort.tolist())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(EPISODE_CSV_HEADER) + "\n")
-            for r in self.steps:
-                fh.write(f"{r.hour},{r.t_a!r},{r.t_i!r},{r.t_mass!r},"
-                         f"{r.power_w!r},{r.price!r},{r.r_cons!r},{r.r_comfort!r}\n")
+        _write_rows(path, EPISODE_CSV_HEADER, self.steps.tolist())
 
     @classmethod
     def read_csv(cls, path) -> "EpisodeLog":
-        log = cls()
+        """Read a log written by write_csv; a malformed line raises ValueError
+        naming the path and the line number."""
+        rows = []
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != EPISODE_CSV_HEADER:
                 raise ValueError(f"{path}: unexpected episode log header {header}")
             for row in reader:
-                log.append(StepRecord(int(row[0]), *(float(v) for v in row[1:])))
-        return log
+                try:
+                    if len(row) != len(EPISODE_CSV_HEADER):
+                        raise ValueError(f"{len(row)} fields, not {len(EPISODE_CSV_HEADER)}")
+                    values = (int(row[0]), *map(float, row[1:]))
+                    if not (all(map(math.isfinite, values)) and abs(values[0]) < 2**63):
+                        raise ValueError(f"non-finite or out-of-range value in {row}")
+                    if rows and values[0] != rows[-1][0] + 1:
+                        raise ValueError(f"hour {values[0]} after {rows[-1][0]}")
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+                rows.append(values)
+        return cls(rows)
 
 
 def log_metrics(agent_log: EpisodeLog,
@@ -324,9 +342,10 @@ def log_metrics(agent_log: EpisodeLog,
     """
     if len(agent_log) != len(baseline_log):
         raise ValueError("logs cover different horizons")
-    for a, b in zip(agent_log.steps, baseline_log.steps):
-        if a.hour != b.hour or a.t_a != b.t_a or a.price != b.price:
-            raise ValueError(f"logs disagree on trace at hour {a.hour}")
+    a, b = agent_log.steps, baseline_log.steps
+    differ = (a.hour != b.hour) | (a.t_a != b.t_a) | (a.price != b.price)
+    if differ.any():
+        raise ValueError(f"logs disagree on trace at hour {a.hour[differ.argmax()]}")
 
     base_kwh = baseline_log.total_kwh()
     base_cost = baseline_log.total_cost_eur()

@@ -247,8 +247,7 @@ def test_criterion_7_robustness_scenarios(tmp_path):
         report = run_scenario(scenario, tmp_path / "setpoint")
         from heatbench.mdp import EpisodeLog
         log = EpisodeLog.read_csv(report.agent_log_path)
-        phase_report[kind] = [round(-sum(r.r_comfort for r in
-                                         log.slice_hours(lo, hi).steps), 1)
+        phase_report[kind] = [round(log.slice_hours(lo, hi).total_comfort_eur(), 1)
                               for lo, hi in phases]
         assert Path(report.agent_log_path).exists()
     print(f"\nACCEPTANCE 7a PASS: setpoint-change per-phase comfort loss (EUR) "
@@ -260,9 +259,9 @@ def test_criterion_7_robustness_scenarios(tmp_path):
                             backup_enabled=True)
         report = run_scenario(scenario, tmp_path / "backup")
         from heatbench.mdp import EpisodeLog
-        log = EpisodeLog.read_csv(report.agent_log_path).slice_hours(WARMUP)
-        weekly[kind] = [round(-sum(r.r_comfort for r in log.steps[w * 168:(w + 1) * 168]), 1)
-                        for w in range(5)]
+        log = EpisodeLog.read_csv(report.agent_log_path)
+        weekly[kind] = [round(log.slice_hours(lo, lo + 168).total_comfort_eur(), 1)
+                        for lo in range(WARMUP, WARMUP + 5 * 168, 168)]
     mf = weekly["mfrl"]
     for k in range(1, len(mf) - 1):  # weeks 2,3,4,5 must strictly decrease
         assert mf[k + 1] < mf[k], f"MF-RL weekly comfort not decreasing: {mf}"

@@ -109,4 +109,4 @@ def test_mpc_warm_start_keeps_determinism():
     trace, tariff = build_traces(scenario)
     a, _ = simulate(scenario, "mpc", trace, tariff)
     b, _ = simulate(scenario, "mpc", trace, tariff)
-    assert a.steps == b.steps
+    assert np.array_equal(a.steps, b.steps)

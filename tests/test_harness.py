@@ -1,6 +1,8 @@
 import csv
 import filecmp
+import functools
 import json
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from heatbench.cli import main as cli_main
 from heatbench.harness import (Scenario, SuiteConfig, build_traces, emit_plot_data,
                                estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
-from heatbench.mdp import ComfortBand, EpisodeLog, StepRecord
+from heatbench.mdp import ComfortBand, EpisodeLog
 
 
 def test_run_scenario_rbc_self_metrics(tmp_path):
@@ -108,11 +110,9 @@ def test_suite_records_partial_failure(tmp_path):
 
 
 def _log_with_comfort(days, dirty_days, penalty=-1.0):
-    log = EpisodeLog()
-    for h in range(days * 24):
-        r_comfort = penalty if (h // 24) in dirty_days else 0.0
-        log.append(StepRecord(h, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0, r_comfort))
-    return log
+    return EpisodeLog([(h, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0,
+                        penalty if (h // 24) in dirty_days else 0.0)
+                       for h in range(days * 24)])
 
 
 def test_convergence_clean_log_is_day_one():
@@ -137,12 +137,24 @@ def test_convergence_requires_week_of_data():
         estimate_convergence(_log_with_comfort(5, dirty_days=()))
 
 
+@pytest.mark.parametrize("day", [
+    [-1.0, -1e100, -1.0, 1e100] + [0.0] * 20,  # left to right 0.0; compensated 2.0
+    (-4.0 * 1.35 ** np.random.default_rng(0).uniform(0.0, 3.0, 24)).tolist(),  # np.sum differs
+], ids=["cancelling", "seeded"])
+def test_convergence_sums_each_day_left_to_right(day):
+    comfort = [0.0] * 96 + day + [0.0] * 72  # the fifth of eight days
+    log = EpisodeLog([(h, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0, c) for h, c in enumerate(comfort)])
+    daily = -functools.reduce(operator.add, day, 0.0)
+    # every window holds that day's sum or zero, so the largest one is dirty at
+    # exactly that day's sum and clean just above it
+    assert estimate_convergence(log, threshold_eur=daily).day != 1
+    assert estimate_convergence(log, threshold_eur=np.nextafter(daily, np.inf)).day == 1
+
+
 def _episode_csv(tmp_path, powers):
-    log = EpisodeLog()
-    for h, p in enumerate(powers):
-        log.append(StepRecord(h, 5.0, 21.0, 20.0, p, 0.24, 0.0, 0.0))
     path = tmp_path / "episode.csv"
-    log.write_csv(path)
+    EpisodeLog([(h, 5.0, 21.0, 20.0, p, 0.24, 0.0, 0.0)
+                for h, p in enumerate(powers)]).write_csv(path)
     return path
 
 
@@ -401,3 +413,32 @@ def test_cli_machine_readable_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     payload = json.loads(err.splitlines()[-1])
     assert "error" in payload
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("1,5.0,21.0", "3 fields, not 8"),
+    ("1.5,5.0,21.0,20.0,0.0,0.24,0.0,0.0", "invalid literal for int()"),
+    ("1,5.0,warm,20.0,0.0,0.24,0.0,0.0", "could not convert string to float"),
+    ("1,5.0,nan,20.0,0.0,0.24,0.0,0.0", "non-finite or out-of-range value"),
+    (f"{2**63},5.0,21.0,20.0,0.0,0.24,0.0,0.0", "non-finite or out-of-range value"),
+    ("2,5.0,21.0,20.0,0.0,0.24,0.0,0.0", "hour 2 after 0"),
+])
+def test_cli_plot_rejects_malformed_log(tmp_path, capsys, line, reason):
+    path = tmp_path / "episode.csv"
+    path.write_text("hour,t_a,t_i,t_mass,power_w,price,r_cons,r_comfort\n"
+                    f"0,5.0,21.0,20.0,0.0,0.24,0.0,0.0\n{line}\n", encoding="utf-8")
+    code = cli_main(["plot", "--kind", "temperature_trace", "--log", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert f"{path} line 3: " in error and reason in error
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_episode_csv_round_trips_byte_for_byte(tmp_path):
+    scenario = Scenario(name="trip", days=2, agent="mfrl", tariff_kind="real_time", seed=7)
+    text = Path(run_scenario(scenario, tmp_path).agent_log_path).read_text(encoding="utf-8")
+    again = tmp_path / "again.csv"
+    EpisodeLog.read_csv(tmp_path / "trip_mfrl.csv").write_csv(again)
+    assert again.read_text(encoding="utf-8") == text
+    assert not [f for line in text.splitlines() for f in line.split(",") if f.startswith("np.")]

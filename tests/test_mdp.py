@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
-                           ObservedState, StepRecord, TariffConfig, TariffSignal,
+                           ObservedState, TariffConfig, TariffSignal,
                            comfort_reward, comfort_reward_batch, consumption_reward,
                            encode_state, log_metrics, make_tariff)
 
@@ -152,12 +154,9 @@ def test_tariff_rejects_negative_or_non_finite_rtp_step(step):
         TariffConfig(rtp_step=step)
 
 def _make_log(powers, price=0.24, t_i=21.0):
-    log = EpisodeLog()
-    for hour, p in enumerate(powers):
-        r_cons = consumption_reward(p, price)
-        r_comf = comfort_reward(t_i, BAND)
-        log.append(StepRecord(hour, 5.0, t_i, 20.0, p, price, r_cons, r_comf))
-    return log
+    r_comf = comfort_reward(t_i, BAND)
+    return EpisodeLog([(hour, 5.0, t_i, 20.0, p, price, consumption_reward(p, price), r_comf)
+                       for hour, p in enumerate(powers)])
 
 
 def test_log_metrics_self_comparison_is_zero():
@@ -201,9 +200,11 @@ def test_log_metrics_rejects_mismatched_traces():
 
 
 def test_episode_log_requires_contiguous_hours():
-    log = _make_log([0.0, 400.0])
-    with pytest.raises(ValueError):
-        log.append(StepRecord(5, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0, 0.0))
+    rows = _make_log([0.0, 400.0]).steps.tolist()
+    with pytest.raises(ValueError, match="contiguous"):
+        EpisodeLog(rows + [(5, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="one row per hour"):  # lists broadcast to 2-D
+        EpisodeLog([list(row) for row in rows])
 
 
 def test_episode_log_csv_round_trip(tmp_path):
@@ -213,7 +214,36 @@ def test_episode_log_csv_round_trip(tmp_path):
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "hour,t_a,t_i,t_mass,power_w,price,r_cons,r_comfort"
     again = EpisodeLog.read_csv(path)
-    assert again.steps == log.steps
+    assert np.array_equal(again.steps, log.steps)
+
+
+def test_slice_hours_without_end_runs_through_the_last_hour():
+    tail = _make_log([0.0] * 48).slice_hours(24)
+    assert tail.steps.hour.tolist() == list(range(24, 48))
+    assert tail.slice_hours(30).steps.hour.tolist() == list(range(30, 48))
+    assert tail.slice_hours(30, 40).steps.hour.tolist() == list(range(30, 40))
+
+
+def _left_to_right(terms):
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+# left to right this sums to 0.0; compensated summation (3.12 sum(), fsum) gives 2.0
+CANCELLING = np.array([1.0, 1e100, 1.0, -1e100])
+# a comfort column on which np.sum's pairwise order differs from left to right
+SEEDED_COMFORT = -4.0 * 1.35 ** np.random.default_rng(0).uniform(0.0, 3.0, 1000)
+
+
+@pytest.mark.parametrize("column", [CANCELLING, SEEDED_COMFORT], ids=["cancelling", "seeded"])
+def test_totals_sum_hours_left_to_right(column):
+    log = EpisodeLog([(h, 5.0, 21.0, 20.0, -1000.0 * c, 1.0, 0.0, c)
+                      for h, c in enumerate(column.tolist())])
+    kwh = (log.steps.power_w / 1000.0).tolist()
+    for terms, total in ((kwh, log.total_kwh()), (kwh, log.total_cost_eur()),
+                         (column.tolist(), -log.total_comfort_eur())):
+        assert _left_to_right(terms) != math.fsum(terms)  # the orders are told apart
+        assert type(total) is float and total == _left_to_right(terms)
+    assert _left_to_right(SEEDED_COMFORT.tolist()) != float(np.sum(SEEDED_COMFORT))
 
 
 def test_band_schedule_lookup():
