@@ -86,7 +86,7 @@ class MpcController:
         horizon = min(self.config.horizon, len(tariff_window), len(ambient_window))
         if horizon < 1:
             raise ValueError("no lookahead left to plan over")
-        model = ExactDynamicsModel(self.params, state, self.grid)
+        model = ExactDynamicsModel(self.params, state)
 
         seed_seq = None
         if self.config.warm_start and self._previous is not None:

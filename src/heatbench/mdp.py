@@ -159,12 +159,13 @@ def comfort_reward(t_i: float, band: ComfortBand) -> float:
 
 def comfort_reward_batch(temps: np.ndarray, band: ComfortBand) -> np.ndarray:
     """Vectorized :func:`comfort_reward`; a NaN or infinite temperature scores -inf."""
-    out = np.zeros_like(temps, dtype=float)
-    above = temps > band.t_max
-    below = temps < band.t_min
-    out[above] = -_ABOVE_SCALE * _ABOVE_GROWTH ** (temps[above] - band.t_max)
-    out[below] = -_BELOW_SCALE * _BELOW_GROWTH ** (band.t_min - temps[below])
-    out[np.isnan(temps)] = -np.inf
+    out = np.zeros(np.shape(temps))  # C order, so that its flat view writes through
+    flat, t = out.reshape(-1), np.ravel(temps)
+    i = np.flatnonzero(t > band.t_max)
+    flat[i] = -_ABOVE_SCALE * _ABOVE_GROWTH ** (t[i] - band.t_max)
+    i = np.flatnonzero(t < band.t_min)
+    flat[i] = -_BELOW_SCALE * _BELOW_GROWTH ** (band.t_min - t[i])
+    flat[np.isnan(t)] = -np.inf
     return out
 
 
@@ -304,7 +305,8 @@ class EpisodeLog:
 
     def total_comfort_eur(self) -> float:
         """Accumulated comfort loss as a positive Eur-equivalent figure."""
-        return -_left_sum(self.steps.r_comfort.tolist())
+        # 0.0 - x negates every nonzero x exactly and turns a 0.0 sum into 0.0, not -0.0
+        return 0.0 - _left_sum(self.steps.r_comfort.tolist())
 
     def write_csv(self, path) -> None:
         _write_rows(path, EPISODE_CSV_HEADER, self.steps.tolist())

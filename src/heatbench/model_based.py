@@ -193,22 +193,19 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
 class LearnedDynamicsModel:
     """DynamicsModel adapter around a TransitionModel."""
 
-    def __init__(self, model: TransitionModel, grid: ActionGrid):
+    def __init__(self, model: TransitionModel):
         self._model = model
-        self._grid = grid
 
-    def rollout_temps(self, start: ObservedState, actions: np.ndarray,
-                      ambient_window: np.ndarray) -> np.ndarray:
-        actions = np.asarray(actions)
-        n_seq, horizon = actions.shape
-        powers = np.asarray(self._grid.levels_w)[actions]
+    def rollout_temps(self, start: ObservedState, powers: np.ndarray,
+                      ambient: np.ndarray) -> np.ndarray:
+        n_seq, horizon = powers.shape
         n_hist = len(start.indoor_history)
         # one feature matrix per rollout: temperature window, ambient, power
         features = np.empty((n_seq, n_hist + 2))
         features[:, :n_hist] = start.indoor_history
         out = np.empty((n_seq, horizon))
         for k in range(horizon):
-            features[:, n_hist] = ambient_window[k]
+            features[:, n_hist] = ambient[k]
             features[:, n_hist + 1] = powers[:, k]
             t_next = self._model.predict_batch(features)
             out[:, k] = t_next
@@ -244,7 +241,7 @@ class ModelBasedAgent:
     def dynamics(self) -> DynamicsModel:
         if self._override is not None:
             return self._override
-        return LearnedDynamicsModel(self.model, self.grid)
+        return LearnedDynamicsModel(self.model)
 
     def plan_day(self, obs: ObservedState, tariff_window, ambient_window,
                  band: ComfortBand) -> Plan:

@@ -7,8 +7,8 @@ cost plus comfort penalty along the model-predicted trajectory, with no
 discounting inside the window.
 
 Models implement the DynamicsModel protocol: a batched `rollout_temps`
-that predicts the indoor temperatures of a whole candidate population
-at once, always from the same root state.
+that predicts the indoor temperatures of a whole candidate population of
+power sequences in W at once, always from the same root state.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ __all__ = [
 
 
 class DynamicsModel(Protocol):
-    """Indoor-temperature predictor used by the planners."""
+    """Indoor-temperature predictor used by the planners: it rolls out a
+    population of heat-pump power sequences in W, all from one root state."""
 
-    def rollout_temps(self, start: ObservedState, actions: np.ndarray,
-                      ambient_window: np.ndarray) -> np.ndarray:
-        """Predicted arrival temperatures, shape (n_sequences, horizon)."""
+    def rollout_temps(self, start: ObservedState, powers: np.ndarray,
+                      ambient: np.ndarray) -> np.ndarray:
+        """Predicted arrival temperatures of an (n_sequences, horizon) matrix of
+        electrical powers in W under a float array of the horizon's ambient."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -72,20 +74,15 @@ class ExactDynamicsModel:
     and equals the hour-by-hour recursion up to floating-point re-association.
     """
 
-    def __init__(self, params: BuildingParams, state: BuildingState, grid: ActionGrid):
+    def __init__(self, params: BuildingParams, state: BuildingState):
         self._params = params
-        self._grid = grid
         self._root = np.array([state.indoor_temp, state.envelope_temp])
 
-    def rollout_temps(self, start: ObservedState, actions: np.ndarray,
-                      ambient_window: np.ndarray) -> np.ndarray:
-        actions = np.asarray(actions)
-        horizon = actions.shape[1]
-        lead, gain = _impulse_response(self._params, horizon)
-        ambient = np.asarray(ambient_window)[:horizon]
+    def rollout_temps(self, start: ObservedState, powers: np.ndarray,
+                      ambient: np.ndarray) -> np.ndarray:
+        lead, gain = _impulse_response(self._params, powers.shape[1])
         free = lead @ self._root + gain @ (self._params.ambient_conductance * ambient)
-        heat = self._params.cop * np.asarray(self._grid.levels_w)[actions]
-        return free + heat @ gain.T
+        return free + (self._params.cop * powers) @ gain.T
 
 
 @dataclass(frozen=True)
@@ -145,42 +142,46 @@ class GaConfig:
             raise ValueError("immigrants must leave room for elite and children")
 
 
-def _check_windows(horizon: int, tariff_window, ambient_window) -> None:
+def _check_windows(horizon: int, tariff_window, ambient_window) -> tuple[np.ndarray, np.ndarray]:
+    """The horizon's prices and ambient temperatures, as float arrays."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if len(tariff_window) < horizon or len(ambient_window) < horizon:
         raise ValueError("lookahead windows shorter than the planning horizon")
-    for name, window in (("tariff", tariff_window), ("ambient", ambient_window)):
-        if np.isnan(np.asarray(window, dtype=float)[:horizon]).any():
+    prices, ambient = (np.asarray(window, dtype=float)[:horizon]
+                       for window in (tariff_window, ambient_window))
+    for name, window in (("tariff", prices), ("ambient", ambient)):
+        if np.isnan(window).any():
             raise ValueError(f"{name} window holds NaN within the planning horizon")
+    return prices, ambient
 
 
-def evaluate_sequences(model: DynamicsModel, start: ObservedState, actions: np.ndarray,
-                       grid: ActionGrid, tariff_window, ambient_window,
+def _check_seed(seed_sequence, horizon: int, n_actions: int) -> None:
+    if len(seed_sequence) != horizon:
+        raise ValueError("seed_sequence length must equal the horizon")
+    for k, a in enumerate(seed_sequence):
+        if not (isinstance(a, (int, np.integer)) and 0 <= a < n_actions):
+            raise ValueError(f"seed_sequence[{k}] = {a!r} is not an integer in [0, {n_actions})")
+
+
+def evaluate_sequences(model: DynamicsModel, start: ObservedState, powers: np.ndarray,
+                       prices: np.ndarray, ambient: np.ndarray,
                        band: ComfortBand) -> np.ndarray:
-    """Vectorized plan returns for an (n_sequences, horizon) index matrix."""
-    actions = np.asarray(actions)
-    horizon = actions.shape[1]
-    prices = np.asarray(tariff_window)[:horizon]
-    ambient = np.asarray(ambient_window)[:horizon]
-    temps = model.rollout_temps(start, actions, ambient)
-    powers = np.asarray(grid.levels_w)[actions]
-    cons = -(powers / 1000.0) * prices[None, :]
-    comfort = comfort_reward_batch(temps, band)
-    return (cons + comfort).sum(axis=1)
+    """Vectorized plan returns of an (n_sequences, horizon) matrix of powers in W."""
+    temps = model.rollout_temps(start, powers, ambient)
+    cons = -(powers / 1000.0) * prices
+    return (cons + comfort_reward_batch(temps, band)).sum(axis=1)
 
 
 class _BestTracker:
     """Keeps the best (return, lower-energy tie break) sequence seen so far."""
 
-    def __init__(self, grid: ActionGrid):
-        self._grid = grid
+    def __init__(self):
         self.sequence: np.ndarray | None = None
         self.value = -np.inf
         self._energy = np.inf
 
-    def offer(self, actions: np.ndarray, returns: np.ndarray) -> None:
-        energies = np.asarray(self._grid.levels_w)[actions].sum(axis=1)
+    def offer(self, actions: np.ndarray, returns: np.ndarray, energies: np.ndarray) -> None:
         # stable sort: the earliest of exact ties; NaN sorts last and never wins
         i = np.lexsort((energies, -returns))[0]
         if (returns[i], -energies[i]) > (self.value, -self._energy):
@@ -200,16 +201,16 @@ def plan_exhaustive(model: DynamicsModel, start: ObservedState, horizon: int,
                     band: ComfortBand, cap: int = 6 ** 4) -> Plan:
     """True argmax over every action sequence; ties resolved toward lower
     total energy, then the lexicographically smaller sequence."""
-    _check_windows(horizon, tariff_window, ambient_window)
+    prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
     n_actions = len(grid)
     if n_actions ** horizon > cap:
         raise ValueError(f"{n_actions}^{horizon} sequences exceed the cap of {cap}")
     actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
-    returns = evaluate_sequences(model, start, actions, grid,
-                                 tariff_window, ambient_window, band)
+    powers = np.asarray(grid.levels_w)[actions]
+    returns = evaluate_sequences(model, start, powers, prices, ambient, band)
     # lexicographic enumeration + strict improvement keeps the lex-smallest tie
-    tracker = _BestTracker(grid)
-    tracker.offer(actions, returns)
+    tracker = _BestTracker()
+    tracker.offer(actions, returns, powers.sum(axis=1))
     return tracker.plan()
 
 
@@ -219,10 +220,10 @@ def _sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> 
     so that a row summing to slightly less than 1 stays on the grid."""
     u = rng.random((n, probs.shape[0]))
     cum = np.cumsum(probs, axis=1)
-    out = np.zeros(u.shape, dtype=int)
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(probs.shape[1] - 1))
     for a in range(probs.shape[1] - 1):  # a few actions; candidates and hours vectorised
         out += u >= cum[:, a]
-    return out
+    return out.astype(np.intp)
 
 
 def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
@@ -236,13 +237,13 @@ def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
     optional seed_sequence (e.g. the previous plan shifted one step) is
     injected into every population.
     """
-    _check_windows(horizon, tariff_window, ambient_window)
-    n_actions = len(grid)
+    prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
+    levels = np.asarray(grid.levels_w)
+    n_actions = len(levels)
     probs = np.full((horizon, n_actions), 1.0 / n_actions)
-    tracker = _BestTracker(grid)
+    tracker = _BestTracker()
     if seed_sequence is not None:
-        if len(seed_sequence) != horizon:
-            raise ValueError("seed_sequence length must equal the horizon")
+        _check_seed(seed_sequence, horizon, n_actions)
         probs *= 1.0 - config.seed_bias
         probs[np.arange(horizon), np.asarray(seed_sequence)] += config.seed_bias
 
@@ -250,9 +251,9 @@ def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
         population = _sample_categorical(probs, config.population, rng)
         if seed_sequence is not None:
             population[0] = seed_sequence
-        returns = evaluate_sequences(model, start, population, grid,
-                                     tariff_window, ambient_window, band)
-        tracker.offer(population, returns)
+        powers = levels[population]
+        returns = evaluate_sequences(model, start, powers, prices, ambient, band)
+        tracker.offer(population, returns, powers.sum(axis=1))
         elite = population[np.argsort(-returns, kind="stable")[:config.elite_count]]
         counts = np.bincount((elite + n_actions * np.arange(horizon)).ravel(),
                              minlength=horizon * n_actions)
@@ -268,18 +269,18 @@ def plan_ga(model: DynamicsModel, start: ObservedState, horizon: int,
             seed_sequence=None) -> Plan:
     """Genetic-algorithm planning: tournament selection, uniform crossover,
     per-gene mutation, with elitism; returns the best sequence ever seen."""
-    _check_windows(horizon, tariff_window, ambient_window)
-    n_actions = len(grid)
+    prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
+    levels = np.asarray(grid.levels_w)
+    n_actions = len(levels)
     population = rng.integers(n_actions, size=(config.population, horizon))
     if seed_sequence is not None:
-        if len(seed_sequence) != horizon:
-            raise ValueError("seed_sequence length must equal the horizon")
+        _check_seed(seed_sequence, horizon, n_actions)
         population[0] = seed_sequence
 
-    tracker = _BestTracker(grid)
-    returns = evaluate_sequences(model, start, population, grid,
-                                 tariff_window, ambient_window, band)
-    tracker.offer(population, returns)
+    tracker = _BestTracker()
+    powers = levels[population]
+    returns = evaluate_sequences(model, start, powers, prices, ambient, band)
+    tracker.offer(population, returns, powers.sum(axis=1))
 
     n_children = config.population - 1
     for _ in range(config.generations):
@@ -302,7 +303,7 @@ def plan_ga(model: DynamicsModel, start: ObservedState, horizon: int,
                 n_actions, size=(config.immigrants, horizon))
 
         population = np.vstack([tracker.plan().actions, children])
-        returns = evaluate_sequences(model, start, population, grid,
-                                     tariff_window, ambient_window, band)
-        tracker.offer(population, returns)
+        powers = levels[population]
+        returns = evaluate_sequences(model, start, powers, prices, ambient, band)
+        tracker.offer(population, returns, powers.sum(axis=1))
     return tracker.plan()

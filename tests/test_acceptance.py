@@ -121,7 +121,7 @@ def test_criterion_4_planner_optimality():
         t_m = rng.uniform(15.0, 25.0)
         ambient = rng.uniform(-10.0, 15.0, size=3)
         prices = rng.uniform(0.1, 0.45, size=3)
-        model = ExactDynamicsModel(params, BuildingState(t_i, t_m, 0), GRID)
+        model = ExactDynamicsModel(params, BuildingState(t_i, t_m, 0))
         obs = ObservedState((t_i,) * 4, ambient[0])
         oracle = plan_exhaustive(model, obs, 3, GRID, prices, ambient, BAND)
         slack = max(0.01 * abs(oracle.expected_return), 1e-9)

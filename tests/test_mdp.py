@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
+from heatbench.mdp import (_ABOVE_GROWTH, _ABOVE_SCALE, _BELOW_GROWTH, _BELOW_SCALE,
+                           ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
                            ObservedState, TariffConfig, TariffSignal,
                            comfort_reward, comfort_reward_batch, consumption_reward,
                            encode_state, log_metrics, make_tariff)
@@ -85,6 +86,41 @@ def test_comfort_batch_matches_scalar(t):
 def test_comfort_batch_non_finite_is_minus_infinity():
     temps = np.array([np.nan, np.inf, -np.inf, 21.0])
     assert comfort_reward_batch(temps, BAND).tolist() == [-np.inf] * 3 + [0.0]
+
+
+def _masked_comfort(temps, band):
+    """Reference batch penalty: boolean-mask gathers and scatters."""
+    out = np.zeros_like(temps, dtype=float)
+    above = temps > band.t_max
+    below = temps < band.t_min
+    out[above] = -_ABOVE_SCALE * _ABOVE_GROWTH ** (temps[above] - band.t_max)
+    out[below] = -_BELOW_SCALE * _BELOW_GROWTH ** (band.t_min - temps[below])
+    out[np.isnan(temps)] = -np.inf
+    return out
+
+
+def _comfort_inputs():
+    """C-ordered, transposed and strided 2-D arrays and 1-D arrays over the band
+    edges, one ulp either side of them, non-finite values and random ones."""
+    edges = [BAND.t_min, BAND.t_max]
+    special = edges + [np.nextafter(t, d) for t in edges for d in (-np.inf, np.inf)]
+    special += [np.nan, np.inf, -np.inf, 21.0]
+    rng = np.random.default_rng(0)
+    grid = rng.uniform(10.0, 32.0, size=(12, 10))
+    grid.flat[rng.permutation(grid.size)[:len(special) * 4]] = np.repeat(special, 4)
+    return {"c_order": grid, "f_order": grid.T, "strided": grid[::2, ::3],
+            "one_d": grid.ravel(), "one_d_strided": grid.ravel()[::3]}
+
+
+@pytest.mark.parametrize("layout", ["c_order", "f_order", "strided", "one_d", "one_d_strided"])
+def test_comfort_batch_equals_masked_reference_bit_for_bit(layout):
+    temps = _comfort_inputs()[layout]
+    got = comfort_reward_batch(temps, BAND)
+    want = _masked_comfort(temps, BAND)
+    assert got.shape == temps.shape
+    bits = [np.ascontiguousarray(a).view(np.int64) for a in (got, want)]
+    assert np.array_equal(*bits)
+    assert (temps < BAND.t_min).any() and (temps > BAND.t_max).any()
 
 
 def test_action_grid_validation():
@@ -244,6 +280,15 @@ def test_totals_sum_hours_left_to_right(column):
         assert _left_to_right(terms) != math.fsum(terms)  # the orders are told apart
         assert type(total) is float and total == _left_to_right(terms)
     assert _left_to_right(SEEDED_COMFORT.tolist()) != float(np.sum(SEEDED_COMFORT))
+
+
+def test_comfort_total_of_a_clean_log_is_positive_zero():
+    clean = EpisodeLog([(h, 5.0, 21.0, 20.0, 400.0, 0.2, -0.08, 0.0) for h in range(3)])
+    assert math.copysign(1.0, clean.total_comfort_eur()) == 1.0
+    assert math.copysign(1.0, EpisodeLog([]).total_comfort_eur()) == 1.0
+    penalised = EpisodeLog([(0, 5.0, 18.0, 20.0, 0.0, 0.2, 0.0, -4.5),
+                            (1, 5.0, 21.0, 20.0, 0.0, 0.2, 0.0, 0.0)])
+    assert penalised.total_comfort_eur() == 4.5
 
 
 def test_band_schedule_lookup():

@@ -112,9 +112,9 @@ def test_train_learns_constant_trajectory():
 
 def test_untrained_model_predicts_room_scale_constant():
     model = TransitionModel.create(6, MbrlConfig(), seed=0)
-    learned = LearnedDynamicsModel(model, GRID)
+    learned = LearnedDynamicsModel(model)
     obs = ObservedState((20.0,) * 4, 5.0)
-    temps = learned.rollout_temps(obs, np.array([[0, 5, 2]]), np.full(3, 5.0))
+    temps = learned.rollout_temps(obs, np.array([[0.0, 2000.0, 800.0]]), np.full(3, 5.0))
     assert np.all((15.0 < temps) & (temps < 27.0))
 
 
@@ -130,12 +130,12 @@ def test_learned_batch_rollout_matches_per_step():
                                ambient=rng.uniform(-5.0, 15.0)))
     model = TransitionModel.create(6, cfg, seed=0)
     model, _ = train_transition_model(mem, model, GRID, cfg, rng)
-    learned = LearnedDynamicsModel(model, GRID)
+    learned = LearnedDynamicsModel(model)
 
     obs = ObservedState((20.0, 20.2, 20.4, 20.6), 5.0)
     actions = np.array([[1, 5, 0]])
     ambient = np.array([5.0, 4.0, 3.0])
-    temps = learned.rollout_temps(obs, actions, ambient)
+    temps = learned.rollout_temps(obs, np.asarray(GRID.levels_w)[actions], ambient)
     history = obs.indoor_history
     for k, a in enumerate(actions[0]):
         features = np.array(history + (ambient[k], GRID.levels_w[a]))
@@ -176,7 +176,8 @@ def test_learned_rollout_equals_column_stack_reference(history_length):
     obs = ObservedState(tuple(rng.uniform(18.0, 22.0, size=n)), 4.0)
     actions = rng.integers(len(GRID), size=(16, 24))
     ambient = rng.uniform(-5.0, 10.0, size=24)
-    temps = LearnedDynamicsModel(model, GRID).rollout_temps(obs, actions, ambient)
+    temps = LearnedDynamicsModel(model).rollout_temps(obs, np.asarray(GRID.levels_w)[actions],
+                                                      ambient)
     assert np.array_equal(temps, _column_stack_rollout(model, obs, actions, ambient))
 
 
@@ -232,7 +233,7 @@ def test_daily_update_advances_epsilon_after_first_day():
 def test_exact_model_injection_reduces_to_mpc_plan():
     params = BuildingParams()
     state = BuildingState(19.5, 20.5, 0)
-    exact = ExactDynamicsModel(params, state, GRID)
+    exact = ExactDynamicsModel(params, state)
     agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(123),
                             seed=0, history_length=3, dynamics_override=exact)
     obs = ObservedState((19.5,) * 4, 2.0)
@@ -240,7 +241,7 @@ def test_exact_model_injection_reduces_to_mpc_plan():
     ambient = np.linspace(2.0, 4.0, 24)
 
     plan_agent = agent.plan_day(obs, tariff, ambient, BAND)
-    plan_mpc = plan_cem(ExactDynamicsModel(params, state, GRID), obs, 24, GRID,
+    plan_mpc = plan_cem(ExactDynamicsModel(params, state), obs, 24, GRID,
                         tariff, ambient, BAND, MbrlConfig().cem,
                         np.random.default_rng(123))
     assert plan_agent.actions == plan_mpc.actions

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, _sample
 
 PARAMS = BuildingParams()
 GRID = ActionGrid()
+LEVELS = np.asarray(GRID.levels_w)
 BAND = ComfortBand(19.0, 23.0)
 
 
@@ -21,13 +23,13 @@ class ConstantModel:
     def __init__(self, t_i=21.0):
         self.t_i = t_i
 
-    def rollout_temps(self, start, actions, ambient_window):
-        return np.full((len(actions), np.asarray(actions).shape[1]), self.t_i)
+    def rollout_temps(self, start, powers, ambient):
+        return np.full(powers.shape, self.t_i)
 
 
 def _exact(t_i, t_m, ambient):
     state = BuildingState(t_i, t_m, 0)
-    return ExactDynamicsModel(PARAMS, state, GRID), ObservedState((t_i,) * 4, ambient)
+    return ExactDynamicsModel(PARAMS, state), ObservedState((t_i,) * 4, ambient)
 
 
 def _random_instance(seed, horizon):
@@ -36,14 +38,15 @@ def _random_instance(seed, horizon):
     t_m = rng.uniform(16.0, 24.0)
     ambient = rng.uniform(-5.0, 12.0, size=horizon)
     prices = rng.uniform(0.1, 0.4, size=horizon)
-    model = ExactDynamicsModel(PARAMS, BuildingState(t_i, t_m, 0), GRID)
+    model = ExactDynamicsModel(PARAMS, BuildingState(t_i, t_m, 0))
     return model, ObservedState((t_i,) * 4, ambient[0]), prices, ambient
 
 
 def _rollout_return(model, obs, actions, prices, ambient):
     """Return of one action sequence: a one-row batch through the planners' path."""
-    return float(evaluate_sequences(model, obs, np.array([actions]), GRID,
-                                    prices, ambient, BAND)[0])
+    powers = LEVELS[np.array([actions])]
+    return float(evaluate_sequences(model, obs, powers, np.asarray(prices, float),
+                                    np.asarray(ambient, float), BAND)[0])
 
 
 def test_rollout_return_zero_when_idle_inside_band():
@@ -66,7 +69,7 @@ def test_rollout_return_additive_over_steps():
 
     first = _rollout_return(model, obs, actions[:1], [0.2], [5.0])
     mid, _ = step(BuildingState(20.0, 20.0, 0), PARAMS, 5.0, GRID.levels_w[3])
-    model2 = ExactDynamicsModel(PARAMS, mid, GRID)
+    model2 = ExactDynamicsModel(PARAMS, mid)
     obs2 = ObservedState((mid.indoor_temp,) * 4, 4.0)
     second = _rollout_return(model2, obs2, actions[1:], [0.3], [4.0])
     assert total == pytest.approx(first + second, abs=1e-9)
@@ -95,7 +98,7 @@ def test_rollout_matches_realized_episode_return():
         realized += -(applied / 1000.0) * prices[k]
         realized += comfort_reward(s.indoor_temp, BAND)
 
-    model = ExactDynamicsModel(PARAMS, state, GRID)
+    model = ExactDynamicsModel(PARAMS, state)
     obs = ObservedState((19.5,) * 4, ambient[0])
     planned = _rollout_return(model, obs, actions, prices, ambient)
     assert planned == pytest.approx(realized, abs=1e-9)
@@ -225,9 +228,9 @@ def test_planners_never_beat_the_oracle():
 class NanWhenFirstIdleModel(ConstantModel):
     """Diverges (NaN) on every sequence that starts idle, the cheapest ones."""
 
-    def rollout_temps(self, start, actions, ambient_window):
-        temps = super().rollout_temps(start, actions, ambient_window)
-        temps[np.asarray(actions)[:, 0] == 0, -1] = np.nan
+    def rollout_temps(self, start, powers, ambient):
+        temps = super().rollout_temps(start, powers, ambient)
+        temps[powers[:, 0] == 0.0, -1] = np.nan
         return temps
 
 
@@ -254,7 +257,7 @@ def test_batch_rollout_matches_emulator_step():
     model, obs = _exact(19.0, 20.0, 2.0)
     actions = np.array([[2, 4, 0], [5, 0, 1]])
     ambient = np.array([2.0, 1.0, 0.5])
-    temps = model.rollout_temps(obs, actions, ambient)
+    temps = model.rollout_temps(obs, LEVELS[actions], ambient)
     for row, seq in enumerate(actions):
         s = BuildingState(19.0, 20.0, 0)
         for k, a in enumerate(seq):
@@ -282,9 +285,9 @@ def test_closed_form_rollout_matches_hourly_recursion(horizon):
     state = BuildingState(rng.uniform(15.0, 25.0), rng.uniform(15.0, 25.0), 0)
     actions = rng.integers(len(GRID), size=(32, horizon))
     ambient = rng.uniform(-15.0, 15.0, size=horizon)
-    model = ExactDynamicsModel(params, state, GRID)
+    model = ExactDynamicsModel(params, state)
     temps = model.rollout_temps(ObservedState((state.indoor_temp,) * 4, ambient[0]),
-                                actions, ambient)
+                                LEVELS[actions], ambient)
     reference = _recursive_rollout(params, state, actions, ambient)
     assert np.max(np.abs(temps - reference)) <= 1e-12
 
@@ -304,13 +307,25 @@ def _searchsorted_sample(probs, n, rng):
 _weight = st.sampled_from([0.0, 1e-12, 0.1, 0.5, 1.0, 3.0]) | st.floats(0.0, 1.0)
 
 
+# past 127 and 255 actions the sampler's index accumulator must widen
+_WIDE_GRIDS = [127, 128, 256, 300]
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), horizon=st.integers(1, 6), n_actions=st.integers(1, 7),
+@given(data=st.data(), horizon=st.integers(1, 6),
+       n_actions=st.integers(1, 7) | st.sampled_from(_WIDE_GRIDS),
        shortfall=st.sampled_from([0.0, 1e-16, 1e-9, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
 def test_sampler_matches_searchsorted_reference(data, horizon, n_actions, shortfall, seed):
-    rows = st.lists(_weight, min_size=n_actions, max_size=n_actions)
-    # the tiny floor turns an all-zero row into a uniform one
-    weights = np.array(data.draw(st.lists(rows, min_size=horizon, max_size=horizon))) + 1e-300
+    if n_actions in _WIDE_GRIDS:
+        # too wide to draw weight by weight: random rows, with half the mass on
+        # the top index so that the largest indices are drawn
+        weights = np.random.default_rng(seed).uniform(size=(horizon, n_actions))
+        weights[:, -1] = weights[:, :-1].sum(axis=1)
+    else:
+        rows = st.lists(_weight, min_size=n_actions, max_size=n_actions)
+        # the tiny floor turns an all-zero row into a uniform one
+        weights = np.array(data.draw(st.lists(rows, min_size=horizon,
+                                              max_size=horizon))) + 1e-300
     probs = weights / weights.sum(axis=1, keepdims=True) * (1.0 - shortfall)
     got = _sample_categorical(probs, 64, np.random.default_rng(seed))
     want = _searchsorted_sample(probs, 64, np.random.default_rng(seed))
@@ -329,13 +344,14 @@ def _loop_best(actions, returns, grid, best=(-np.inf, np.inf, None)):
 
 class IndexSumModel:
     """Arrival temperatures depend only on the sequence's summed action index,
-    so permutations of a sequence tie in both return and energy."""
+    so permutations of a sequence tie in both return and energy.  The grids
+    these tests use step by 400 W, so index = power / 400 W exactly."""
 
     def __init__(self, table):
         self.table = np.asarray(table, dtype=float)
 
-    def rollout_temps(self, start, actions, ambient_window):
-        keys = np.asarray(actions).sum(axis=1) % self.table.shape[1]
+    def rollout_temps(self, start, powers, ambient):
+        keys = (powers.sum(axis=1) // 400.0).astype(int) % self.table.shape[1]
         return self.table[:, keys].T
 
 
@@ -356,7 +372,8 @@ def test_best_sequence_matches_loop_on_ties_nan_and_minus_inf(data, horizon, n_a
     prices, ambient = [price] * horizon, [5.0] * horizon
     actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
     with np.errstate(invalid="ignore"):
-        returns = evaluate_sequences(model, obs, actions, grid, prices, ambient, BAND)
+        returns = evaluate_sequences(model, obs, np.asarray(grid.levels_w)[actions],
+                                     np.array(prices), np.array(ambient), BAND)
         if np.isnan(returns).all():  # no sequence to return at all
             with pytest.raises(ValueError, match="return was NaN"):
                 plan_exhaustive(model, obs, horizon, grid, prices, ambient, BAND)
@@ -396,6 +413,24 @@ def test_planners_name_the_cause_when_every_return_is_nan(planner):
               [np.inf] * 3, [5.0] * 3)
 
 
+@pytest.mark.parametrize("planner", [plan_cem, plan_ga])
+@pytest.mark.parametrize("seed_sequence, entry", [
+    ((-1, -1, -1), "seed_sequence[0] = -1"),
+    ((5, -1, -1), "seed_sequence[1] = -1"),
+    ((0, 0, 7), "seed_sequence[2] = 7"),
+    ((0, 2.0, 0), "seed_sequence[1] = 2.0"),
+])
+def test_planners_reject_off_grid_seed_sequences(planner, seed_sequence, entry):
+    model, obs = _exact(5.0, 5.0, -10.0)
+    cfg = CemConfig() if planner is plan_cem else GaConfig()
+    with pytest.raises(ValueError, match=re.escape(f"{entry} is not an integer in [0, 6)")):
+        planner(model, obs, 3, GRID, [0.2] * 3, [-10.0] * 3, BAND, cfg,
+                np.random.default_rng(0), seed_sequence)
+    # numpy integers are indices too
+    planner(model, obs, 3, GRID, [0.2] * 3, [-10.0] * 3, BAND, cfg,
+            np.random.default_rng(0), tuple(np.arange(3, 6)))
+
+
 def _loop_cem(model, obs, horizon, grid, prices, ambient, config, rng, seed_sequence):
     """Reference CEM: per-step sampling, refit and candidate-by-candidate tracking."""
     n_actions = len(grid)
@@ -408,7 +443,8 @@ def _loop_cem(model, obs, horizon, grid, prices, ambient, config, rng, seed_sequ
         population = _searchsorted_sample(probs, config.population, rng)
         if seed_sequence is not None:
             population[0] = seed_sequence
-        returns = evaluate_sequences(model, obs, population, grid, prices, ambient, BAND)
+        returns = evaluate_sequences(model, obs, np.asarray(grid.levels_w)[population],
+                                     np.array(prices), np.array(ambient), BAND)
         best = _loop_best(population, returns, grid, best)
         elite = population[np.argsort(-returns, kind="stable")[:config.elite_count]]
         freqs = np.empty_like(probs)
