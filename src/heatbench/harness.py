@@ -302,7 +302,7 @@ def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
         except Exception as exc:  # record and continue with the other agents
             row.update(consumption_change_pct="", cost_change_pct="",
                        comfort_loss_eur="", wall_clock_s="", convergence_hours="",
-                       status=f"error: {exc}")
+                       status=f"error: {type(exc).__name__}: {exc}")
         rows.append(row)
 
     table_path = out / f"{cfg.name}_table.csv"

@@ -115,6 +115,8 @@ class MbrlConfig:
             raise ValueError("min_train_samples must be >= 2")
         if self.memory_capacity < self.min_train_samples:
             raise ValueError("memory_capacity must hold min_train_samples")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass

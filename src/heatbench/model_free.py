@@ -6,6 +6,14 @@ action, the slowly tracking target network values it.  Transitions are
 stored with a priority proportional to their temporal-difference error
 and replayed with probability priority**alpha.  The target network
 follows the online one through soft updates w_tgt <- tau*w + (1-tau)*w_tgt.
+
+The feature normalizer is fitted once, when the replay first holds
+`warmup_samples` transitions, and never changes.  At that moment the
+stored rows are normalised in place; from then on the replay rows hold
+normalised features, so a training cycle gathers its batch as is.
+`replay_sample` is numpy's weighted draw without replacement
+(`Generator.choice(n, size, replace=False, p=p)`), reproduced bit for bit
+in indices and generator state without its per-call validation of `p`.
 """
 
 from __future__ import annotations
@@ -32,21 +40,31 @@ __all__ = [
 
 
 class PrioritizedReplay(SampleMemory):
-    """Transition store with a proportional replay priority per slot."""
+    """Transition store with a proportional replay priority per slot.
+
+    Each slot also keeps its replay weight priority**alpha, written with
+    the priority, so a draw does not raise the whole store to alpha.
+    """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
         super().__init__(capacity)
-        if alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= alpha < np.inf:
+            raise ValueError("alpha must be finite and >= 0")
         self.alpha = alpha
         self._priorities = np.zeros(capacity)
+        self._weights = np.zeros(capacity)
+
+    def _weight(self, priorities):
+        p = np.asarray(priorities, dtype=float)
+        if not (p.min() > 0.0 and p.max() < np.inf):
+            raise ValueError("priority must be finite and > 0")
+        return p ** self.alpha
 
     def add(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray,
             priority: float) -> int:
-        if not priority > 0.0:
-            raise ValueError("priority must be > 0")
+        weight = self._weight(priority)
         i = super().add(s, a, r, s_next)
-        self._priorities[i] = priority
+        self._priorities[i], self._weights[i] = priority, weight
         return i
 
     def priority(self, index: int) -> float:
@@ -54,25 +72,42 @@ class PrioritizedReplay(SampleMemory):
 
     def update_priorities(self, indices, priorities) -> None:
         """Overwrite the priorities of the given slots."""
-        if not np.all(np.asarray(priorities) > 0.0):
-            raise ValueError("priority must be > 0")
+        self._weights[indices] = self._weight(priorities)
         self._priorities[indices] = priorities
 
     def probabilities(self) -> np.ndarray:
-        p = self._priorities[:len(self)] ** self.alpha
-        return p / p.sum()
+        w = self._weights[:len(self)]
+        return w / w.sum()
 
 
 def replay_sample(memory: PrioritizedReplay, batch_size: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw a batch of slot indices without replacement, proportional to
-    priority**alpha; the same indices serve the priority write-back."""
+    priority**alpha; the same indices serve the priority write-back.
+
+    This is the loop of `rng.choice(len(memory), batch_size, replace=False,
+    p=memory.probabilities())`: each round draws one uniform per missing
+    index, inverts the CDF of the slots not yet drawn and keeps each new
+    slot's first occurrence in draw order.  Indices and the generator's
+    state afterwards equal numpy's.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if len(memory) < batch_size:
         raise ValueError(f"memory holds {len(memory)} < batch_size {batch_size}")
-    return rng.choice(len(memory), size=batch_size, replace=False,
-                      p=memory.probabilities())
+    p = memory.probabilities()
+    found: list[int] = []
+    while len(found) < batch_size:
+        x = rng.random(batch_size - len(found))
+        if found:
+            p[new] = 0.0
+        cdf = np.cumsum(p)
+        if not cdf[-1] > 0.0:
+            raise ValueError(f"fewer than batch_size {batch_size} slots have weight > 0")
+        cdf /= cdf[-1]
+        new = list(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+        found += new
+    return np.array(found)
 
 
 @dataclass
@@ -157,6 +192,10 @@ class MfrlConfig:
             raise ValueError("train_cycles_per_update must be >= 1")
         if not self.priority_offset > 0.0:
             raise ValueError("priority_offset must be > 0")
+        if not 0.0 <= self.priority_alpha < np.inf:
+            raise ValueError("priority_alpha must be finite and >= 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 class ModelFreeAgent:
@@ -176,18 +215,26 @@ class ModelFreeAgent:
         self._optimizer = AdamOptimizer(cfg.learning_rate)
         self._rng = rng
         self._started = False
+        # (observation, online network, encoded features, Q-values) of the
+        # last act, for observe to reuse; train_cycle drops it
+        self._acted: tuple | None = None
         self.q_trace: list[tuple[int, tuple[float, ...], int]] = []
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Normalise state features, one vector or a matrix of rows."""
         return self.normalizer.apply(x) if self.normalizer is not None else x
 
+    def _encoded_q(self, obs: ObservedState) -> tuple[np.ndarray, np.ndarray]:
+        x = self.encode(obs.features())
+        return x, forward(self.pair.online, x)
+
     def q_values(self, obs: ObservedState) -> np.ndarray:
-        return forward(self.pair.online, self.encode(obs.features()))
+        return self._encoded_q(obs)[1]
 
     def act(self, obs: ObservedState, hour: int | None = None,
             epsilon: float | None = None) -> int:
-        q = self.q_values(obs)
+        x, q = self._encoded_q(obs)
+        self._acted = (obs, self.pair.online, x, q)
         # an explicitly passed epsilon overrides the warm-up random phase
         warming = epsilon is None and len(self.replay) < self.cfg.warmup_samples
         eps = self.schedule.epsilon() if epsilon is None else epsilon
@@ -201,14 +248,27 @@ class ModelFreeAgent:
 
     def observe(self, obs: ObservedState, action: int, reward: float,
                 obs_next: ObservedState) -> None:
-        s_next = obs_next.features()
-        target = q_target(self.encode(s_next[None, :]), np.array([reward]), self.pair)
-        q_sa = self.q_values(obs)[action]
-        self.replay.add(obs.features(), action, reward, s_next,
-                        compute_priority(float(target[0]), float(q_sa),
+        """File the transition with its TD priority, as encoded features.
+
+        Reuses the features and Q-values of the `act` on this same
+        observation, if no training step came between them.
+        """
+        acted, self._acted = self._acted, None
+        if acted is not None and acted[0] is obs and acted[1] is self.pair.online:
+            x, q = acted[2], acted[3]
+        else:
+            x, q = self._encoded_q(obs)
+        x_next = self.encode(obs_next.features()[None, :])
+        target = q_target(x_next, np.array([reward]), self.pair)
+        self.replay.add(x, action, reward, x_next[0],
+                        compute_priority(float(target[0]), float(q[action]),
                                          self.cfg.priority_offset))
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
-            self.normalizer = fit_normalizer(self.replay.rows(self.replay.s))
+            mem = self.replay
+            self.normalizer = fit_normalizer(mem.rows(mem.s))
+            n = len(mem)
+            mem.s[:n] = self.normalizer.apply(mem.s[:n])
+            mem.s_next[:n] = self.normalizer.apply(mem.s_next[:n])
 
     def train_cycle(self) -> bool:
         """One replay batch: masked Q step, soft target update, priority write-back.
@@ -217,9 +277,10 @@ class ModelFreeAgent:
         """
         if len(self.replay) < self.cfg.warmup_samples:
             return False
+        self._acted = None
         mem = self.replay
         idx = replay_sample(mem, self.cfg.batch_size, self._rng)
-        x, x_next = self.encode(mem.s[idx]), self.encode(mem.s_next[idx])
+        x, x_next = mem.s[idx], mem.s_next[idx]
         rewards, actions = mem.r[idx], mem.a[idx]
         rows = np.arange(len(idx))
 

@@ -14,6 +14,7 @@ from heatbench.harness import (Scenario, SuiteConfig, build_traces, emit_plot_da
                                estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
 from heatbench.mdp import ComfortBand, EpisodeLog
+from heatbench.model_free import MfrlConfig, ModelFreeAgent
 
 
 def test_run_scenario_rbc_self_metrics(tmp_path):
@@ -108,6 +109,16 @@ def test_suite_records_partial_failure(tmp_path):
         assert [len(r) for r in table] == [7] * 3
         assert [r[-1] for r in table[1:]] == [r["status"] for r in rows]
 
+
+def test_suite_error_row_names_the_exception_type(tmp_path, monkeypatch):
+    def failing_act(self, obs, hour=None, epsilon=None):
+        raise ValueError("no action")
+
+    monkeypatch.setattr(ModelFreeAgent, "act", failing_act)
+    rows = run_suite(SuiteConfig(name="fail", days=2, agents=("rbc", "mfrl")), tmp_path)
+    assert [r["status"] for r in rows] == ["ok", "error: ValueError: no action"]
+    with open(tmp_path / "fail_table.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[2][-1] == "error: ValueError: no action"
 
 def _log_with_comfort(days, dirty_days, penalty=-1.0):
     return EpisodeLog([(h, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0,
@@ -316,6 +327,9 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[mfrl]\nselection_by_target = true\n", "unknown key 'selection_by_target'"),
     ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
     ("[mfrl]\npriority_offset = 0\n", "priority_offset must be > 0"),
+    ("[mfrl]\npriority_alpha = nan\n", "priority_alpha must be finite"),
+    ("[mfrl]\nlearning_rate = -1\n", "learning_rate must be finite and > 0"),
+    ("[mbrl]\nlearning_rate = 0\n", "learning_rate must be finite and > 0"),
     ("[tariff]\nflat_price = inf\n", "flat_price must be finite"),
     ("[tariff]\nrtp_min = 0.5\nrtp_max = 0.1\n", "rtp_min must not exceed rtp_max"),
     ("[tariff]\nrtp_step = inf\n", "rtp_step must be finite"),
@@ -350,6 +364,27 @@ def test_agents_store_one_chained_transition_per_controlled_hour(kind):
     assert np.array_equal(store.rows(store.s)[1:], store.rows(store.s_next)[:-1])
     assert store.rows(store.r).tolist() == [r.r_cons + r.r_comfort for r in controlled]
 
+
+def test_mfrl_replay_rows_hold_normalised_features_after_warmup(monkeypatch):
+    raw_s, raw_next = [], []
+
+    class RecordingAgent(ModelFreeAgent):
+        def observe(self, obs, action, reward, obs_next):
+            raw_s.append(obs.features())
+            raw_next.append(obs_next.features())
+            super().observe(obs, action, reward, obs_next)
+
+    monkeypatch.setattr("heatbench.harness.ModelFreeAgent", RecordingAgent)
+    # 72 controlled hours into a 60-slot ring: fitted at hour 24, wrapped at
+    # hour 61; hours 13-24 were filed raw and normalised in place
+    scenario = Scenario(days=4, agent="mfrl", seed=3,
+                        mfrl=MfrlConfig(warmup_samples=24, batch_size=24, capacity=60))
+    trace, tariff = build_traces(scenario)
+    _, agent = simulate(scenario, "mfrl", trace, tariff)
+    store, norm = agent.replay, agent.normalizer
+    assert norm is not None and len(raw_s) == 72 and len(store) == 60
+    assert np.array_equal(store.rows(store.s), norm.apply(np.array(raw_s[-60:])))
+    assert np.array_equal(store.rows(store.s_next), norm.apply(np.array(raw_next[-60:])))
 
 def test_suite_from_ini(tmp_path):
     path = tmp_path / "suite.ini"

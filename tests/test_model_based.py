@@ -66,6 +66,11 @@ def test_config_rejects_capacity_below_min_train_samples():
     MbrlConfig(memory_capacity=24, min_train_samples=24)
 
 
+def test_config_rejects_non_positive_or_non_finite_learning_rate():
+    for rate in (float("nan"), -1e-3, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            MbrlConfig(learning_rate=rate)
+
 def test_exploration_schedule_values():
     sched = ExplorationSchedule(initial=0.5, exponent=0.7)
     assert sched.epsilon() == 0.5  # day 1

@@ -8,7 +8,7 @@ from heatbench.mdp import ActionGrid, ObservedState
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, compute_priority, q_target, replay_sample,
                                   soft_update)
-from heatbench.neural import AdamOptimizer, MlpParams, MlpSpec, train_minibatch
+from heatbench.neural import AdamOptimizer, MlpParams, MlpSpec, forward, train_minibatch
 
 GRID = ActionGrid()
 
@@ -124,6 +124,75 @@ def test_replay_ring_eviction_and_priority_floor():
     assert all(mem.priority(i) >= 1e-3 for i in range(2))
     with pytest.raises(ValueError):
         _add(mem, 0.0)
+
+
+def _filled(priorities, alpha):
+    mem = PrioritizedReplay(capacity=len(priorities), alpha=alpha)
+    for p in priorities:
+        _add(mem, p)
+    return mem
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4096), batch_share=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["equal", "floor", "spread"]),
+       alpha=st.sampled_from([0.0, 0.6, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_replay_sample_is_numpys_weighted_draw_bit_for_bit(n, batch_share, kind, alpha, seed):
+    batch = max(1, round(batch_share * n))
+    data = np.random.default_rng(seed)
+    if kind == "equal":
+        priorities = np.full(n, 2.5)
+    elif kind == "floor":  # most TD errors zero: the priority_offset floor
+        td = np.where(data.random(n) < 0.8, 0.0, data.exponential(size=n))
+        priorities = compute_priority(td, 0.0, 1e-3)
+    else:
+        priorities = 10.0 ** data.uniform(0.0, 6.0, size=n)
+    mem = _filled(priorities, alpha)
+    mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    idx = replay_sample(mem, batch, mine)
+    expected = numpys.choice(n, size=batch, replace=False, p=mem.probabilities())
+    assert idx.dtype == expected.dtype
+    assert np.array_equal(idx, expected)
+    assert mine.bit_generator.state == numpys.bit_generator.state
+
+
+def test_replay_weights_follow_priority_writes():
+    mem = _filled([1.0, 3.0, 0.25], alpha=0.6)
+    mem.update_priorities(np.array([2, 0]), np.array([5.0, 0.5]))
+    _add(mem, 7.0)  # evicts slot 0
+    priorities = np.array([7.0, 3.0, 5.0])
+    assert np.array_equal(mem.probabilities(),
+                          priorities ** 0.6 / (priorities ** 0.6).sum())
+
+
+def test_replay_sample_raises_when_too_few_slots_can_be_drawn():
+    # the small slot's probability underflows to 0: numpy's choice rejects
+    # this, and the draw must not loop for ever looking for a second slot
+    mem = _filled([1e300, 1e-300], alpha=1.0)
+    assert mem.probabilities().tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="weight > 0"):
+        replay_sample(mem, 2, np.random.default_rng(0))
+
+
+def test_replay_rejects_non_finite_alpha_and_priorities():
+    for alpha in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            PrioritizedReplay(8, alpha=alpha)
+        with pytest.raises(ValueError, match="priority_alpha must be finite and >= 0"):
+            MfrlConfig(priority_alpha=alpha)
+    mem = _filled([1.0, 2.0], alpha=0.6)
+    for bad in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="priority must be finite and > 0"):
+            _add(mem, bad)
+        with pytest.raises(ValueError, match="priority must be finite and > 0"):
+            mem.update_priorities(np.array([0, 1]), np.array([1.0, bad]))
+    assert len(mem) == 2 and [mem.priority(0), mem.priority(1)] == [1.0, 2.0]
+
+
+def test_config_rejects_non_positive_or_non_finite_learning_rate():
+    for rate in (float("nan"), -1e-3, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            MfrlConfig(learning_rate=rate)
 
 
 def test_soft_update_tau_one_copies():
@@ -271,6 +340,58 @@ def test_observe_stores_with_td_priority():
     agent.observe(S0, 0, -2.0, S1)
     assert len(agent.replay) == 1
     assert agent.replay.priority(0) >= agent.cfg.priority_offset
+
+
+def _warm_agent():
+    """Agent past warm-up: normalizer fitted, replay filled with encoded rows."""
+    agent = _agent()
+    states = [ObservedState((float(i),), 0.5 * i) for i in range(6)]
+    for i in range(5):
+        agent.observe(states[i], i % 2, -float(i), states[i + 1])
+    assert agent.normalizer is not None
+    return agent
+
+
+def _expected_priority(agent, obs, action, reward, obs_next):
+    """The priority of a fresh forward on the current online network."""
+    q_sa = forward(agent.pair.online, agent.normalizer.apply(obs.features()))[action]
+    target = q_target(agent.normalizer.apply(obs_next.features()[None, :]),
+                      np.array([reward]), agent.pair)[0]
+    return compute_priority(float(target), float(q_sa), agent.cfg.priority_offset)
+
+
+def test_observe_after_act_scores_like_a_fresh_forward():
+    agent = _warm_agent()
+    obs, obs_next = ObservedState((2.5,), 1.0), ObservedState((3.0,), 1.5)
+    action = agent.act(obs, epsilon=0.0)
+    agent.observe(obs, action, -1.0, obs_next)
+    slot = len(agent.replay) - 1
+    assert agent.replay.priority(slot) == _expected_priority(agent, obs, action, -1.0,
+                                                             obs_next)
+    assert np.array_equal(agent.replay.s[slot], agent.normalizer.apply(obs.features()))
+    assert np.array_equal(agent.replay.s_next[slot],
+                          agent.normalizer.apply(obs_next.features()))
+
+
+@pytest.mark.parametrize("between", ["train_cycle", "daily_update", "other_obs"])
+def test_observe_does_not_reuse_q_values_across_training(between):
+    agent = _warm_agent()
+    obs, obs_next = ObservedState((2.5,), 1.0), ObservedState((3.0,), 1.5)
+    stale = forward(agent.pair.online, agent.normalizer.apply(obs.features()))
+    agent.act(obs, epsilon=0.0)
+    if between == "train_cycle":
+        assert agent.train_cycle()
+    elif between == "daily_update":
+        assert agent.daily_update() == agent.cfg.train_cycles_per_update
+    else:  # an equal but distinct observation must not match the cached one
+        obs = ObservedState((2.5,), 1.0)
+        agent.pair.online.biases[-1][...] += 1.0
+    agent.observe(obs, 3, -1.0, obs_next)
+    slot = len(agent.replay) - 1
+    expected = _expected_priority(agent, obs, 3, -1.0, obs_next)
+    assert agent.replay.priority(slot) == expected
+    fresh = forward(agent.pair.online, agent.normalizer.apply(obs.features()))
+    assert fresh[3] != stale[3]
 
 
 def test_train_cycle_skips_before_warmup_bit_identical():

@@ -92,6 +92,12 @@ def test_adam_moves_toward_target():
     assert forward(params, [1.0])[0] == pytest.approx(1.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("optimizer", [AdamOptimizer, SgdOptimizer])
+@pytest.mark.parametrize("rate", [float("nan"), -1e-3, 0.0, float("inf")])
+def test_optimizers_reject_non_positive_or_non_finite_rates(optimizer, rate):
+    with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+        optimizer(rate)
+
 def test_gradient_check_default_architectures():
     rng = np.random.default_rng(1)
     for spec in (MlpSpec((6, 32, 32, 1), "tanh", init_seed=1),

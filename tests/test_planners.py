@@ -292,6 +292,28 @@ def test_closed_form_rollout_matches_hourly_recursion(horizon):
     assert np.max(np.abs(temps - reference)) <= 1e-12
 
 
+
+def test_exact_rollout_recomputes_the_free_response_for_a_new_window():
+    state = BuildingState(19.5, 20.5, 0)
+    obs = ObservedState((19.5,) * 4, 3.0)
+    rng = np.random.default_rng(5)
+    model = ExactDynamicsModel(PARAMS, state)
+    calls = [(rng.integers(len(GRID), size=(16, 24)), np.full(24, 3.0)),
+             (rng.integers(len(GRID), size=(16, 24)), np.full(24, 3.0)),
+             (rng.integers(len(GRID), size=(16, 24)), np.full(24, -4.0)),
+             (rng.integers(len(GRID), size=(16, 24)), np.linspace(-4.0, 3.0, 24)),
+             (rng.integers(len(GRID), size=(16, 6)), np.full(6, 3.0)),
+             (rng.integers(len(GRID), size=(16, 1)), np.full(1, 3.0)),
+             (rng.integers(len(GRID), size=(16, 24)), np.full(24, 3.0))]
+    for actions, ambient in calls:
+        temps = model.rollout_temps(obs, LEVELS[actions], ambient)
+        fresh = ExactDynamicsModel(PARAMS, state).rollout_temps(obs, LEVELS[actions], ambient)
+        assert temps.shape == actions.shape
+        assert np.array_equal(temps, fresh)
+    # a window of one hour against a kept response of 24 hours must not broadcast
+    with pytest.raises(ValueError):
+        model.rollout_temps(obs, LEVELS[calls[0][0]][:, :1], np.full(24, 3.0))
+
 def _searchsorted_sample(probs, n, rng):
     """Reference sampler: one searchsorted per horizon step."""
     horizon, n_actions = probs.shape
