@@ -14,8 +14,8 @@ import numpy as np
 
 from .emulator import BuildingParams, BuildingState
 from .mdp import ActionGrid, ComfortBand
-from .planners import (CemConfig, ExactDynamicsModel, GaConfig, ObservedState,
-                       plan_cem, plan_exhaustive, plan_ga)
+from .planners import (CemConfig, ExactDynamicsModel, GaConfig, plan_cem,
+                       plan_exhaustive, plan_ga)
 
 __all__ = ["RbcConfig", "rbc_action", "MpcConfig", "MpcController"]
 
@@ -80,7 +80,7 @@ class MpcController:
         self._rng = rng
         self._previous: tuple[int, ...] | None = None
 
-    def decide(self, state: BuildingState, obs: ObservedState, tariff_window,
+    def decide(self, state: BuildingState, obs: np.ndarray, tariff_window,
                ambient_window, band: ComfortBand) -> int:
         """Plan over min(horizon, window) hours and return the first action."""
         horizon = min(self.config.horizon, len(tariff_window), len(ambient_window))

@@ -13,9 +13,9 @@ import configparser
 import csv
 import dataclasses
 import itertools
+import math
 import time
 import typing
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,9 +24,10 @@ import numpy as np
 from .baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
                        BuildingState, load_ambient_csv, make_synthetic_ambient, step)
-from .mdp import (EPISODE_DTYPE, ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
-                  TariffConfig, TariffSignal, _left_sum, _write_rows, comfort_reward,
-                  consumption_reward, encode_state, log_metrics, make_tariff)
+from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, ComfortBand,
+                  EpisodeLog, TariffConfig, TariffSignal, _left_sum, _write_rows,
+                  comfort_reward, consumption_reward, encode_state, log_metrics,
+                  make_tariff)
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import CemConfig, GaConfig
@@ -87,8 +88,12 @@ class Scenario:
             raise ValueError("days must be >= 1")
         if self.agent not in AGENT_KINDS:
             raise ValueError(f"agent must be one of {AGENT_KINDS}")
-        if self.tariff_kind not in ("flat", "dual", "real_time"):
+        if self.tariff_kind not in TARIFF_KINDS:
             raise ValueError(f"unknown tariff kind {self.tariff_kind!r}")
+        if self.history_length < 0:
+            raise ValueError("history_length must be >= 0")
+        if not math.isfinite(self.initial_temp_c):
+            raise ValueError("initial_temp_c must be finite")
         if not 0 <= self.warmup_hours <= self.horizon_hours():
             raise ValueError("warmup_hours must lie within the run")
         if self.grid.levels_w[-1] > self.building.max_power_w:
@@ -153,7 +158,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
     backup = scenario.backup_config()
     schedule = scenario.band_schedule
     grid = scenario.grid
-    ambient = trace.as_array()
+    ambient, prices = trace.as_array(), np.asarray(tariff.prices)
     rng = _agent_rng(scenario)
 
     agent: object = None
@@ -169,9 +174,8 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
         raise ValueError(f"unknown agent kind {agent_kind!r}")
 
     state = BuildingState(scenario.initial_temp_c, scenario.initial_temp_c, 0)
-    history = deque([scenario.initial_temp_c] * (n + 1), maxlen=n + 1)
     steps = np.recarray(horizon, dtype=EPISODE_DTYPE)
-    obs = encode_state(history, trace[0], n)
+    obs = encode_state((scenario.initial_temp_c,) * (n + 1), trace[0], n)
 
     for t in range(horizon):
         controlled = t >= scenario.warmup_hours
@@ -180,8 +184,8 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
         if controlled and t % 24 == 0:
             if agent_kind == "mbrl":
                 window = min(24, horizon - t)
-                agent.daily_update(obs, tariff.window(t, window),
-                                   ambient[t:t + window], band_now)
+                agent.daily_update(obs, prices[t:t + window], ambient[t:t + window],
+                                   band_now)
             elif agent_kind == "mfrl":
                 agent.daily_update()
 
@@ -191,7 +195,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
             action = rbc_action(state.indoor_temp, band_now, scenario.rbc, grid)
         elif agent_kind == "mpc":
             window = min(scenario.mpc.horizon, horizon - t)
-            action = agent.decide(state, obs, tariff.window(t, window),
+            action = agent.decide(state, obs, prices[t:t + window],
                                   ambient[t:t + window], band_now)
         elif agent_kind == "mbrl":
             action = agent.act(t % 24)
@@ -200,7 +204,6 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
 
         state, applied = step(state, scenario.building, trace[t],
                               grid.levels_w[action], backup)
-        history.appendleft(state.indoor_temp)
 
         band_arrival = schedule.band_at(t + 1)
         r_cons = consumption_reward(applied, tariff[t])
@@ -208,7 +211,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
         steps[t] = (t, trace[t], state.indoor_temp, state.envelope_temp,
                     applied, tariff[t], r_cons, r_comfort)
 
-        obs_next = encode_state(history, trace[t + 1], n)
+        obs_next = encode_state((state.indoor_temp, *obs[:n].tolist()), trace[t + 1], n)
         if controlled and agent_kind in ("mbrl", "mfrl"):
             agent.observe(obs, action, r_cons + r_comfort, obs_next)
         obs = obs_next
@@ -273,6 +276,16 @@ class SuiteConfig:
     tariff_kind: str = "flat"
     agents: tuple[str, ...] = AGENT_KINDS
     base: Scenario = field(default_factory=Scenario)
+
+    def __post_init__(self):
+        if not self.agents:
+            raise ValueError("a suite needs at least one agent")
+        for a in self.agents:
+            if a not in AGENT_KINDS:
+                raise ValueError(f"unknown agent {a!r} in suite config; "
+                                 f"choose from {AGENT_KINDS}")
+        if len(set(self.agents)) < len(self.agents):
+            raise ValueError(f"suite agents {self.agents} name an agent twice")
 
 
 def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
@@ -518,9 +531,6 @@ def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
     scenario of every run.  Any other section is rejected."""
     parser = _read_ini(path, ("suite", *_SCENARIO_SECTIONS))
     head = {**_section(parser, "suite", SuiteConfig, _PRICE_ALIAS), **(overrides or {})}
-    for a in head.get("agents", ()):
-        if a not in AGENT_KINDS:
-            raise ValueError(f"unknown agent {a!r} in suite config")
     suite = SuiteConfig(**head)
     if set(parser.sections()) & set(_SCENARIO_SECTIONS):
         suite = replace(suite, base=_scenario(parser, {"days": suite.days,

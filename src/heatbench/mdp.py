@@ -1,11 +1,12 @@
-"""Decision-problem layer: observed states, actions, rewards, tariffs, logs.
+"""Decision-problem layer: observations, actions, rewards, tariffs, logs.
 
-The agent never sees the envelope temperature; its observation is a
-fixed-length window of recent indoor temperatures (newest first) plus
-the current ambient temperature.  Rewards are a negative stream with
-two components: energy cost, and an asymmetric comfort penalty that is
-zero inside the comfort band and jumps to a steep exponential outside
-it (under-heating is punished harder than over-heating).
+The agent never sees the envelope temperature.  Its observation is a
+float64 vector [T_i(t), ..., T_i(t-n), T_a(t)]: the n+1 most recent
+indoor temperatures, newest first, then the current ambient temperature.
+Rewards are a negative stream with two components: energy cost, and an
+asymmetric comfort penalty that is zero inside the comfort band and jumps
+to a steep exponential outside it (under-heating is punished harder than
+over-heating).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ObservedState",
     "ActionGrid",
     "ComfortBand",
     "BandSchedule",
@@ -28,6 +28,7 @@ __all__ = [
     "EpisodeLog",
     "DEFAULT_GRID",
     "DEFAULT_BAND",
+    "TARIFF_KINDS",
     "encode_state",
     "consumption_reward",
     "comfort_reward",
@@ -37,33 +38,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObservedState:
-    """Agent-visible state: indoor temperature window (newest first) + ambient."""
-
-    indoor_history: tuple[float, ...]
-    ambient_now: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) for t in self.indoor_history):
-            raise ValueError("indoor history contains non-finite values")
-        if not math.isfinite(self.ambient_now):
-            raise ValueError("ambient_now must be finite")
-
-    def features(self) -> np.ndarray:
-        return np.array(self.indoor_history + (self.ambient_now,))
-
-
-def encode_state(history, ambient_c: float, n: int) -> ObservedState:
-    """Window the newest-first temperature history to length n+1.
+def encode_state(history, ambient_c: float, n: int) -> np.ndarray:
+    """The observation vector [T_i(t), ..., T_i(t-n), T_a(t)]: the first n+1
+    temperatures of the newest-first sequence `history`, then `ambient_c`.
 
     Callers pad a fresh episode by replicating the initial temperature.
+    A non-finite temperature or ambient value is rejected.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(history) < n + 1:
         raise ValueError(f"history of length {len(history)} too short for n={n}")
-    return ObservedState(tuple(float(t) for t in list(history)[: n + 1]), float(ambient_c))
+    values = [*history[: n + 1], ambient_c]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"observed temperatures must be finite, got {values}")
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -197,6 +186,7 @@ class TariffConfig:
 
 
 DEFAULT_TARIFF = TariffConfig()
+TARIFF_KINDS = ("flat", "dual", "real_time")
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,7 @@ class TariffSignal:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("flat", "dual", "real_time"):
+        if self.kind not in TARIFF_KINDS:
             raise ValueError(f"unknown tariff kind {self.kind!r}")
         if any(not 0.0 < p < math.inf for p in self.prices):
             raise ValueError("all prices must be finite and > 0")
@@ -216,11 +206,6 @@ class TariffSignal:
     def __getitem__(self, hour):
         return self.prices[hour]
 
-    def window(self, start: int, length: int) -> np.ndarray:
-        if start + length > len(self.prices):
-            raise ValueError("tariff lookahead window exceeds signal length")
-        return np.asarray(self.prices[start:start + length])
-
 
 def make_tariff(kind: str, horizon_hours: int,
                 config: TariffConfig = DEFAULT_TARIFF, seed: int = 0) -> TariffSignal:
@@ -230,6 +215,8 @@ def make_tariff(kind: str, horizon_hours: int,
     """
     if horizon_hours < 1:
         raise ValueError("horizon_hours must be >= 1")
+    if kind not in TARIFF_KINDS:
+        raise ValueError(f"unknown tariff kind {kind!r}")
     if kind == "flat":
         prices = (config.flat_price,) * horizon_hours
     elif kind == "dual":
@@ -238,7 +225,7 @@ def make_tariff(kind: str, horizon_hours: int,
             if config.day_start_hour <= (h % 24) < config.day_end_hour
             else config.night_price
             for h in range(horizon_hours))
-    elif kind == "real_time":
+    else:  # real_time
         rng = np.random.default_rng(seed)
         walk = np.empty(horizon_hours)
         p = config.rtp_base
@@ -247,8 +234,6 @@ def make_tariff(kind: str, horizon_hours: int,
                               config.rtp_min, config.rtp_max))
             walk[h] = p
         prices = tuple(walk.tolist())
-    else:
-        raise ValueError(f"unknown tariff kind {kind!r}")
     return TariffSignal(kind, prices)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ActionGrid, ComfortBand, ObservedState
+from .mdp import ActionGrid, ComfortBand
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward_batch, train_minibatch)
 from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan_cem, plan_ga
@@ -34,9 +34,9 @@ class SampleMemory:
     """Bounded transition store: ring arrays with strict FIFO eviction.
 
     Each added transition fills one slot of the arrays `s` and `s_next`
-    (the features of both observed states), `a` (action index) and `r`
-    (reward).  The arrays are allocated at the first `add`, when the
-    feature width is known; `rows` reads one oldest-first.
+    (the observation vectors before and after the hour), `a` (action
+    index) and `r` (reward).  The arrays are allocated at the first `add`,
+    when the feature width is known; `rows` reads one oldest-first.
     """
 
     def __init__(self, capacity: int):
@@ -198,13 +198,13 @@ class LearnedDynamicsModel:
     def __init__(self, model: TransitionModel):
         self._model = model
 
-    def rollout_temps(self, start: ObservedState, powers: np.ndarray,
+    def rollout_temps(self, start: np.ndarray, powers: np.ndarray,
                       ambient: np.ndarray) -> np.ndarray:
         n_seq, horizon = powers.shape
-        n_hist = len(start.indoor_history)
+        n_hist = len(start) - 1
         # one feature matrix per rollout: temperature window, ambient, power
         features = np.empty((n_seq, n_hist + 2))
-        features[:, :n_hist] = start.indoor_history
+        features[:, :-1] = start
         out = np.empty((n_seq, horizon))
         for k in range(horizon):
             features[:, n_hist] = ambient[k]
@@ -245,15 +245,12 @@ class ModelBasedAgent:
             return self._override
         return LearnedDynamicsModel(self.model)
 
-    def plan_day(self, obs: ObservedState, tariff_window, ambient_window,
+    def plan_day(self, obs: np.ndarray, tariff_window, ambient_window,
                  band: ComfortBand) -> Plan:
-        planner = plan_cem if self.cfg.planner == "cem" else plan_ga
-        planner_cfg = self.cem_or_ga()
+        planner, planner_cfg = ((plan_cem, self.cfg.cem) if self.cfg.planner == "cem"
+                                else (plan_ga, self.cfg.ga))
         return planner(self.dynamics(), obs, min(24, len(tariff_window)), self.grid,
                        tariff_window, ambient_window, band, planner_cfg, self._rng)
-
-    def cem_or_ga(self):
-        return self.cfg.cem if self.cfg.planner == "cem" else self.cfg.ga
 
     def act(self, hour_of_day: int, epsilon: float | None = None) -> int:
         eps = self.schedule.epsilon() if epsilon is None else epsilon
@@ -261,11 +258,11 @@ class ModelBasedAgent:
             return int(self._rng.integers(len(self.grid)))
         return self._plan[hour_of_day % 24]
 
-    def observe(self, obs: ObservedState, action: int, reward: float,
-                obs_next: ObservedState) -> None:
-        self.memory.add(obs.features(), action, reward, obs_next.features())
+    def observe(self, obs: np.ndarray, action: int, reward: float,
+                obs_next: np.ndarray) -> None:
+        self.memory.add(obs, action, reward, obs_next)
 
-    def daily_update(self, obs: ObservedState, tariff_window, ambient_window,
+    def daily_update(self, obs: np.ndarray, tariff_window, ambient_window,
                      band: ComfortBand) -> float | None:
         """Retrain on the memory, decay epsilon, and plan the coming day."""
         if self._started:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ActionGrid, ObservedState
+from .mdp import ActionGrid
 from .model_based import ExplorationSchedule, SampleMemory
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward, forward_batch, train_minibatch)
@@ -224,14 +224,14 @@ class ModelFreeAgent:
         """Normalise state features, one vector or a matrix of rows."""
         return self.normalizer.apply(x) if self.normalizer is not None else x
 
-    def _encoded_q(self, obs: ObservedState) -> tuple[np.ndarray, np.ndarray]:
-        x = self.encode(obs.features())
+    def _encoded_q(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = self.encode(obs)
         return x, forward(self.pair.online, x)
 
-    def q_values(self, obs: ObservedState) -> np.ndarray:
+    def q_values(self, obs: np.ndarray) -> np.ndarray:
         return self._encoded_q(obs)[1]
 
-    def act(self, obs: ObservedState, hour: int | None = None,
+    def act(self, obs: np.ndarray, hour: int | None = None,
             epsilon: float | None = None) -> int:
         x, q = self._encoded_q(obs)
         self._acted = (obs, self.pair.online, x, q)
@@ -246,8 +246,8 @@ class ModelFreeAgent:
             self.q_trace.append((hour, tuple(float(v) for v in q), action))
         return action
 
-    def observe(self, obs: ObservedState, action: int, reward: float,
-                obs_next: ObservedState) -> None:
+    def observe(self, obs: np.ndarray, action: int, reward: float,
+                obs_next: np.ndarray) -> None:
         """File the transition with its TD priority, as encoded features.
 
         Reuses the features and Q-values of the `act` on this same
@@ -258,7 +258,7 @@ class ModelFreeAgent:
             x, q = acted[2], acted[3]
         else:
             x, q = self._encoded_q(obs)
-        x_next = self.encode(obs_next.features()[None, :])
+        x_next = self.encode(obs_next[None, :])
         target = q_target(x_next, np.array([reward]), self.pair)
         self.replay.add(x, action, reward, x_next[0],
                         compute_priority(float(target[0]), float(q[action]),

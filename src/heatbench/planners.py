@@ -8,7 +8,8 @@ discounting inside the window.
 
 Models implement the DynamicsModel protocol: a batched `rollout_temps`
 that predicts the indoor temperatures of a whole candidate population of
-power sequences in W at once, always from the same root state.
+power sequences in W at once, always from the same root observation
+`start`, the vector [T_i(t), ..., T_i(t-n), T_a(t)] of `mdp.encode_state`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 from .emulator import BuildingParams, BuildingState, hour_affine_map
-from .mdp import ActionGrid, ComfortBand, ObservedState, comfort_reward_batch
+from .mdp import ActionGrid, ComfortBand, comfort_reward_batch
 
 __all__ = [
     "DynamicsModel",
@@ -39,10 +40,12 @@ class DynamicsModel(Protocol):
     """Indoor-temperature predictor used by the planners: it rolls out a
     population of heat-pump power sequences in W, all from one root state."""
 
-    def rollout_temps(self, start: ObservedState, powers: np.ndarray,
+    def rollout_temps(self, start: np.ndarray, powers: np.ndarray,
                       ambient: np.ndarray) -> np.ndarray:
         """Predicted arrival temperatures of an (n_sequences, horizon) matrix of
-        electrical powers in W under a float array of the horizon's ambient."""
+        electrical powers in W under a float array of the horizon's ambient,
+        from the observation vector `start`: the n+1 latest indoor
+        temperatures, newest first, then the current ambient temperature."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -81,7 +84,7 @@ class ExactDynamicsModel:
         self._root = np.array([state.indoor_temp, state.envelope_temp])
         self._free: tuple[tuple[int, bytes], np.ndarray] | None = None
 
-    def rollout_temps(self, start: ObservedState, powers: np.ndarray,
+    def rollout_temps(self, start: np.ndarray, powers: np.ndarray,
                       ambient: np.ndarray) -> np.ndarray:
         horizon = powers.shape[1]
         lead, gain = _impulse_response(self._params, horizon)
@@ -171,7 +174,7 @@ def _check_seed(seed_sequence, horizon: int, n_actions: int) -> None:
             raise ValueError(f"seed_sequence[{k}] = {a!r} is not an integer in [0, {n_actions})")
 
 
-def evaluate_sequences(model: DynamicsModel, start: ObservedState, powers: np.ndarray,
+def evaluate_sequences(model: DynamicsModel, start: np.ndarray, powers: np.ndarray,
                        prices: np.ndarray, ambient: np.ndarray,
                        band: ComfortBand) -> np.ndarray:
     """Vectorized plan returns of an (n_sequences, horizon) matrix of powers in W."""
@@ -203,7 +206,7 @@ class _BestTracker:
         return Plan(tuple(int(a) for a in self.sequence), self.value)
 
 
-def plan_exhaustive(model: DynamicsModel, start: ObservedState, horizon: int,
+def plan_exhaustive(model: DynamicsModel, start: np.ndarray, horizon: int,
                     grid: ActionGrid, tariff_window, ambient_window,
                     band: ComfortBand, cap: int = 6 ** 4) -> Plan:
     """True argmax over every action sequence; ties resolved toward lower
@@ -233,7 +236,7 @@ def _sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> 
     return out.astype(np.intp)
 
 
-def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
+def plan_cem(model: DynamicsModel, start: np.ndarray, horizon: int,
              grid: ActionGrid, tariff_window, ambient_window, band: ComfortBand,
              config: CemConfig, rng: np.random.Generator,
              seed_sequence=None) -> Plan:
@@ -270,7 +273,7 @@ def plan_cem(model: DynamicsModel, start: ObservedState, horizon: int,
     return tracker.plan()
 
 
-def plan_ga(model: DynamicsModel, start: ObservedState, horizon: int,
+def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
             grid: ActionGrid, tariff_window, ambient_window, band: ComfortBand,
             config: GaConfig, rng: np.random.Generator,
             seed_sequence=None) -> Plan:

@@ -15,7 +15,7 @@ from scipy import stats
 from heatbench.baselines import MpcConfig, MpcController
 from heatbench.emulator import BuildingParams, BuildingState, step
 from heatbench.harness import Scenario, build_traces, run_scenario, simulate
-from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, ObservedState,
+from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, encode_state,
                            log_metrics)
 from heatbench.model_based import MbrlConfig, ModelBasedAgent
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
@@ -122,7 +122,7 @@ def test_criterion_4_planner_optimality():
         ambient = rng.uniform(-10.0, 15.0, size=3)
         prices = rng.uniform(0.1, 0.45, size=3)
         model = ExactDynamicsModel(params, BuildingState(t_i, t_m, 0))
-        obs = ObservedState((t_i,) * 4, ambient[0])
+        obs = encode_state((t_i,) * 4, ambient[0], 3)
         oracle = plan_exhaustive(model, obs, 3, GRID, prices, ambient, BAND)
         slack = max(0.01 * abs(oracle.expected_return), 1e-9)
         for planner, cfg in ((plan_cem, CemConfig()), (plan_ga, GaConfig())):
@@ -142,7 +142,7 @@ def test_criterion_5_q_learning_correctness():
     """Toy-MDP convergence to value iteration within 1e-2 on 3 seeds; the
     double-Q target yields 0 where a plain max would give 9."""
     t0 = time.perf_counter()
-    s0, s1 = ObservedState((0.0,), 0.0), ObservedState((1.0,), 0.0)
+    s0, s1 = encode_state((0.0,), 0.0, 0), encode_state((1.0,), 0.0, 0)
     transitions = [(s0, 0, s0, -1.0), (s0, 1, s1, -2.0),
                    (s1, 0, s1, -0.5), (s1, 1, s0, -1.5)]
     gamma = 0.9
@@ -181,7 +181,7 @@ def test_criterion_5_q_learning_correctness():
 
     pair = QPair(bias_net([1.0, 2.0]), bias_net([10.0, 0.0]), gamma=0.9)
     # one transition s0 -> s1 with reward 0
-    batch = (s1.features()[None, :], np.array([0.0]))
+    batch = (s1[None, :], np.array([0.0]))
     assert q_target(*batch, pair)[0] == pytest.approx(0.0)
     assert q_target(*batch, pair, selection_by_target=True)[0] == pytest.approx(9.0)
     elapsed = time.perf_counter() - t0
@@ -273,7 +273,7 @@ def test_criterion_7_robustness_scenarios(tmp_path):
 def test_criterion_8_prioritized_replay_statistics():
     """Sampling frequencies match priority^alpha proportions (chi-square);
     alpha = 0 reduces to uniform."""
-    s = ObservedState((0.0,), 0.0).features()
+    s = encode_state((0.0,), 0.0, 0)
     mem = PrioritizedReplay(capacity=8, alpha=0.6)
     priorities = [3.0, 1.0, 0.5]
     for p in priorities:
@@ -316,7 +316,7 @@ def test_criterion_9_byte_determinism(tmp_path):
 
 def test_criterion_10_relative_compute_ordering():
     """MF-RL action selection is at least 10x cheaper than one MB-RL plan."""
-    obs = ObservedState((20.0,) * 4, 5.0)
+    obs = encode_state((20.0,) * 4, 5.0, 3)
     mf = ModelFreeAgent(MfrlConfig(), GRID, np.random.default_rng(0), history_length=3)
     n_act = 300
     t0 = time.perf_counter()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from heatbench.baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from heatbench.emulator import BuildingParams, BuildingState, step
 from heatbench.harness import Scenario, build_traces, simulate
-from heatbench.mdp import ActionGrid, ComfortBand, ObservedState, log_metrics
+from heatbench.mdp import ActionGrid, ComfortBand, encode_state, log_metrics
 
 PARAMS = BuildingParams()
 GRID = ActionGrid()
@@ -54,7 +54,7 @@ def _controller(planner="exhaustive", horizon=3):
 def test_mpc_idles_when_warm_and_mild():
     mpc = _controller(horizon=3)
     state = BuildingState(22.5, 22.5, 0)
-    obs = ObservedState((22.5,) * 4, 14.0)
+    obs = encode_state((22.5,) * 4, 14.0, 3)
     action = mpc.decide(state, obs, [0.24] * 3, [14.0] * 3, BAND)
     assert action == 0
 
@@ -64,7 +64,7 @@ def test_mpc_preheats_before_expensive_block():
     # lower bound: the oracle shifts heating into the cheap hour
     mpc = _controller(horizon=4)
     state = BuildingState(19.3, 20.0, 0)
-    obs = ObservedState((19.3,) * 4, 0.0)
+    obs = encode_state((19.3,) * 4, 0.0, 3)
     action = mpc.decide(state, obs, [0.20, 0.45, 0.45, 0.45], [0.0] * 4, BAND)
     assert action > 0
 
@@ -72,7 +72,7 @@ def test_mpc_preheats_before_expensive_block():
 def test_mpc_full_power_when_only_that_avoids_violation():
     mpc = _controller(horizon=1)
     state = BuildingState(14.0, 15.0, 0)
-    obs = ObservedState((14.0,) * 4, -15.0)
+    obs = encode_state((14.0,) * 4, -15.0, 3)
     action = mpc.decide(state, obs, [0.24], [-15.0], BAND)
     assert action == GRID.max_index
 
@@ -80,7 +80,7 @@ def test_mpc_full_power_when_only_that_avoids_violation():
 def test_mpc_requires_lookahead():
     mpc = _controller()
     state = BuildingState(20.0, 20.0, 0)
-    obs = ObservedState((20.0,) * 4, 5.0)
+    obs = encode_state((20.0,) * 4, 5.0, 3)
     with pytest.raises(ValueError):
         mpc.decide(state, obs, [], [], BAND)
 

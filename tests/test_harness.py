@@ -335,6 +335,8 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[tariff]\nrtp_step = inf\n", "rtp_step must be finite"),
     ("[tariff]\nrtp_step = -0.5\n", "rtp_step must be finite and >= 0"),
     ("[building]\nindoor_capacitance = 1e5\nsubstep_seconds = 3600\n", "unstable sub-step"),
+    ("[scenario]\nhistory_length = -1\n", "history_length must be >= 0"),
+    ("[scenario]\ninitial_temp_c = nan\n", "initial_temp_c must be finite"),
 ])
 def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):
     with pytest.raises(ValueError, match=match):
@@ -370,8 +372,8 @@ def test_mfrl_replay_rows_hold_normalised_features_after_warmup(monkeypatch):
 
     class RecordingAgent(ModelFreeAgent):
         def observe(self, obs, action, reward, obs_next):
-            raw_s.append(obs.features())
-            raw_next.append(obs_next.features())
+            raw_s.append(obs)
+            raw_next.append(obs_next)
             super().observe(obs, action, reward, obs_next)
 
     monkeypatch.setattr("heatbench.harness.ModelFreeAgent", RecordingAgent)
@@ -401,6 +403,23 @@ def test_suite_from_ini(tmp_path):
         suite_from_ini(_ini(tmp_path, "[suite]\ntariff_kind = dual\n"))
     with pytest.raises(ValueError, match=r"unknown section \[mfrl_typo\]"):
         suite_from_ini(_ini(tmp_path, "[suite]\ndays = 2\n[mfrl_typo]\ngamma = 0.5\n"))
+
+
+@pytest.mark.parametrize("agents, match", [
+    ((), "at least one agent"),
+    (("mpc", "mpc"), "name an agent twice"),
+    (("rbc", "dqn"), "unknown agent 'dqn'"),
+], ids=["empty", "repeated", "unknown"])
+def test_suite_rejects_bad_agent_lists(tmp_path, capsys, agents, match):
+    with pytest.raises(ValueError, match=match):
+        SuiteConfig(agents=agents)
+    path = _ini(tmp_path, f"[suite]\nagents = {', '.join(agents)}\n")
+    with pytest.raises(ValueError, match=match):
+        suite_from_ini(path)
+    out = tmp_path / "out"
+    assert cli_main(["suite", "--config", str(path), "--out", str(out)]) == 2
+    assert match in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert not out.exists()
 
 
 def test_suite_from_ini_scenario_sections_set_the_base(tmp_path):

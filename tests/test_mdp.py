@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heatbench.mdp import (_ABOVE_GROWTH, _ABOVE_SCALE, _BELOW_GROWTH, _BELOW_SCALE,
                            ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
-                           ObservedState, TariffConfig, TariffSignal,
+                           TariffConfig, TariffSignal,
                            comfort_reward, comfort_reward_batch, consumption_reward,
                            encode_state, log_metrics, make_tariff)
 
@@ -18,14 +18,12 @@ BAND = ComfortBand(19.0, 23.0)
 
 def test_encode_state_windows_newest_first():
     obs = encode_state([21.0, 20.0, 19.0, 18.0], ambient_c=5.0, n=2)
-    assert obs.indoor_history == (21.0, 20.0, 19.0)
-    assert obs.ambient_now == 5.0
+    assert obs.tolist() == [21.0, 20.0, 19.0, 5.0]
 
 
 def test_encode_state_degenerate_window():
     obs = encode_state([20.0], ambient_c=3.0, n=0)
-    assert obs.indoor_history == (20.0,)
-    assert obs.ambient_now == 3.0
+    assert obs.tolist() == [20.0, 3.0]
 
 
 def test_encode_state_short_history_rejected():
@@ -301,6 +299,11 @@ def test_band_schedule_lookup():
         BandSchedule(((5, ComfortBand(19, 23)),))
 
 
-def test_observed_state_rejects_non_finite():
-    with pytest.raises(ValueError):
-        ObservedState((float("nan"),), 5.0)
+@pytest.mark.parametrize("history, ambient", [
+    ([math.nan, 20.0], 5.0), ([20.0, math.inf], 5.0), ([-math.inf, 20.0], 5.0),
+    ([20.0, 20.0], math.nan), ([20.0, 20.0], math.inf), ([20.0, 20.0], -math.inf),
+], ids=["nan_now", "inf_past", "neg_inf_now", "nan_ambient", "inf_ambient",
+        "neg_inf_ambient"])
+def test_encode_state_rejects_non_finite(history, ambient):
+    with pytest.raises(ValueError, match="must be finite"):
+        encode_state(history, ambient, n=1)

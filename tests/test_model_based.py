@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from heatbench.emulator import BuildingParams, BuildingState
-from heatbench.mdp import ActionGrid, ComfortBand, ObservedState
+from heatbench.mdp import ActionGrid, ComfortBand, encode_state
 from heatbench.model_based import (ExplorationSchedule, LearnedDynamicsModel,
                                    MbrlConfig, ModelBasedAgent, SampleMemory,
                                    TransitionModel, train_transition_model,
@@ -16,14 +16,14 @@ BAND = ComfortBand(19.0, 23.0)
 
 def _transition(t=20.0, a=0, t_next=None, ambient=5.0):
     """(obs, action, reward, next obs) of one hour at the given ambient in degC."""
-    s = ObservedState((t,) * 4, ambient)
-    s2 = ObservedState((t_next if t_next is not None else t,) + (t,) * 3, ambient)
+    s = encode_state((t,) * 4, ambient, 3)
+    s2 = encode_state((t_next if t_next is not None else t,) + (t,) * 3, ambient, 3)
     return s, a, -0.05, s2
 
 
 def _add(mem, s, a, r, s2):
-    """File one transition, given as observed states, in the memory."""
-    mem.add(s.features(), a, r, s2.features())
+    """File one transition, given as observation vectors, in the memory."""
+    mem.add(s, a, r, s2)
 
 
 def test_memory_fifo_eviction():
@@ -33,8 +33,8 @@ def test_memory_fifo_eviction():
         _add(mem, *transition)
     assert len(mem) == 3
     # oldest evicted first; rows come back oldest-first after the ring wraps
-    assert mem.rows(mem.s).tolist() == [list(s.features()) for s, *_ in transitions[1:]]
-    assert mem.rows(mem.s_next).tolist() == [list(s2.features())
+    assert mem.rows(mem.s).tolist() == [list(s) for s, *_ in transitions[1:]]
+    assert mem.rows(mem.s_next).tolist() == [list(s2)
                                              for *_, s2 in transitions[1:]]
 
 
@@ -49,9 +49,8 @@ def test_training_matrix_of_wrapped_memory_matches_per_sample_build():
         _add(mem, *transitions[-1])
     x, y = training_matrix(mem, GRID)
     kept = transitions[-5:]
-    x_ref = np.stack([np.array(s.indoor_history + (s.ambient_now, GRID.levels_w[a]))
-                      for s, a, _, _ in kept])
-    y_ref = np.array([s2.indoor_history[0] for *_, s2 in kept])
+    x_ref = np.stack([np.append(s, GRID.levels_w[a]) for s, a, _, _ in kept])
+    y_ref = np.array([s2[0] for *_, s2 in kept])
     assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
 
@@ -118,7 +117,7 @@ def test_train_learns_constant_trajectory():
 def test_untrained_model_predicts_room_scale_constant():
     model = TransitionModel.create(6, MbrlConfig(), seed=0)
     learned = LearnedDynamicsModel(model)
-    obs = ObservedState((20.0,) * 4, 5.0)
+    obs = encode_state((20.0,) * 4, 5.0, 3)
     temps = learned.rollout_temps(obs, np.array([[0.0, 2000.0, 800.0]]), np.full(3, 5.0))
     assert np.all((15.0 < temps) & (temps < 27.0))
 
@@ -137,11 +136,11 @@ def test_learned_batch_rollout_matches_per_step():
     model, _ = train_transition_model(mem, model, GRID, cfg, rng)
     learned = LearnedDynamicsModel(model)
 
-    obs = ObservedState((20.0, 20.2, 20.4, 20.6), 5.0)
+    obs = encode_state((20.0, 20.2, 20.4, 20.6), 5.0, 3)
     actions = np.array([[1, 5, 0]])
     ambient = np.array([5.0, 4.0, 3.0])
     temps = learned.rollout_temps(obs, np.asarray(GRID.levels_w)[actions], ambient)
-    history = obs.indoor_history
+    history = tuple(obs[:-1].tolist())
     for k, a in enumerate(actions[0]):
         features = np.array(history + (ambient[k], GRID.levels_w[a]))
         t_next = float(model.predict_batch(features[None, :])[0])
@@ -154,7 +153,7 @@ def _column_stack_rollout(model, start, actions, ambient_window):
     """Reference rollout that rebuilds the feature matrix every hour."""
     n_seq, horizon = actions.shape
     levels = np.asarray(GRID.levels_w)
-    hist = np.tile(np.asarray(start.indoor_history), (n_seq, 1))
+    hist = np.tile(start[:-1], (n_seq, 1))
     out = np.empty((n_seq, horizon))
     for k in range(horizon):
         features = np.column_stack([hist, np.full(n_seq, ambient_window[k]),
@@ -178,7 +177,7 @@ def test_learned_rollout_equals_column_stack_reference(history_length):
     model = TransitionModel.create(n + 2, cfg, seed=1)
     model, _ = train_transition_model(mem, model, GRID, cfg, rng)
 
-    obs = ObservedState(tuple(rng.uniform(18.0, 22.0, size=n)), 4.0)
+    obs = encode_state(rng.uniform(18.0, 22.0, size=n), 4.0, history_length)
     actions = rng.integers(len(GRID), size=(16, 24))
     ambient = rng.uniform(-5.0, 10.0, size=24)
     temps = LearnedDynamicsModel(model).rollout_temps(obs, np.asarray(GRID.levels_w)[actions],
@@ -208,7 +207,7 @@ def test_act_follows_plan_when_greedy():
 
 
 def test_daily_update_deterministic():
-    obs = ObservedState((20.0,) * 4, 5.0)
+    obs = encode_state((20.0,) * 4, 5.0, 3)
     tariff = np.full(24, 0.24)
     ambient = np.full(24, 5.0)
     plans = []
@@ -225,7 +224,7 @@ def test_daily_update_deterministic():
 
 def test_daily_update_advances_epsilon_after_first_day():
     agent = _agent()
-    obs = ObservedState((20.0,) * 4, 5.0)
+    obs = encode_state((20.0,) * 4, 5.0, 3)
     tariff = np.full(24, 0.24)
     ambient = np.full(24, 5.0)
     agent.daily_update(obs, tariff, ambient, BAND)
@@ -241,7 +240,7 @@ def test_exact_model_injection_reduces_to_mpc_plan():
     exact = ExactDynamicsModel(params, state)
     agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(123),
                             seed=0, history_length=3, dynamics_override=exact)
-    obs = ObservedState((19.5,) * 4, 2.0)
+    obs = encode_state((19.5,) * 4, 2.0, 3)
     tariff = np.full(24, 0.24)
     ambient = np.linspace(2.0, 4.0, 24)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from heatbench.mdp import ActionGrid, ObservedState
+from heatbench.mdp import ActionGrid, encode_state
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, compute_priority, q_target, replay_sample,
                                   soft_update)
@@ -22,17 +22,17 @@ def _bias_net(biases, n_inputs=1):
     return params
 
 
-S0, S1 = ObservedState((0.0,), 0.0), ObservedState((1.0,), 0.0)
+S0, S1 = encode_state((0.0,), 0.0, 0), encode_state((1.0,), 0.0, 0)
 
 
 def _add(mem, priority, a=0, r=-1.0):
     """File the transition S0 -a-> S1 with reward r."""
-    return mem.add(S0.features(), a, r, S1.features(), priority)
+    return mem.add(S0, a, r, S1, priority)
 
 
 def _target(pair, r, **kwargs):
     """q_target of the one transition into S1 with reward r (unnormalised)."""
-    return q_target(S1.features()[None, :], np.array([r]), pair, **kwargs)[0]
+    return q_target(S1[None, :], np.array([r]), pair, **kwargs)[0]
 
 
 def test_q_target_gamma_zero_is_reward():
@@ -298,7 +298,7 @@ def test_act_argmax_and_tie_break():
     agent = _agent()
     agent.pair.online = _bias_net([0.0, 1.0, 5.0, 2.0, 2.0, 1.0], 2)
     agent.pair.target = _bias_net([0.0, 1.0, 5.0, 2.0, 2.0, 1.0], 2)
-    obs = ObservedState((20.0,), 5.0)
+    obs = encode_state((20.0,), 5.0, 0)
     assert agent.act(obs, epsilon=0.0) == 2
 
     agent.pair.online = _bias_net([1.0] * 6, 2)
@@ -307,7 +307,7 @@ def test_act_argmax_and_tie_break():
 
 def test_act_greedy_invariant_under_constant_shift():
     agent = _agent()
-    obs = ObservedState((20.0,), 5.0)
+    obs = encode_state((20.0,), 5.0, 0)
     agent.pair.online = _bias_net([0.0, 1.0, 5.0, 2.0, 2.0, 1.0], 2)
     base = agent.act(obs, epsilon=0.0)
     agent.pair.online = _bias_net([7.0, 8.0, 12.0, 9.0, 9.0, 8.0], 2)
@@ -316,7 +316,7 @@ def test_act_greedy_invariant_under_constant_shift():
 
 def test_act_uniform_at_full_exploration():
     agent = _agent()
-    obs = ObservedState((20.0,), 5.0)
+    obs = encode_state((20.0,), 5.0, 0)
     draws = np.array([agent.act(obs, epsilon=1.0) for _ in range(10_000)])
     counts = np.bincount(draws, minlength=6)
     chi2 = ((counts - len(draws) / 6) ** 2 / (len(draws) / 6)).sum()
@@ -345,7 +345,7 @@ def test_observe_stores_with_td_priority():
 def _warm_agent():
     """Agent past warm-up: normalizer fitted, replay filled with encoded rows."""
     agent = _agent()
-    states = [ObservedState((float(i),), 0.5 * i) for i in range(6)]
+    states = [encode_state((float(i),), 0.5 * i, 0) for i in range(6)]
     for i in range(5):
         agent.observe(states[i], i % 2, -float(i), states[i + 1])
     assert agent.normalizer is not None
@@ -354,43 +354,43 @@ def _warm_agent():
 
 def _expected_priority(agent, obs, action, reward, obs_next):
     """The priority of a fresh forward on the current online network."""
-    q_sa = forward(agent.pair.online, agent.normalizer.apply(obs.features()))[action]
-    target = q_target(agent.normalizer.apply(obs_next.features()[None, :]),
+    q_sa = forward(agent.pair.online, agent.normalizer.apply(obs))[action]
+    target = q_target(agent.normalizer.apply(obs_next[None, :]),
                       np.array([reward]), agent.pair)[0]
     return compute_priority(float(target), float(q_sa), agent.cfg.priority_offset)
 
 
 def test_observe_after_act_scores_like_a_fresh_forward():
     agent = _warm_agent()
-    obs, obs_next = ObservedState((2.5,), 1.0), ObservedState((3.0,), 1.5)
+    obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
     action = agent.act(obs, epsilon=0.0)
     agent.observe(obs, action, -1.0, obs_next)
     slot = len(agent.replay) - 1
     assert agent.replay.priority(slot) == _expected_priority(agent, obs, action, -1.0,
                                                              obs_next)
-    assert np.array_equal(agent.replay.s[slot], agent.normalizer.apply(obs.features()))
+    assert np.array_equal(agent.replay.s[slot], agent.normalizer.apply(obs))
     assert np.array_equal(agent.replay.s_next[slot],
-                          agent.normalizer.apply(obs_next.features()))
+                          agent.normalizer.apply(obs_next))
 
 
 @pytest.mark.parametrize("between", ["train_cycle", "daily_update", "other_obs"])
 def test_observe_does_not_reuse_q_values_across_training(between):
     agent = _warm_agent()
-    obs, obs_next = ObservedState((2.5,), 1.0), ObservedState((3.0,), 1.5)
-    stale = forward(agent.pair.online, agent.normalizer.apply(obs.features()))
+    obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
+    stale = forward(agent.pair.online, agent.normalizer.apply(obs))
     agent.act(obs, epsilon=0.0)
     if between == "train_cycle":
         assert agent.train_cycle()
     elif between == "daily_update":
         assert agent.daily_update() == agent.cfg.train_cycles_per_update
     else:  # an equal but distinct observation must not match the cached one
-        obs = ObservedState((2.5,), 1.0)
+        obs = encode_state((2.5,), 1.0, 0)
         agent.pair.online.biases[-1][...] += 1.0
     agent.observe(obs, 3, -1.0, obs_next)
     slot = len(agent.replay) - 1
     expected = _expected_priority(agent, obs, 3, -1.0, obs_next)
     assert agent.replay.priority(slot) == expected
-    fresh = forward(agent.pair.online, agent.normalizer.apply(obs.features()))
+    fresh = forward(agent.pair.online, agent.normalizer.apply(obs))
     assert fresh[3] != stale[3]
 
 
@@ -415,8 +415,8 @@ def test_train_cycle_updates_priorities_in_place():
 
 
 def test_toy_mdp_converges_to_value_iteration():
-    s0 = ObservedState((0.0,), 0.0)
-    s1 = ObservedState((1.0,), 0.0)
+    s0 = encode_state((0.0,), 0.0, 0)
+    s1 = encode_state((1.0,), 0.0, 0)
     transitions = [
         (s0, 0, s0, -1.0), (s0, 1, s1, -2.0),
         (s1, 0, s1, -0.5), (s1, 1, s0, -1.5),

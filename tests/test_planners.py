@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatbench.emulator import BuildingParams, BuildingState, hour_affine_map, step
-from heatbench.mdp import ActionGrid, ComfortBand, ObservedState, comfort_reward
+from heatbench.mdp import ActionGrid, ComfortBand, encode_state, comfort_reward
 from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, _sample_categorical,
                                 evaluate_sequences, plan_cem, plan_exhaustive, plan_ga)
 
@@ -29,7 +29,7 @@ class ConstantModel:
 
 def _exact(t_i, t_m, ambient):
     state = BuildingState(t_i, t_m, 0)
-    return ExactDynamicsModel(PARAMS, state), ObservedState((t_i,) * 4, ambient)
+    return ExactDynamicsModel(PARAMS, state), encode_state((t_i,) * 4, ambient, 3)
 
 
 def _random_instance(seed, horizon):
@@ -39,7 +39,7 @@ def _random_instance(seed, horizon):
     ambient = rng.uniform(-5.0, 12.0, size=horizon)
     prices = rng.uniform(0.1, 0.4, size=horizon)
     model = ExactDynamicsModel(PARAMS, BuildingState(t_i, t_m, 0))
-    return model, ObservedState((t_i,) * 4, ambient[0]), prices, ambient
+    return model, encode_state((t_i,) * 4, ambient[0], 3), prices, ambient
 
 
 def _rollout_return(model, obs, actions, prices, ambient):
@@ -51,13 +51,13 @@ def _rollout_return(model, obs, actions, prices, ambient):
 
 def test_rollout_return_zero_when_idle_inside_band():
     model = ConstantModel(21.0)
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     assert _rollout_return(model, obs, [0], [0.05], [5.0]) == 0.0
 
 
 def test_rollout_return_consumption_only():
     model = ConstantModel(21.0)
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     ret = _rollout_return(model, obs, [5], [0.05], [5.0])
     assert ret == pytest.approx(-0.10)
 
@@ -70,14 +70,14 @@ def test_rollout_return_additive_over_steps():
     first = _rollout_return(model, obs, actions[:1], [0.2], [5.0])
     mid, _ = step(BuildingState(20.0, 20.0, 0), PARAMS, 5.0, GRID.levels_w[3])
     model2 = ExactDynamicsModel(PARAMS, mid)
-    obs2 = ObservedState((mid.indoor_temp,) * 4, 4.0)
+    obs2 = encode_state((mid.indoor_temp,) * 4, 4.0, 3)
     second = _rollout_return(model2, obs2, actions[1:], [0.3], [4.0])
     assert total == pytest.approx(first + second, abs=1e-9)
 
 
 def test_rollout_return_rejects_short_windows():
     model = ConstantModel()
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     with pytest.raises(ValueError, match="shorter than the planning horizon"):
         plan_exhaustive(model, obs, 2, GRID, [0.2], [5.0, 5.0], BAND)
     with pytest.raises(ValueError, match="shorter than the planning horizon"):
@@ -99,7 +99,7 @@ def test_rollout_matches_realized_episode_return():
         realized += comfort_reward(s.indoor_temp, BAND)
 
     model = ExactDynamicsModel(PARAMS, state)
-    obs = ObservedState((19.5,) * 4, ambient[0])
+    obs = encode_state((19.5,) * 4, ambient[0], 3)
     planned = _rollout_return(model, obs, actions, prices, ambient)
     assert planned == pytest.approx(realized, abs=1e-9)
 
@@ -107,7 +107,7 @@ def test_rollout_matches_realized_episode_return():
 def test_exhaustive_single_action_grid():
     grid1 = ActionGrid((0.0,))
     model = ConstantModel()
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     plan = plan_exhaustive(model, obs, 3, grid1, [0.2] * 3, [5.0] * 3, BAND)
     assert plan.actions == (0, 0, 0)
 
@@ -115,7 +115,7 @@ def test_exhaustive_single_action_grid():
 def test_exhaustive_tie_breaks_toward_lower_energy():
     # zero prices and a frozen temperature: every sequence returns 0
     model = ConstantModel(21.0)
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     plan = plan_exhaustive(model, obs, 2, GRID, [0.0, 0.0], [5.0, 5.0], BAND)
     assert plan.expected_return == 0.0
     assert plan.actions == (0, 0)
@@ -123,7 +123,7 @@ def test_exhaustive_tie_breaks_toward_lower_energy():
 
 def test_exhaustive_cap():
     model = ConstantModel()
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     with pytest.raises(ValueError):
         plan_exhaustive(model, obs, 5, GRID, [0.2] * 5, [5.0] * 5, BAND)
 
@@ -156,7 +156,7 @@ def test_cem_within_one_percent_of_oracle_horizon_three():
 
 def test_cem_flat_landscape_returns_constant():
     model = ConstantModel(21.0)
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     plan = plan_cem(model, obs, 3, GRID, np.zeros(3), [5.0] * 3, BAND,
                     CemConfig(), np.random.default_rng(1))
     assert plan.expected_return == 0.0
@@ -199,7 +199,7 @@ def test_ga_zero_mutation_identical_genomes_stay_identical():
     # crossover alone must not invent new genomes
     grid1 = ActionGrid((0.0,))
     model = ConstantModel()
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     cfg = GaConfig(population=8, generations=5, mutation_rate=0.0, immigrants=0)
     plan = plan_ga(model, obs, 2, grid1, [0.2] * 2, [5.0] * 2, BAND,
                    cfg, np.random.default_rng(0))
@@ -236,7 +236,7 @@ class NanWhenFirstIdleModel(ConstantModel):
 
 def test_planners_never_return_a_nan_trajectory():
     model = NanWhenFirstIdleModel()
-    obs = ObservedState((21.0,) * 4, 5.0)
+    obs = encode_state((21.0,) * 4, 5.0, 3)
     prices, ambient = [0.24] * 3, [5.0] * 3
     plans = [plan_exhaustive(model, obs, 3, GRID, prices, ambient, BAND)]
     for seed in range(3):
@@ -286,7 +286,7 @@ def test_closed_form_rollout_matches_hourly_recursion(horizon):
     actions = rng.integers(len(GRID), size=(32, horizon))
     ambient = rng.uniform(-15.0, 15.0, size=horizon)
     model = ExactDynamicsModel(params, state)
-    temps = model.rollout_temps(ObservedState((state.indoor_temp,) * 4, ambient[0]),
+    temps = model.rollout_temps(encode_state((state.indoor_temp,) * 4, ambient[0], 3),
                                 LEVELS[actions], ambient)
     reference = _recursive_rollout(params, state, actions, ambient)
     assert np.max(np.abs(temps - reference)) <= 1e-12
@@ -295,7 +295,7 @@ def test_closed_form_rollout_matches_hourly_recursion(horizon):
 
 def test_exact_rollout_recomputes_the_free_response_for_a_new_window():
     state = BuildingState(19.5, 20.5, 0)
-    obs = ObservedState((19.5,) * 4, 3.0)
+    obs = encode_state((19.5,) * 4, 3.0, 3)
     rng = np.random.default_rng(5)
     model = ExactDynamicsModel(PARAMS, state)
     calls = [(rng.integers(len(GRID), size=(16, 24)), np.full(24, 3.0)),
@@ -390,7 +390,7 @@ def test_best_sequence_matches_loop_on_ties_nan_and_minus_inf(data, horizon, n_a
     grid = ActionGrid(tuple(400.0 * a for a in range(n_actions)))
     table = data.draw(st.lists(st.lists(_temps, min_size=3, max_size=3),
                                min_size=horizon, max_size=horizon))
-    model, obs = IndexSumModel(table), ObservedState((21.0,) * 4, 5.0)
+    model, obs = IndexSumModel(table), encode_state((21.0,) * 4, 5.0, 3)
     prices, ambient = [price] * horizon, [5.0] * horizon
     actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
     with np.errstate(invalid="ignore"):
@@ -431,7 +431,7 @@ def test_planners_reject_nan_windows(planner):
 def test_planners_name_the_cause_when_every_return_is_nan(planner):
     idle_only = ActionGrid((0.0,))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="return was NaN"):
-        _plan(planner, ConstantModel(), ObservedState((21.0,) * 4, 5.0), idle_only,
+        _plan(planner, ConstantModel(), encode_state((21.0,) * 4, 5.0, 3), idle_only,
               [np.inf] * 3, [5.0] * 3)
 
 
@@ -490,7 +490,7 @@ def test_cem_matches_loop_reference(data, horizon, seed, smoothing, explore_floo
                                               max_size=horizon))) if warm else None)
     config = CemConfig(population=24, elite_fraction=0.25, iterations=4,
                        smoothing=smoothing, explore_floor=explore_floor)
-    model, obs, ambient = IndexSumModel(table), ObservedState((21.0,) * 4, 5.0), [5.0] * horizon
+    model, obs, ambient = IndexSumModel(table), encode_state((21.0,) * 4, 5.0, 3), [5.0] * horizon
     plan = plan_cem(model, obs, horizon, GRID, prices, ambient, BAND, config,
                     np.random.default_rng(seed), seed_sequence)
     value, actions = _loop_cem(model, obs, horizon, GRID, prices, ambient, config,
