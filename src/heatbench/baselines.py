@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emulator import BuildingParams, BuildingState
-from .mdp import ActionGrid, ComfortBand
+from .mdp import ActionGrid, ComfortBand, Controller
 from .planners import (CemConfig, ExactDynamicsModel, GaConfig, plan_cem,
                        plan_exhaustive, plan_ga)
 
-__all__ = ["RbcConfig", "rbc_action", "MpcConfig", "MpcController"]
+__all__ = ["RbcConfig", "rbc_action", "RbcController", "MpcConfig", "MpcController"]
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class RbcConfig:
     hysteresis_c: float = 0.0
 
     def __post_init__(self):
-        if self.hysteresis_c < 0.0:
-            raise ValueError("hysteresis must be >= 0")
+        if not 0.0 <= self.hysteresis_c < math.inf:
+            raise ValueError("hysteresis_c must be finite and >= 0")
 
 
 def rbc_action(t_i: float, band: ComfortBand, cfg: RbcConfig,
@@ -48,6 +48,17 @@ def rbc_action(t_i: float, band: ComfortBand, cfg: RbcConfig,
     if t_i < band.t_min - cfg.hysteresis_c:
         return grid.max_index
     return 0
+
+
+class RbcController(Controller):
+    """The hysteresis thermostat, on the indoor temperature of the hour."""
+
+    def __init__(self, config: RbcConfig, grid: ActionGrid):
+        self.config = config
+        self.grid = grid
+
+    def action(self, t, state, obs, prices, ambient, band) -> int:
+        return rbc_action(state.indoor_temp, band, self.config, self.grid)
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ class MpcConfig:
             raise ValueError("horizon must be >= 1")
 
 
-class MpcController:
+class MpcController(Controller):
     """Receding-horizon control with full knowledge of the building dynamics.
 
     Re-plans every hour from the true latent state; the previous plan,
@@ -104,3 +115,6 @@ class MpcController:
                                    ambient_window, band)
         self._previous = plan.actions
         return plan.actions[0]
+
+    def action(self, t, state, obs, prices, ambient, band) -> int:
+        return self.decide(state, obs, prices, ambient, band)

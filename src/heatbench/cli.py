@@ -32,6 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--days", type=int)
     suite.add_argument("--seed", type=int)
     suite.add_argument("--price", choices=PRICE_KINDS)
+    suite.add_argument("--name", help="prefix of the suite's files")
     suite.add_argument("--out", required=True)
 
     plot = sub.add_parser("plot", help="derive plot-ready CSVs from a log")

@@ -3,8 +3,12 @@
 Every scenario first leaves the building uncontrolled for a warm-up
 period, then hands control to the chosen agent; the rule-based
 controller is always run on the identical ambient/tariff traces as the
-metric denominator.  All randomness derives from the scenario seed, so
-a (scenario, seed) pair determines every output byte.
+metric denominator; a suite runs it once for all its agents.  `simulate`
+drives every controller through the hourly hooks of `mdp.Controller`:
+`start_day` at each controlled hour that opens a day, `action` for the
+hour's grid index and `observe` for the hour's transition.  All
+randomness derives from the scenario seed, so a (scenario, seed) pair
+determines every output byte.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import MpcConfig, MpcController, RbcConfig, rbc_action
+from .baselines import MpcConfig, MpcController, RbcConfig, RbcController
 from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
                        BuildingState, load_ambient_csv, make_synthetic_ambient, step)
 from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, ComfortBand,
-                  EpisodeLog, TariffConfig, TariffSignal, _left_sum, _write_rows,
-                  comfort_reward, consumption_reward, encode_state, log_metrics,
-                  make_tariff)
+                  Controller, EpisodeLog, TariffConfig, TariffSignal, _left_sum,
+                  _write_rows, comfort_reward, consumption_reward, encode_state,
+                  log_metrics, make_tariff)
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import CemConfig, GaConfig
@@ -151,8 +155,8 @@ def _agent_rng(scenario: Scenario) -> np.random.Generator:
 
 
 def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
-             tariff: TariffSignal) -> tuple[EpisodeLog, object]:
-    """Run one agent over the traces; returns its episode log and the agent."""
+             tariff: TariffSignal) -> tuple[EpisodeLog, Controller]:
+    """Run one controller over the traces; returns its episode log and the controller."""
     horizon = scenario.horizon_hours()
     n = scenario.history_length
     backup = scenario.backup_config()
@@ -160,18 +164,17 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
     grid = scenario.grid
     ambient, prices = trace.as_array(), np.asarray(tariff.prices)
     rng = _agent_rng(scenario)
-
-    agent: object = None
-    if agent_kind == "mpc":
-        agent = MpcController(scenario.building, grid, scenario.mpc, rng)
-    elif agent_kind == "mbrl":
-        agent = ModelBasedAgent(scenario.mbrl, grid, rng, seed=scenario.seed,
-                                history_length=n)
-    elif agent_kind == "mfrl":
-        agent = ModelFreeAgent(scenario.mfrl, grid, rng, seed=scenario.seed,
-                               history_length=n)
-    elif agent_kind != "rbc":
+    controllers = {
+        "rbc": lambda: RbcController(scenario.rbc, grid),
+        "mpc": lambda: MpcController(scenario.building, grid, scenario.mpc, rng),
+        "mbrl": lambda: ModelBasedAgent(scenario.mbrl, grid, rng, seed=scenario.seed,
+                                        history_length=n),
+        "mfrl": lambda: ModelFreeAgent(scenario.mfrl, grid, rng, seed=scenario.seed,
+                                       history_length=n),
+    }
+    if agent_kind not in controllers:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
+    agent = controllers[agent_kind]()
 
     state = BuildingState(scenario.initial_temp_c, scenario.initial_temp_c, 0)
     steps = np.recarray(horizon, dtype=EPISODE_DTYPE)
@@ -179,28 +182,12 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
 
     for t in range(horizon):
         controlled = t >= scenario.warmup_hours
-        band_now = schedule.band_at(t)
-
-        if controlled and t % 24 == 0:
-            if agent_kind == "mbrl":
-                window = min(24, horizon - t)
-                agent.daily_update(obs, prices[t:t + window], ambient[t:t + window],
-                                   band_now)
-            elif agent_kind == "mfrl":
-                agent.daily_update()
-
-        if not controlled:
-            action = 0
-        elif agent_kind == "rbc":
-            action = rbc_action(state.indoor_temp, band_now, scenario.rbc, grid)
-        elif agent_kind == "mpc":
-            window = min(scenario.mpc.horizon, horizon - t)
-            action = agent.decide(state, obs, prices[t:t + window],
-                                  ambient[t:t + window], band_now)
-        elif agent_kind == "mbrl":
-            action = agent.act(t % 24)
-        else:
-            action = agent.act(obs, t)
+        action = 0
+        if controlled:
+            ahead = (obs, prices[t:], ambient[t:], schedule.band_at(t))
+            if t % 24 == 0:
+                agent.start_day(*ahead)
+            action = agent.action(t, state, *ahead)
 
         state, applied = step(state, scenario.building, trace[t],
                               grid.levels_w[action], backup)
@@ -212,26 +199,36 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
                     applied, tariff[t], r_cons, r_comfort)
 
         obs_next = encode_state((state.indoor_temp, *obs[:n].tolist()), trace[t + 1], n)
-        if controlled and agent_kind in ("mbrl", "mfrl"):
+        if controlled:
             agent.observe(obs, action, r_cons + r_comfort, obs_next)
         obs = obs_next
     return EpisodeLog(steps), agent
 
 
+def _timed_simulate(scenario: Scenario, agent_kind: str, traces) -> tuple:
+    """simulate's (log, controller) plus its wall time in seconds."""
+    t0 = time.perf_counter()
+    log, agent = simulate(scenario, agent_kind, *traces)
+    return log, agent, time.perf_counter() - t0
+
+
 def run_scenario(scenario: Scenario, out_dir) -> RunReport:
     """Run the scenario's agent plus the RBC denominator; write CSVs."""
     scenario.validate()
+    traces = build_traces(scenario)
+    return _run_against(scenario, out_dir, traces, _timed_simulate(scenario, "rbc", traces))
+
+
+def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
+    """Run the scenario's agent on `traces`, score it against `baseline`, the
+    timed RBC run on the same traces, and write the run's CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace, tariff = build_traces(scenario)
-
-    t0 = time.perf_counter()
-    agent_log, agent = simulate(scenario, scenario.agent, trace, tariff)
-    wall = time.perf_counter() - t0
     if scenario.agent == "rbc":
-        baseline_log = agent_log
+        agent_log, agent, wall = baseline
     else:
-        baseline_log, _ = simulate(scenario, "rbc", trace, tariff)
+        agent_log, agent, wall = _timed_simulate(scenario, scenario.agent, traces)
+    baseline_log = baseline[0]
 
     controlled_agent = agent_log.slice_hours(scenario.warmup_hours)
     controlled_base = baseline_log.slice_hours(scenario.warmup_hours)
@@ -291,17 +288,28 @@ class SuiteConfig:
 def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
     """Run each agent on bit-identical traces; write one comparison table.
 
-    A failing agent contributes an error row; the suite continues.
+    The traces are built and the RBC baseline simulated once, and each agent
+    writes the files a lone run_scenario of its scenario would.  A failing
+    agent contributes an error row and the suite continues; when the shared
+    baseline fails, every row records its error.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    base = replace(cfg.base, days=cfg.days, seed=cfg.seed, tariff_kind=cfg.tariff_kind)
+    try:
+        base.validate()
+        traces = build_traces(base)
+        baseline, failure = _timed_simulate(base, "rbc", traces), None
+    except Exception as exc:  # recorded in every agent's row below
+        failure = exc
     rows: list[dict] = []
     for agent in cfg.agents:
-        scenario = replace(cfg.base, name=f"{cfg.name}_{agent}", agent=agent,
-                           days=cfg.days, seed=cfg.seed, tariff_kind=cfg.tariff_kind)
         row = {"agent": agent}
         try:
-            report = run_scenario(scenario, out)
+            if failure is not None:
+                raise failure
+            report = _run_against(replace(base, name=f"{cfg.name}_{agent}", agent=agent),
+                                  out, traces, baseline)
             row.update(
                 consumption_change_pct=report.consumption_change_pct,
                 cost_change_pct=report.cost_change_pct,

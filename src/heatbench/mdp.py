@@ -6,7 +6,7 @@ indoor temperatures, newest first, then the current ambient temperature.
 Rewards are a negative stream with two components: energy cost, and an
 asymmetric comfort penalty that is zero inside the comfort band and jumps
 to a steep exponential outside it (under-heating is punished harder than
-over-heating).
+over-heating).  Every controller meets the hourly `Controller` interface.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "ActionGrid",
     "ComfortBand",
     "BandSchedule",
+    "Controller",
     "TariffConfig",
     "TariffSignal",
     "EpisodeLog",
@@ -118,6 +119,27 @@ class BandSchedule:
             else:
                 break
         return band
+
+
+class Controller:
+    """The hourly hooks `harness.simulate` calls; all but `action` do nothing here.
+
+    At a controlled hour t, `start_day` runs first if t opens a day, then
+    `action` returns the grid index to apply and `observe` receives the
+    hour's transition with its total reward.  `prices` and `ambient` run
+    from hour t to the end of the traces, and each controller takes the
+    lookahead it plans over.  `state` is the latent building state, which
+    only the bounds (RBC and MPC) read.
+    """
+
+    def start_day(self, obs, prices, ambient, band: ComfortBand) -> None:
+        pass
+
+    def action(self, t: int, state, obs, prices, ambient, band: ComfortBand) -> int:
+        raise NotImplementedError
+
+    def observe(self, obs, action: int, reward: float, obs_next) -> None:
+        pass
 
 
 def consumption_reward(power_w: float, price_eur_per_kwh: float) -> float:

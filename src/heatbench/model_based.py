@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ActionGrid, ComfortBand
+from .mdp import ActionGrid, ComfortBand, Controller
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward_batch, train_minibatch)
 from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan_cem, plan_ga
@@ -117,6 +117,10 @@ class MbrlConfig:
             raise ValueError("memory_capacity must hold min_train_samples")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
+        if self.epochs_per_update < 1:
+            raise ValueError("epochs_per_update must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -132,7 +136,6 @@ class TransitionModel:
     in_norm: Normalizer | None = None
     out_shift: float = 21.0
     out_scale: float = 1.0
-    trained: bool = False
 
     @classmethod
     def create(cls, n_features: int, cfg: MbrlConfig, seed: int) -> "TransitionModel":
@@ -171,11 +174,10 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
     n_holdout = max(1, int(round(len(y) * cfg.holdout_fraction)))
     holdout, train = order[:n_holdout], order[n_holdout:]
 
-    if not model.trained:
+    if model.in_norm is None:
         model.in_norm = fit_normalizer(x[train])
         model.out_shift = float(y[train].mean())
         model.out_scale = float(max(y[train].std(), 1e-6))
-        model.trained = True
 
     x_train = model.in_norm.apply(x[train])
     y_train = (y[train] - model.out_shift) / model.out_scale
@@ -216,7 +218,7 @@ class LearnedDynamicsModel:
         return out
 
 
-class ModelBasedAgent:
+class ModelBasedAgent(Controller):
     """Daily plan-and-execute agent over a learned transition model.
 
     `act` serves the current day's plan (epsilon-greedy); `observe` files
@@ -275,3 +277,9 @@ class ModelBasedAgent:
         plan = self.plan_day(obs, tariff_window, ambient_window, band)
         self._plan = plan.actions + (0,) * max(0, 24 - len(plan.actions))
         return mae
+
+    def start_day(self, obs, prices, ambient, band) -> None:
+        self.daily_update(obs, prices, ambient, band)
+
+    def action(self, t, state, obs, prices, ambient, band) -> int:
+        return self.act(t % 24)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ActionGrid
+from .mdp import ActionGrid, Controller
 from .model_based import ExplorationSchedule, SampleMemory
 from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward, forward_batch, train_minibatch)
@@ -184,6 +184,8 @@ class MfrlConfig:
     train_cycles_per_update: int = 192
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.warmup_samples < self.batch_size:
             raise ValueError("warmup must cover at least one batch")
         if self.capacity < self.warmup_samples:
@@ -198,7 +200,7 @@ class MfrlConfig:
             raise ValueError("learning_rate must be finite and > 0")
 
 
-class ModelFreeAgent:
+class ModelFreeAgent(Controller):
     """Epsilon-greedy double fitted Q iteration with prioritized replay."""
 
     def __init__(self, cfg: MfrlConfig, grid: ActionGrid,
@@ -216,8 +218,10 @@ class ModelFreeAgent:
         self._rng = rng
         self._started = False
         # (observation, online network, encoded features, Q-values) of the
-        # last act, for observe to reuse; train_cycle drops it
+        # last act, for observe to reuse, and (next observation, encoded
+        # features) of the last observe, for act to reuse; train_cycle drops both
         self._acted: tuple | None = None
+        self._observed: tuple | None = None
         self.q_trace: list[tuple[int, tuple[float, ...], int]] = []
 
     def encode(self, x: np.ndarray) -> np.ndarray:
@@ -225,7 +229,8 @@ class ModelFreeAgent:
         return self.normalizer.apply(x) if self.normalizer is not None else x
 
     def _encoded_q(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self.encode(obs)
+        observed = self._observed
+        x = observed[1] if observed is not None and observed[0] is obs else self.encode(obs)
         return x, forward(self.pair.online, x)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
@@ -251,7 +256,8 @@ class ModelFreeAgent:
         """File the transition with its TD priority, as encoded features.
 
         Reuses the features and Q-values of the `act` on this same
-        observation, if no training step came between them.
+        observation, if no training step came between them, and hands the
+        encoded `obs_next` on to the next `act`.
         """
         acted, self._acted = self._acted, None
         if acted is not None and acted[0] is obs and acted[1] is self.pair.online:
@@ -263,7 +269,9 @@ class ModelFreeAgent:
         self.replay.add(x, action, reward, x_next[0],
                         compute_priority(float(target[0]), float(q[action]),
                                          self.cfg.priority_offset))
+        self._observed = (obs_next, x_next[0])
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
+            self._observed = None  # encoded before the normalizer existed
             mem = self.replay
             self.normalizer = fit_normalizer(mem.rows(mem.s))
             n = len(mem)
@@ -277,7 +285,7 @@ class ModelFreeAgent:
         """
         if len(self.replay) < self.cfg.warmup_samples:
             return False
-        self._acted = None
+        self._acted = self._observed = None
         mem = self.replay
         idx = replay_sample(mem, self.cfg.batch_size, self._rng)
         x, x_next = mem.s[idx], mem.s_next[idx]
@@ -308,3 +316,9 @@ class ModelFreeAgent:
             if self.train_cycle():
                 done += 1
         return done
+
+    def start_day(self, obs, prices, ambient, band) -> None:
+        self.daily_update()
+
+    def action(self, t, state, obs, prices, ambient, band) -> int:
+        return self.act(obs, t)

@@ -32,6 +32,12 @@ def test_rbc_rejects_negative_hysteresis():
         RbcConfig(hysteresis_c=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_rbc_rejects_non_finite_hysteresis(value):
+    with pytest.raises(ValueError, match="hysteresis_c"):
+        RbcConfig(hysteresis_c=value)
+
+
 @given(t=st.floats(-10.0, 40.0), h=st.floats(0.0, 2.0))
 def test_rbc_output_is_bang_bang(t, h):
     action = rbc_action(t, BAND, RbcConfig(h), GRID)

@@ -1,3 +1,4 @@
+import collections
 import csv
 import filecmp
 import functools
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heatbench import harness
 from heatbench.cli import main as cli_main
-from heatbench.harness import (Scenario, SuiteConfig, build_traces, emit_plot_data,
+from heatbench.harness import (AGENT_KINDS, Scenario, SuiteConfig, build_traces, emit_plot_data,
                                estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
 from heatbench.mdp import ComfortBand, EpisodeLog
@@ -119,6 +121,32 @@ def test_suite_error_row_names_the_exception_type(tmp_path, monkeypatch):
     assert [r["status"] for r in rows] == ["ok", "error: ValueError: no action"]
     with open(tmp_path / "fail_table.csv", newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh))[2][-1] == "error: ValueError: no action"
+
+
+def test_suite_simulates_the_rbc_baseline_once(tmp_path, monkeypatch):
+    kinds = collections.Counter()
+
+    def counting_simulate(scenario, agent_kind, trace, tariff):
+        kinds[agent_kind] += 1
+        return simulate(scenario, agent_kind, trace, tariff)
+
+    monkeypatch.setattr(harness, "simulate", counting_simulate)
+    rows = run_suite(SuiteConfig(name="once", days=2, seed=1), tmp_path)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert kinds == {"rbc": 1, "mpc": 1, "mbrl": 1, "mfrl": 1}
+
+
+def test_suite_files_equal_those_of_lone_runs(tmp_path):
+    cfg = SuiteConfig(name="same", days=2, seed=3, tariff_kind="dual")
+    run_suite(cfg, tmp_path / "suite")
+    for agent in cfg.agents:
+        scenario = replace(cfg.base, name=f"same_{agent}", agent=agent, days=cfg.days,
+                           seed=cfg.seed, tariff_kind=cfg.tariff_kind)
+        run_scenario(scenario, tmp_path / agent)
+        names = sorted(p.name for p in (tmp_path / agent).iterdir())
+        _, differ, missing = filecmp.cmpfiles(tmp_path / agent, tmp_path / "suite", names,
+                                              shallow=False)
+        assert (differ, missing) == ([], [])
 
 def _log_with_comfort(days, dirty_days, penalty=-1.0):
     return EpisodeLog([(h, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0,
@@ -450,6 +478,19 @@ def test_cli_suite(tmp_path, capsys):
     code = cli_main(["suite", "--config", str(path), "--out", str(out)])
     assert code == 0
     assert (out / "suite_table.csv").exists()
+
+
+@pytest.mark.parametrize("price", ["flat", "dual"])
+def test_cli_suite_name_prefixes_every_file(tmp_path, capsys, price):
+    out = tmp_path / price
+    code = cli_main(["suite", "--name", price, "--price", price, "--days", "2",
+                     "--out", str(out)])
+    assert code == 0
+    extras = {"mbrl": ("model_mae",), "mfrl": ("qtrace",)}
+    expected = {f"{price}_table.csv",
+                *(f"{price}_{a}_{f}.csv" for a in AGENT_KINDS
+                  for f in (a, "rbc_baseline", "metrics", *extras.get(a, ())))}
+    assert {p.name for p in out.iterdir()} == expected
 
 
 def test_cli_suite_price_alias_without_config(tmp_path, capsys):

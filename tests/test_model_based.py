@@ -70,6 +70,14 @@ def test_config_rejects_non_positive_or_non_finite_learning_rate():
         with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
             MbrlConfig(learning_rate=rate)
 
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -1), ("epochs_per_update", 0), ("epochs_per_update", -1),
+])
+def test_config_rejects_non_positive_batch_size_and_epochs(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        MbrlConfig(**{field: value})
+
 def test_exploration_schedule_values():
     sched = ExplorationSchedule(initial=0.5, exponent=0.7)
     assert sched.epsilon() == 0.5  # day 1

@@ -329,6 +329,12 @@ def test_config_rejects_non_positive_priority_offset():
             MfrlConfig(priority_offset=offset)
 
 
+def test_config_rejects_non_positive_batch_size():
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            MfrlConfig(batch_size=size)
+
+
 def test_config_rejects_capacity_below_warmup():
     with pytest.raises(ValueError, match="capacity"):
         MfrlConfig(capacity=50, warmup_samples=96)
@@ -392,6 +398,33 @@ def test_observe_does_not_reuse_q_values_across_training(between):
     assert agent.replay.priority(slot) == expected
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs))
     assert fresh[3] != stale[3]
+
+
+def test_act_reuses_the_features_observe_encoded(monkeypatch):
+    agent = _warm_agent()
+    obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
+    agent.observe(obs, 3, -1.0, obs_next)
+    encoded = []
+    monkeypatch.setattr(agent, "encode",
+                        lambda x: encoded.append(x) or agent.normalizer.apply(x))
+    fresh = forward(agent.pair.online, agent.normalizer.apply(obs_next))
+    assert np.array_equal(agent.q_values(obs_next), fresh)
+    assert encoded == []
+    agent.q_values(encode_state((3.0,), 1.5, 0))  # equal, but not the same object
+    assert len(encoded) == 1
+    assert agent.train_cycle()
+    agent.q_values(obs_next)
+    assert len(encoded) == 2
+
+
+def test_act_after_the_normalizer_fit_encodes_afresh():
+    agent = _agent()
+    states = [encode_state((float(i),), 0.5 * i, 0) for i in range(5)]
+    for i in range(4):
+        agent.observe(states[i], 0, -1.0, states[i + 1])
+    assert agent.normalizer is not None  # fitted by the fourth observe
+    assert np.array_equal(agent.q_values(states[4]),
+                          forward(agent.pair.online, agent.normalizer.apply(states[4])))
 
 
 def test_train_cycle_skips_before_warmup_bit_identical():
