@@ -16,6 +16,7 @@ from .emulator import BuildingParams, BuildingState
 from .mdp import ActionGrid, ComfortBand, Controller
 from .planners import (CemConfig, ExactDynamicsModel, GaConfig, plan_cem,
                        plan_exhaustive, plan_ga)
+from .ranges import check_ranges, ranged
 
 __all__ = ["RbcConfig", "rbc_action", "RbcController", "MpcConfig", "MpcController"]
 
@@ -30,11 +31,10 @@ class RbcConfig:
     rule allows.
     """
 
-    hysteresis_c: float = 0.0
+    hysteresis_c: float = ranged(0.0, "[0, inf)")
 
     def __post_init__(self):
-        if not 0.0 <= self.hysteresis_c < math.inf:
-            raise ValueError("hysteresis_c must be finite and >= 0")
+        check_ranges(self)
 
 
 def rbc_action(t_i: float, band: ComfortBand, cfg: RbcConfig,
@@ -63,17 +63,14 @@ class RbcController(Controller):
 
 @dataclass(frozen=True)
 class MpcConfig:
-    planner: str = "cem"
-    horizon: int = 24
+    planner: str = ranged("cem", ("cem", "ga", "exhaustive"))
+    horizon: int = ranged(24, "[1, inf)")
     warm_start: bool = True
     cem: CemConfig = field(default_factory=CemConfig)
     ga: GaConfig = field(default_factory=GaConfig)
 
     def __post_init__(self):
-        if self.planner not in ("cem", "ga", "exhaustive"):
-            raise ValueError(f"unknown planner {self.planner!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_ranges(self)
 
 
 class MpcController(Controller):

@@ -59,7 +59,6 @@ def _cmd_run(args) -> int:
         scenario = scenario_from_ini(args.scenario, overrides)
     else:
         scenario = Scenario(**overrides)
-        scenario.validate()
 
     report = run_scenario(scenario, args.out)
     print(f"scenario {report.scenario_name}: agent={report.agent} "

@@ -36,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .ranges import check_ranges, ranged
+
 __all__ = [
     "BuildingParams",
     "BuildingState",
@@ -60,26 +62,19 @@ class BuildingParams:
     stable and monotone: dt*(U_a+H_m) < C_i and dt*H_m < C_m.
     """
 
-    indoor_capacitance: float = 2.0e6
-    envelope_capacitance: float = 5.0e7
-    ambient_conductance: float = 100.0
-    envelope_conductance: float = 200.0
-    cop: float = 3.0
-    max_power_w: float = 2000.0
+    indoor_capacitance: float = ranged(2.0e6, "(0, inf)")
+    envelope_capacitance: float = ranged(5.0e7, "(0, inf)")
+    ambient_conductance: float = ranged(100.0, "(0, inf)")
+    envelope_conductance: float = ranged(200.0, "(0, inf)")
+    cop: float = ranged(3.0, "[1, inf)")
+    max_power_w: float = ranged(2000.0, "(0, inf)")
     # 10 s keeps the halving-refinement error below 0.01 degC across the
     # full ambient/power envelope; the planner path is unaffected (affine map)
-    substep_seconds: int = 10
+    substep_seconds: int = ranged(10, "[1, inf)")
 
     def __post_init__(self):
-        for name in ("indoor_capacitance", "envelope_capacitance",
-                     "ambient_conductance", "envelope_conductance"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.cop < 1.0:
-            raise ValueError("cop must be >= 1")
-        if not self.max_power_w > 0.0:
-            raise ValueError("max_power_w must be > 0")
-        if self.substep_seconds <= 0 or 3600 % self.substep_seconds != 0:
+        check_ranges(self)
+        if 3600 % self.substep_seconds != 0:
             raise ValueError("substep_seconds must divide 3600 exactly")
         dt, h_m = self.substep_seconds, self.envelope_conductance
         if not dt * (self.ambient_conductance + h_m) < self.indoor_capacitance:
@@ -111,10 +106,11 @@ class BackupConfig:
     """Safety filter: force full power below low_trip, zero above high_trip."""
 
     enabled: bool = False
-    low_trip: float = 19.0
-    high_trip: float = 23.0
+    low_trip: float = ranged(19.0, "(-inf, inf)")
+    high_trip: float = ranged(23.0, "(-inf, inf)")
 
     def __post_init__(self):
+        check_ranges(self)
         if not self.low_trip < self.high_trip:
             raise ValueError("low_trip must be below high_trip")
 
@@ -214,18 +210,15 @@ class AmbientGenParams:
     1/sqrt(1 - ar1_coeff^2)).
     """
 
-    mean_c: float = 6.0
-    drift_start_c: float = -4.0
-    drift_end_c: float = 6.0
-    daily_amplitude_c: float = 4.0
-    ar1_coeff: float = 0.9
-    noise_sigma_c: float = 1.0
+    mean_c: float = ranged(6.0, "(-inf, inf)")
+    drift_start_c: float = ranged(-4.0, "(-inf, inf)")
+    drift_end_c: float = ranged(6.0, "(-inf, inf)")
+    daily_amplitude_c: float = ranged(4.0, "(-inf, inf)")
+    ar1_coeff: float = ranged(0.9, "[0, 1)")
+    noise_sigma_c: float = ranged(1.0, "[0, inf)")
 
     def __post_init__(self):
-        if not 0.0 <= self.ar1_coeff < 1.0:
-            raise ValueError("ar1_coeff must be in [0, 1)")
-        if self.noise_sigma_c < 0.0:
-            raise ValueError("noise_sigma_c must be >= 0")
+        check_ranges(self)
 
 
 DEFAULT_AMBIENT = AmbientGenParams()

@@ -17,7 +17,6 @@ import configparser
 import csv
 import dataclasses
 import itertools
-import math
 import time
 import typing
 from dataclasses import dataclass, field, replace
@@ -35,6 +34,7 @@ from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, Comfort
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import CemConfig, GaConfig
+from .ranges import check_ranges, ranged
 
 __all__ = [
     "Scenario",
@@ -63,22 +63,22 @@ class Scenario:
     """Everything one run needs; every field has an overridable default."""
 
     name: str = "run"
-    days: int = 30
-    agent: str = "rbc"
-    seed: int = 0
-    tariff_kind: str = "flat"
+    days: int = ranged(30, "[1, inf)")
+    agent: str = ranged("rbc", AGENT_KINDS)
+    seed: int = ranged(0, "[0, inf)")
+    tariff_kind: str = ranged("flat", TARIFF_KINDS)
     tariff: TariffConfig = field(default_factory=TariffConfig)
     band_schedule: BandSchedule = field(default_factory=BandSchedule.constant)
     backup_enabled: bool = False
     backup_low_trip: float | None = None
     backup_high_trip: float | None = None
-    warmup_hours: int = 24
-    initial_temp_c: float = 21.0
+    warmup_hours: int = ranged(24, "[0, inf)")
+    initial_temp_c: float = ranged(21.0, "(-inf, inf)")
     building: BuildingParams = field(default_factory=BuildingParams)
     ambient: AmbientGenParams = field(default_factory=AmbientGenParams)
     ambient_csv: str | None = None
     grid: ActionGrid = field(default_factory=ActionGrid)
-    history_length: int = 3
+    history_length: int = ranged(3, "[0, inf)")
     rbc: RbcConfig = field(default_factory=RbcConfig)
     mpc: MpcConfig = field(default_factory=MpcConfig)
     mbrl: MbrlConfig = field(default_factory=MbrlConfig)
@@ -88,17 +88,8 @@ class Scenario:
         return self.days * 24
 
     def validate(self) -> None:
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
-        if self.agent not in AGENT_KINDS:
-            raise ValueError(f"agent must be one of {AGENT_KINDS}")
-        if self.tariff_kind not in TARIFF_KINDS:
-            raise ValueError(f"unknown tariff kind {self.tariff_kind!r}")
-        if self.history_length < 0:
-            raise ValueError("history_length must be >= 0")
-        if not math.isfinite(self.initial_temp_c):
-            raise ValueError("initial_temp_c must be finite")
-        if not 0 <= self.warmup_hours <= self.horizon_hours():
+        check_ranges(self)
+        if not self.warmup_hours <= self.horizon_hours():
             raise ValueError("warmup_hours must lie within the run")
         if self.grid.levels_w[-1] > self.building.max_power_w:
             raise ValueError("action grid exceeds the heat pump's max power")

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranges import check_ranges, ranged
+
 __all__ = [
     "ActionGrid",
     "ComfortBand",
@@ -60,9 +62,10 @@ def encode_state(history, ambient_c: float, n: int) -> np.ndarray:
 class ActionGrid:
     """Discrete heat-pump power levels in watts; index 0 is always off."""
 
-    levels_w: tuple[float, ...] = (0.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0)
+    levels_w: tuple[float, ...] = ranged((0.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0), "[0, inf)")
 
     def __post_init__(self):
+        check_ranges(self)
         if len(self.levels_w) < 1:
             raise ValueError("action grid is empty")
         if self.levels_w[0] != 0.0:
@@ -83,10 +86,11 @@ DEFAULT_GRID = ActionGrid()
 
 @dataclass(frozen=True)
 class ComfortBand:
-    t_min: float = 19.0
-    t_max: float = 23.0
+    t_min: float = ranged(19.0, "(-inf, inf)")
+    t_max: float = ranged(23.0, "(-inf, inf)")
 
     def __post_init__(self):
+        check_ranges(self)
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
 
@@ -184,26 +188,21 @@ def comfort_reward_batch(temps: np.ndarray, band: ComfortBand) -> np.ndarray:
 class TariffConfig:
     """Price levels for the tariff generators (Eur/kWh)."""
 
-    flat_price: float = 0.24
-    day_price: float = 0.28
-    night_price: float = 0.20
-    day_start_hour: int = 7
-    day_end_hour: int = 22
-    rtp_base: float = 0.24
-    rtp_step: float = 0.02
-    rtp_min: float = 0.05
-    rtp_max: float = 0.60
+    flat_price: float = ranged(0.24, "(0, inf)")
+    day_price: float = ranged(0.28, "(0, inf)")
+    night_price: float = ranged(0.20, "(0, inf)")
+    day_start_hour: int = ranged(7, "[0, 24)")
+    day_end_hour: int = ranged(22, "(0, 24]")
+    rtp_base: float = ranged(0.24, "(0, inf)")
+    rtp_step: float = ranged(0.02, "[0, inf)")
+    rtp_min: float = ranged(0.05, "(0, inf)")
+    rtp_max: float = ranged(0.60, "(0, inf)")
 
     def __post_init__(self):
-        for name in ("flat_price", "day_price", "night_price", "rtp_base",
-                     "rtp_min", "rtp_max"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        check_ranges(self)
         if not self.rtp_min <= self.rtp_max:
             raise ValueError("rtp_min must not exceed rtp_max")
-        if not 0.0 <= self.rtp_step < math.inf:
-            raise ValueError("rtp_step must be finite and >= 0")
-        if not 0 <= self.day_start_hour < self.day_end_hour <= 24:
+        if not self.day_start_hour < self.day_end_hour:
             raise ValueError("day window must satisfy 0 <= start < end <= 24")
 
 

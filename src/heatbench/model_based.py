@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import ActionGrid, ComfortBand, Controller
-from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
+from .neural import (ACTIVATIONS, AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward_batch, train_minibatch)
 from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan_cem, plan_ga
+from .ranges import check_ranges, ranged
 
 __all__ = [
     "SampleMemory",
@@ -71,17 +72,12 @@ class SampleMemory:
 class ExplorationSchedule:
     """Harmonic exploration decay eps(d) = initial / d**exponent, d >= 1."""
 
-    initial: float = 0.5
-    exponent: float = 0.7
-    day: int = 1
+    initial: float = ranged(0.5, "(0, 1]")
+    exponent: float = ranged(0.7, "(0, inf)")
+    day: int = ranged(1, "[1, inf)")
 
     def __post_init__(self):
-        if not 0.0 < self.initial <= 1.0:
-            raise ValueError("initial epsilon must be in (0, 1]")
-        if not self.exponent > 0.0:
-            raise ValueError("decay exponent must be > 0")
-        if self.day < 1:
-            raise ValueError("day counter starts at 1")
+        check_ranges(self)
 
     def epsilon(self) -> float:
         return self.initial / self.day ** self.exponent
@@ -92,35 +88,24 @@ class ExplorationSchedule:
 
 @dataclass(frozen=True)
 class MbrlConfig:
-    memory_capacity: int = 4096
-    epsilon_initial: float = 0.5
-    epsilon_exponent: float = 0.7
-    hidden: tuple[int, ...] = (32, 32)
-    activation: str = "tanh"
-    learning_rate: float = 1e-3
-    epochs_per_update: int = 50
-    batch_size: int = 256
-    min_train_samples: int = 24
-    holdout_fraction: float = 0.2
-    planner: str = "cem"
+    memory_capacity: int = ranged(4096, "[1, inf)")
+    epsilon_initial: float = ranged(0.5, "(0, 1]")
+    epsilon_exponent: float = ranged(0.7, "(0, inf)")
+    hidden: tuple[int, ...] = ranged((32, 32), "[1, inf)")
+    activation: str = ranged("tanh", ACTIVATIONS)
+    learning_rate: float = ranged(1e-3, "(0, inf)")
+    epochs_per_update: int = ranged(50, "[1, inf)")
+    batch_size: int = ranged(256, "[1, inf)")
+    min_train_samples: int = ranged(24, "[2, inf)")
+    holdout_fraction: float = ranged(0.2, "(0, 1)")
+    planner: str = ranged("cem", ("cem", "ga"))
     cem: CemConfig = field(default_factory=CemConfig)
     ga: GaConfig = field(default_factory=GaConfig)
 
     def __post_init__(self):
-        if self.planner not in ("cem", "ga"):
-            raise ValueError(f"unknown planner {self.planner!r}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
-        if self.min_train_samples < 2:
-            raise ValueError("min_train_samples must be >= 2")
+        check_ranges(self)
         if self.memory_capacity < self.min_train_samples:
             raise ValueError("memory_capacity must hold min_train_samples")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
-        if self.epochs_per_update < 1:
-            raise ValueError("epochs_per_update must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

@@ -24,8 +24,9 @@ import numpy as np
 
 from .mdp import ActionGrid, Controller
 from .model_based import ExplorationSchedule, SampleMemory
-from .neural import (AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
+from .neural import (ACTIVATIONS, AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward, forward_batch, train_minibatch)
+from .ranges import check_ranges, ranged
 
 __all__ = [
     "PrioritizedReplay",
@@ -116,14 +117,11 @@ class QPair:
 
     online: MlpParams
     target: MlpParams
-    tau: float = 0.01
-    gamma: float = 0.95
+    tau: float = ranged(0.01, "(0, 1]")
+    gamma: float = ranged(0.95, "[0, 1)")
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
+        check_ranges(self)
         if self.online.spec.layer_sizes != self.target.spec.layer_sizes:
             raise ValueError("online and target architectures must match")
 
@@ -164,40 +162,31 @@ def compute_priority(target, q_sa, offset: float):
 
 @dataclass(frozen=True)
 class MfrlConfig:
-    hidden: tuple[int, ...] = (64, 64)
-    activation: str = "relu"
-    learning_rate: float = 1e-3
+    hidden: tuple[int, ...] = ranged((64, 64), "[1, inf)")
+    activation: str = ranged("relu", ACTIVATIONS)
+    learning_rate: float = ranged(1e-3, "(0, inf)")
     # a short discount horizon keeps the steep below-band penalty from
     # bleeding across the fitted Q surface and inflating the hold threshold;
     # the slow thermal plant makes near-myopic control close to optimal
-    gamma: float = 0.70
-    tau: float = 0.01
-    batch_size: int = 96
-    capacity: int = 4096
-    warmup_samples: int = 96
-    priority_alpha: float = 0.6
-    priority_offset: float = 1e-3
-    epsilon_initial: float = 0.5
-    epsilon_exponent: float = 0.7
+    gamma: float = ranged(0.70, "[0, 1)")
+    tau: float = ranged(0.01, "(0, 1]")
+    batch_size: int = ranged(96, "[1, inf)")
+    capacity: int = ranged(4096, "[1, inf)")
+    warmup_samples: int = ranged(96, "[1, inf)")
+    priority_alpha: float = ranged(0.6, "[0, inf)")
+    priority_offset: float = ranged(1e-3, "(0, inf)")
+    epsilon_initial: float = ranged(0.5, "(0, 1]")
+    epsilon_exponent: float = ranged(0.7, "(0, inf)")
     # One call to train_cycle takes one gradient step; this many cycles run
     # at each 24 h boundary.
-    train_cycles_per_update: int = 192
+    train_cycles_per_update: int = ranged(192, "[1, inf)")
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_ranges(self)
         if self.warmup_samples < self.batch_size:
             raise ValueError("warmup must cover at least one batch")
         if self.capacity < self.warmup_samples:
             raise ValueError("capacity must hold warmup_samples")
-        if self.train_cycles_per_update < 1:
-            raise ValueError("train_cycles_per_update must be >= 1")
-        if not self.priority_offset > 0.0:
-            raise ValueError("priority_offset must be > 0")
-        if not 0.0 <= self.priority_alpha < np.inf:
-            raise ValueError("priority_alpha must be finite and >= 0")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
 
 
 class ModelFreeAgent(Controller):

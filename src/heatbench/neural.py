@@ -32,7 +32,7 @@ __all__ = [
     "fit_normalizer",
 ]
 
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class MlpSpec:
             raise ValueError("need at least input and output layers")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("all layer sizes must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
 def _layer_views(sizes: tuple[int, ...], vec: np.ndarray):

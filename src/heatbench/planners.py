@@ -23,6 +23,7 @@ import numpy as np
 
 from .emulator import BuildingParams, BuildingState, hour_affine_map
 from .mdp import ActionGrid, ComfortBand, comfort_reward_batch
+from .ranges import check_ranges, ranged
 
 __all__ = [
     "DynamicsModel",
@@ -103,28 +104,21 @@ class Plan:
 
 @dataclass(frozen=True)
 class CemConfig:
-    population: int = 128
-    elite_fraction: float = 0.125
-    iterations: int = 20
-    smoothing: float = 0.7
+    population: int = ranged(128, "[1, inf)")
+    elite_fraction: float = ranged(0.125, "(0, 1]")
+    iterations: int = ranged(20, "[1, inf)")
+    smoothing: float = ranged(0.7, "(0, 1]")
     # initial probability mass placed on a provided seed sequence; the rest
     # stays uniform, so receding-horizon re-plans refine the previous solution
-    seed_bias: float = 0.5
+    seed_bias: float = ranged(0.5, "[0, 1)")
     # uniform mass mixed into the categoricals every iteration, preventing
     # premature collapse onto a suboptimal mode
-    explore_floor: float = 0.05
+    explore_floor: float = ranged(0.05, "[0, 1)")
 
     def __post_init__(self):
-        if self.population < 1 or self.iterations < 1:
-            raise ValueError("population and iterations must be >= 1")
+        check_ranges(self)
         if self.elite_count < 1:
             raise ValueError("elite fraction yields an empty elite set")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0.0 <= self.seed_bias < 1.0:
-            raise ValueError("seed_bias must be in [0, 1)")
-        if not 0.0 <= self.explore_floor < 1.0:
-            raise ValueError("explore_floor must be in [0, 1)")
 
     @property
     def elite_count(self) -> int:
@@ -133,22 +127,17 @@ class CemConfig:
 
 @dataclass(frozen=True)
 class GaConfig:
-    population: int = 64
-    generations: int = 30
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
+    population: int = ranged(64, "[2, inf)")
+    generations: int = ranged(30, "[1, inf)")
+    tournament_size: int = ranged(3, "[1, inf)")
+    crossover_rate: float = ranged(0.9, "[0, 1]")
+    mutation_rate: float = ranged(0.1, "[0, 1]")
     # fresh random genomes injected each generation to preserve diversity
-    immigrants: int = 2
+    immigrants: int = ranged(2, "[0, inf)")
 
     def __post_init__(self):
-        if self.population < 2 or self.generations < 1:
-            raise ValueError("population must be >= 2 and generations >= 1")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("rates must lie in [0, 1]")
-        if not 0 <= self.immigrants <= self.population - 2:
+        check_ranges(self)
+        if not self.immigrants <= self.population - 2:
             raise ValueError("immigrants must leave room for elite and children")
 
 

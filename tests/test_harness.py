@@ -354,7 +354,7 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[suite]\ndays = 2\n", r"unknown section \[suite\]"),
     ("[mfrl]\nselection_by_target = true\n", "unknown key 'selection_by_target'"),
     ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
-    ("[mfrl]\npriority_offset = 0\n", "priority_offset must be > 0"),
+    ("[mfrl]\npriority_offset = 0\n", "priority_offset must be finite and > 0"),
     ("[mfrl]\npriority_alpha = nan\n", "priority_alpha must be finite"),
     ("[mfrl]\nlearning_rate = -1\n", "learning_rate must be finite and > 0"),
     ("[mbrl]\nlearning_rate = 0\n", "learning_rate must be finite and > 0"),
@@ -365,6 +365,8 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[building]\nindoor_capacitance = 1e5\nsubstep_seconds = 3600\n", "unstable sub-step"),
     ("[scenario]\nhistory_length = -1\n", "history_length must be >= 0"),
     ("[scenario]\ninitial_temp_c = nan\n", "initial_temp_c must be finite"),
+    ("[scenario]\nbackup_low_trip = -inf\n", "low_trip must be finite"),
+    ("[scenario]\nbackup_high_trip = inf\n", "high_trip must be finite"),
 ])
 def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):
     with pytest.raises(ValueError, match=match):
@@ -469,6 +471,29 @@ def test_cli_run_and_plot(tmp_path, capsys):
     code = cli_main(["plot", "--kind", "action_histogram",
                      "--log", str(out / "clirun_rbc.csv"), "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("args, ini, message", [
+    (["run", "--seed", "-1"], None, "seed must be >= 0"),
+    (["run"], "[cem]\nelite_fraction = inf\n", "elite_fraction must be in (0, 1]"),
+    (["run"], "[cem]\nelite_fraction = -inf\n", "elite_fraction must be in (0, 1]"),
+    (["plot", "--kind", "temperature_trace", "--band-high", "inf"], None,
+     "t_max must be finite"),
+], ids=["negative-seed", "inf-elite-fraction", "minus-inf-elite-fraction", "inf-band"])
+def test_cli_rejects_out_of_range_values_naming_the_field(tmp_path, capsys, args, ini,
+                                                           message):
+    if args[0] == "plot":
+        log = tmp_path / "episode.csv"
+        log.write_text("hour,t_a,t_i,t_mass,power_w,price,r_cons,r_comfort\n"
+                       "0,5.0,21.0,20.0,0.0,0.24,0.0,0.0\n", encoding="utf-8")
+        args = [*args, "--log", str(log)]
+    if ini is not None:
+        args = [*args, "--scenario", str(_ini(tmp_path, ini))]
+    out = tmp_path / "out"
+    assert cli_main([*args, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert message in error
+    assert not out.exists()
 
 
 def test_cli_suite(tmp_path, capsys):

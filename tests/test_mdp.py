@@ -129,6 +129,12 @@ def test_action_grid_validation():
     assert ActionGrid().levels_w == (0.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf])
+def test_action_grid_rejects_non_finite_levels(level):
+    with pytest.raises(ValueError, match="levels_w must be finite"):
+        ActionGrid((0.0, level))
+
+
 def test_make_tariff_flat():
     tariff = make_tariff("flat", 3, TariffConfig(flat_price=0.24))
     assert tariff.prices == (0.24, 0.24, 0.24)

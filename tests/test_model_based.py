@@ -78,6 +78,13 @@ def test_config_rejects_non_positive_batch_size_and_epochs(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         MbrlConfig(**{field: value})
 
+
+@pytest.mark.parametrize("hidden", [(0,), (32, -1)])
+def test_config_rejects_hidden_layers_below_one_unit(hidden):
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
+        MbrlConfig(hidden=hidden)
+
+
 def test_exploration_schedule_values():
     sched = ExplorationSchedule(initial=0.5, exponent=0.7)
     assert sched.epsilon() == 0.5  # day 1

@@ -335,6 +335,12 @@ def test_config_rejects_non_positive_batch_size():
             MfrlConfig(batch_size=size)
 
 
+@pytest.mark.parametrize("hidden", [(0,), (64, -1)])
+def test_config_rejects_hidden_layers_below_one_unit(hidden):
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
+        MfrlConfig(hidden=hidden)
+
+
 def test_config_rejects_capacity_below_warmup():
     with pytest.raises(ValueError, match="capacity"):
         MfrlConfig(capacity=50, warmup_samples=96)
