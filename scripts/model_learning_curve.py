@@ -25,8 +25,7 @@ def main():
     curves = {}
     for seed in args.seeds:
         scenario = Scenario(days=args.days, agent="mbrl", seed=seed)
-        trace, tariff = build_traces(scenario)
-        _, agent = simulate(scenario, "mbrl", trace, tariff)
+        _, agent = simulate(scenario, "mbrl", *build_traces(scenario))
         curves[seed] = dict(agent.mae_history)
         path = out / f"model_mae_seed{seed}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

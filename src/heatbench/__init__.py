@@ -8,11 +8,10 @@ transition network, and model-free double fitted Q iteration with
 prioritized replay.
 """
 
-from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
-                       BuildingState, load_ambient_csv, make_synthetic_ambient, step)
+from .emulator import (AmbientGenParams, BackupConfig, BuildingParams, BuildingState,
+                       load_ambient_csv, make_synthetic_ambient, step)
 from .mdp import (ActionGrid, BandSchedule, ComfortBand, EpisodeLog, TariffConfig,
-                  TariffSignal, comfort_reward, consumption_reward, encode_state,
-                  log_metrics, make_tariff)
+                  comfort_reward, consumption_reward, encode_state, log_metrics, make_tariff)
 from .baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from .harness import (RunReport, Scenario, SuiteConfig, emit_plot_data,
                       estimate_convergence, run_scenario, run_suite)

@@ -43,7 +43,6 @@ __all__ = [
     "BuildingState",
     "BackupConfig",
     "AmbientGenParams",
-    "AmbientTrace",
     "DEFAULT_BUILDING",
     "DEFAULT_AMBIENT",
     "step",
@@ -227,32 +226,10 @@ DEFAULT_AMBIENT = AmbientGenParams()
 _DAILY_PHASE_HOUR = 9.0
 
 
-@dataclass(frozen=True)
-class AmbientTrace:
-    """Per-hour ambient temperatures plus a note on where they came from."""
-
-    hourly_temps: tuple[float, ...]
-    origin: str
-
-    def __post_init__(self):
-        if len(self.hourly_temps) == 0:
-            raise ValueError("ambient trace is empty")
-        if not all(math.isfinite(t) for t in self.hourly_temps):
-            raise ValueError("ambient trace contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.hourly_temps)
-
-    def __getitem__(self, hour):
-        return self.hourly_temps[hour]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.hourly_temps)
-
-
 def make_synthetic_ambient(seed: int, days: int,
-                           gen_params: AmbientGenParams = DEFAULT_AMBIENT) -> AmbientTrace:
-    """Deterministic synthetic ambient trace of days*24 hourly values."""
+                           gen_params: AmbientGenParams = DEFAULT_AMBIENT) -> np.ndarray:
+    """Deterministic synthetic ambient trace: a read-only array of days*24
+    hourly temperatures."""
     if days < 1:
         raise ValueError("days must be >= 1")
     hours = days * 24
@@ -273,12 +250,13 @@ def make_synthetic_ambient(seed: int, days: int,
             noise[k] = x
 
     temps = gen_params.mean_c + drift + daily + noise
-    return AmbientTrace(tuple(float(t) for t in temps),
-                        origin=f"synthetic(seed={seed}, days={days})")
+    temps.setflags(write=False)
+    return temps
 
 
-def load_ambient_csv(path) -> AmbientTrace:
-    """Read an hourly ambient trace from a `hour,temp_c` CSV file."""
+def load_ambient_csv(path) -> np.ndarray:
+    """Read an hourly ambient trace from a `hour,temp_c` CSV file into a
+    read-only array."""
     temps: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -302,4 +280,6 @@ def load_ambient_csv(path) -> AmbientTrace:
             temps.append(temp)
     if not temps:
         raise ValueError(f"{path}: no data rows")
-    return AmbientTrace(tuple(temps), origin=f"file({path})")
+    trace = np.array(temps)
+    trace.setflags(write=False)
+    return trace

@@ -25,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MpcConfig, MpcController, RbcConfig, RbcController
-from .emulator import (AmbientGenParams, AmbientTrace, BackupConfig, BuildingParams,
-                       BuildingState, load_ambient_csv, make_synthetic_ambient, step)
+from .emulator import (AmbientGenParams, BackupConfig, BuildingParams, BuildingState,
+                       load_ambient_csv, make_synthetic_ambient, step)
 from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, ComfortBand,
-                  Controller, EpisodeLog, TariffConfig, TariffSignal, _left_sum,
-                  _write_rows, comfort_reward, consumption_reward, encode_state,
-                  log_metrics, make_tariff)
+                  Controller, EpisodeLog, TariffConfig, _left_sum, _write_rows,
+                  comfort_reward, consumption_reward, encode_state, log_metrics, make_tariff)
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import CemConfig, GaConfig
@@ -123,21 +122,18 @@ class RunReport:
     extra_paths: dict = field(default_factory=dict)
 
 
-def build_traces(scenario: Scenario) -> tuple[AmbientTrace, TariffSignal]:
-    """The scenario's ambient and tariff traces, derived from its seed."""
-    horizon = scenario.horizon_hours()
+def build_traces(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The scenario's read-only (ambient, prices) arrays, derived from its seed."""
     ss = np.random.SeedSequence(scenario.seed)
     ambient_seed, tariff_seed, _ = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
     if scenario.ambient_csv is not None:
-        trace = load_ambient_csv(scenario.ambient_csv)
-        if len(trace) < horizon + 1:
-            raise ValueError(f"ambient CSV provides {len(trace)} hours; "
-                             f"need {horizon + 1} (one beyond the run)")
+        ambient = load_ambient_csv(scenario.ambient_csv)
     else:
         # one extra day so the final observation still has an ambient value
-        trace = make_synthetic_ambient(ambient_seed, scenario.days + 1, scenario.ambient)
-    tariff = make_tariff(scenario.tariff_kind, horizon, scenario.tariff, tariff_seed)
-    return trace, tariff
+        ambient = make_synthetic_ambient(ambient_seed, scenario.days + 1, scenario.ambient)
+    prices = make_tariff(scenario.tariff_kind, scenario.horizon_hours(), scenario.tariff,
+                         tariff_seed)
+    return ambient, prices
 
 
 def _agent_rng(scenario: Scenario) -> np.random.Generator:
@@ -145,15 +141,35 @@ def _agent_rng(scenario: Scenario) -> np.random.Generator:
     return np.random.default_rng(ss.spawn(3)[2])
 
 
-def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
-             tariff: TariffSignal) -> tuple[EpisodeLog, Controller]:
-    """Run one controller over the traces; returns its episode log and the controller."""
+def _check_trace(name: str, trace: np.ndarray, hours: int, positive: bool) -> None:
+    """Raise ValueError naming the trace unless it holds at least `hours`
+    finite values, each > 0 if `positive`."""
+    if trace.ndim != 1 or len(trace) < hours:
+        raise ValueError(f"{name} trace must hold at least {hours} hourly values, "
+                         f"got shape {trace.shape}")
+    bad = ~(trace > 0) | (trace == np.inf) if positive else ~np.isfinite(trace)
+    if bad.any():
+        hour = int(bad.argmax())
+        raise ValueError(f"{name} trace must be finite{' and > 0' * positive}, "
+                         f"got {float(trace[hour])!r} at hour {hour}")
+
+
+def simulate(scenario: Scenario, agent_kind: str, ambient,
+             prices) -> tuple[EpisodeLog, Controller]:
+    """Run one controller over the traces; returns its episode log and the controller.
+
+    `ambient` (degC) and `prices` (EUR/kWh) are hourly float sequences from
+    hour 0; ambient needs one value beyond the run, for the last observation.
+    """
     horizon = scenario.horizon_hours()
+    ambient, prices = np.asarray(ambient, dtype=float), np.asarray(prices, dtype=float)
+    _check_trace("ambient", ambient, horizon + 1, positive=False)
+    _check_trace("prices", prices, horizon, positive=True)
+    ambient_c, price = ambient.tolist(), prices.tolist()  # the hourly path runs on floats
     n = scenario.history_length
     backup = scenario.backup_config()
     schedule = scenario.band_schedule
     grid = scenario.grid
-    ambient, prices = trace.as_array(), np.asarray(tariff.prices)
     rng = _agent_rng(scenario)
     controllers = {
         "rbc": lambda: RbcController(scenario.rbc, grid),
@@ -169,7 +185,7 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
 
     state = BuildingState(scenario.initial_temp_c, scenario.initial_temp_c, 0)
     steps = np.recarray(horizon, dtype=EPISODE_DTYPE)
-    obs = encode_state((scenario.initial_temp_c,) * (n + 1), trace[0], n)
+    obs = encode_state((scenario.initial_temp_c,) * (n + 1), ambient_c[0], n)
 
     for t in range(horizon):
         controlled = t >= scenario.warmup_hours
@@ -180,16 +196,16 @@ def simulate(scenario: Scenario, agent_kind: str, trace: AmbientTrace,
                 agent.start_day(*ahead)
             action = agent.action(t, state, *ahead)
 
-        state, applied = step(state, scenario.building, trace[t],
+        state, applied = step(state, scenario.building, ambient_c[t],
                               grid.levels_w[action], backup)
 
         band_arrival = schedule.band_at(t + 1)
-        r_cons = consumption_reward(applied, tariff[t])
+        r_cons = consumption_reward(applied, price[t])
         r_comfort = comfort_reward(state.indoor_temp, band_arrival)
-        steps[t] = (t, trace[t], state.indoor_temp, state.envelope_temp,
-                    applied, tariff[t], r_cons, r_comfort)
+        steps[t] = (t, ambient_c[t], state.indoor_temp, state.envelope_temp,
+                    applied, price[t], r_cons, r_comfort)
 
-        obs_next = encode_state((state.indoor_temp, *obs[:n].tolist()), trace[t + 1], n)
+        obs_next = encode_state((state.indoor_temp, *obs[:n].tolist()), ambient_c[t + 1], n)
         if controlled:
             agent.observe(obs, action, r_cons + r_comfort, obs_next)
         obs = obs_next
@@ -259,19 +275,16 @@ def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
 @dataclass(frozen=True)
 class SuiteConfig:
     name: str = "suite"
-    days: int = 30
-    seed: int = 0
-    tariff_kind: str = "flat"
-    agents: tuple[str, ...] = AGENT_KINDS
+    days: int = ranged(30, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
+    tariff_kind: str = ranged("flat", TARIFF_KINDS)
+    agents: tuple[str, ...] = ranged(AGENT_KINDS, AGENT_KINDS)
     base: Scenario = field(default_factory=Scenario)
 
     def __post_init__(self):
+        check_ranges(self)
         if not self.agents:
             raise ValueError("a suite needs at least one agent")
-        for a in self.agents:
-            if a not in AGENT_KINDS:
-                raise ValueError(f"unknown agent {a!r} in suite config; "
-                                 f"choose from {AGENT_KINDS}")
         if len(set(self.agents)) < len(self.agents):
             raise ValueError(f"suite agents {self.agents} name an agent twice")
 

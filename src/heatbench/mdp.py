@@ -27,7 +27,6 @@ __all__ = [
     "BandSchedule",
     "Controller",
     "TariffConfig",
-    "TariffSignal",
     "EpisodeLog",
     "DEFAULT_GRID",
     "DEFAULT_BAND",
@@ -210,27 +209,9 @@ DEFAULT_TARIFF = TariffConfig()
 TARIFF_KINDS = ("flat", "dual", "real_time")
 
 
-@dataclass(frozen=True)
-class TariffSignal:
-    kind: str
-    prices: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in TARIFF_KINDS:
-            raise ValueError(f"unknown tariff kind {self.kind!r}")
-        if any(not 0.0 < p < math.inf for p in self.prices):
-            raise ValueError("all prices must be finite and > 0")
-
-    def __len__(self) -> int:
-        return len(self.prices)
-
-    def __getitem__(self, hour):
-        return self.prices[hour]
-
-
 def make_tariff(kind: str, horizon_hours: int,
-                config: TariffConfig = DEFAULT_TARIFF, seed: int = 0) -> TariffSignal:
-    """Build a per-hour price signal: flat, dual (day/night) or real_time.
+                config: TariffConfig = DEFAULT_TARIFF, seed: int = 0) -> np.ndarray:
+    """Per-hour prices, flat, dual (day/night) or real_time, as a read-only array.
 
     `seed` drives the real_time random walk; the other kinds ignore it.
     """
@@ -239,23 +220,21 @@ def make_tariff(kind: str, horizon_hours: int,
     if kind not in TARIFF_KINDS:
         raise ValueError(f"unknown tariff kind {kind!r}")
     if kind == "flat":
-        prices = (config.flat_price,) * horizon_hours
+        prices = np.full(horizon_hours, config.flat_price, dtype=float)
     elif kind == "dual":
-        prices = tuple(
-            config.day_price
-            if config.day_start_hour <= (h % 24) < config.day_end_hour
-            else config.night_price
-            for h in range(horizon_hours))
+        hour = np.arange(horizon_hours) % 24
+        day = (config.day_start_hour <= hour) & (hour < config.day_end_hour)
+        prices = np.where(day, float(config.day_price), float(config.night_price))
     else:  # real_time
         rng = np.random.default_rng(seed)
-        walk = np.empty(horizon_hours)
+        prices = np.empty(horizon_hours)
         p = config.rtp_base
         for h in range(horizon_hours):
             p = float(np.clip(p + rng.uniform(-config.rtp_step, config.rtp_step),
                               config.rtp_min, config.rtp_max))
-            walk[h] = p
-        prices = tuple(walk.tolist())
-    return TariffSignal(kind, prices)
+            prices[h] = p
+    prices.setflags(write=False)
+    return prices
 
 
 EPISODE_CSV_HEADER = ["hour", "t_a", "t_i", "t_mass", "power_w", "price",

@@ -15,9 +15,11 @@ a handful of whole-vector operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
+
+from .ranges import check_ranges, ranged
 
 __all__ = [
     "MlpSpec",
@@ -37,17 +39,14 @@ ACTIVATIONS = ("relu", "tanh")
 
 @dataclass(frozen=True)
 class MlpSpec:
-    layer_sizes: tuple[int, ...]
-    activation: str = "tanh"
-    init_seed: int = 0
+    layer_sizes: tuple[int, ...] = ranged(MISSING, "[1, inf)")
+    activation: str = ranged("tanh", ACTIVATIONS)
+    init_seed: int = ranged(0, "[0, inf)")
 
     def __post_init__(self):
+        check_ranges(self)
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError("all layer sizes must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
 def _layer_views(sizes: tuple[int, ...], vec: np.ndarray):

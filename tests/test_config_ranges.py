@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from heatbench import (AmbientGenParams, BackupConfig, BuildingParams, CemConfig,
                        ComfortBand, GaConfig, MbrlConfig, MfrlConfig, MpcConfig, RbcConfig,
-                       Scenario, TariffConfig)
+                       Scenario, SuiteConfig, TariffConfig)
 from heatbench.harness import scenario_from_ini
 from heatbench.mdp import ActionGrid
 from heatbench.model_based import ExplorationSchedule
@@ -25,7 +25,8 @@ INI_SECTIONS = {"scenario": Scenario, "building": BuildingParams, "ambient": Amb
                 "band": ComfortBand, "tariff": TariffConfig, "rbc": RbcConfig,
                 "mpc": MpcConfig, "cem": CemConfig, "ga": GaConfig, "mbrl": MbrlConfig,
                 "mfrl": MfrlConfig}
-CONFIGS = (*INI_SECTIONS.values(), BackupConfig, ActionGrid, ExplorationSchedule, QPair)
+CONFIGS = (*INI_SECTIONS.values(), BackupConfig, ActionGrid, ExplorationSchedule, QPair,
+           SuiteConfig, MlpSpec)
 
 
 def _numeric_fields(cls):
@@ -67,6 +68,8 @@ def _build(cls, **kwargs):
     if cls is QPair:
         net = MlpParams.init(MlpSpec((2, 2)))
         return QPair(net, net.copy(), **kwargs)
+    if cls is MlpSpec:
+        return MlpSpec(**{"layer_sizes": (2, 2), **kwargs})
     config = cls(**kwargs)
     if cls is Scenario:
         config.validate()

@@ -191,20 +191,19 @@ def test_backup_filter_property(t_i, requested):
 def test_synthetic_ambient_deterministic():
     a = make_synthetic_ambient(seed=7, days=2)
     b = make_synthetic_ambient(seed=7, days=2)
-    assert a.hourly_temps == b.hourly_temps
-    assert len(a) == 48
+    assert np.array_equal(a, b)
+    assert a.shape == (48,)
 
 
 def test_synthetic_ambient_degenerate_constant():
     flat = AmbientGenParams(mean_c=6.0, drift_start_c=0.0, drift_end_c=0.0,
                             daily_amplitude_c=0.0, noise_sigma_c=0.0)
     trace = make_synthetic_ambient(seed=0, days=2, gen_params=flat)
-    assert all(t == 6.0 for t in trace.hourly_temps)
+    assert np.all(trace == 6.0)
 
 
 def test_synthetic_ambient_yearly_scan_within_bounds():
-    trace = make_synthetic_ambient(seed=0, days=150)
-    temps = trace.as_array()
+    temps = make_synthetic_ambient(seed=0, days=150)
     # mean 6, drift -4..+6, daily +-4, AR(1) stationary spread ~2.3 C
     assert temps.min() > -15.0
     assert temps.max() < 30.0
@@ -220,7 +219,8 @@ def test_load_ambient_csv(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("hour,temp_c\n0,5.0\n1,4.5\n", encoding="utf-8")
     trace = load_ambient_csv(path)
-    assert trace.hourly_temps == (5.0, 4.5)
+    assert trace.tolist() == [5.0, 4.5]
+    assert not trace.flags.writeable
 
 
 def test_load_ambient_csv_empty_file(tmp_path):

@@ -54,8 +54,8 @@ def test_real_time_log_reads_back(tmp_path):
     scenario = Scenario(name="rtp", days=2, agent="rbc", tariff_kind="real_time", seed=7)
     report = run_scenario(scenario, tmp_path)
     log = EpisodeLog.read_csv(report.agent_log_path)
-    prices = build_traces(scenario)[1].prices
-    assert [r.price for r in log.steps] == list(prices)
+    prices = build_traces(scenario)[1]
+    assert [r.price for r in log.steps] == prices.tolist()
     assert len(set(prices)) > 1
 
 
@@ -427,7 +427,7 @@ def test_suite_from_ini(tmp_path):
     assert cfg.tariff_kind == "dual"
     assert cfg.agents == ("rbc", "mpc")
 
-    with pytest.raises(ValueError, match="unknown agent"):
+    with pytest.raises(ValueError, match="agents must be one of"):
         suite_from_ini(_ini(tmp_path, "[suite]\nagents = rbc, dqn\n"))
     with pytest.raises(ValueError, match="unknown key 'tariff_kind'"):
         suite_from_ini(_ini(tmp_path, "[suite]\ntariff_kind = dual\n"))
@@ -438,7 +438,7 @@ def test_suite_from_ini(tmp_path):
 @pytest.mark.parametrize("agents, match", [
     ((), "at least one agent"),
     (("mpc", "mpc"), "name an agent twice"),
-    (("rbc", "dqn"), "unknown agent 'dqn'"),
+    (("rbc", "dqn"), "agents must be one of"),
 ], ids=["empty", "repeated", "unknown"])
 def test_suite_rejects_bad_agent_lists(tmp_path, capsys, agents, match):
     with pytest.raises(ValueError, match=match):
@@ -479,7 +479,10 @@ def test_cli_run_and_plot(tmp_path, capsys):
     (["run"], "[cem]\nelite_fraction = -inf\n", "elite_fraction must be in (0, 1]"),
     (["plot", "--kind", "temperature_trace", "--band-high", "inf"], None,
      "t_max must be finite"),
-], ids=["negative-seed", "inf-elite-fraction", "minus-inf-elite-fraction", "inf-band"])
+    (["suite", "--seed", "-1", "--days", "2"], None, "seed must be >= 0"),
+    (["suite", "--days", "0"], None, "days must be >= 1"),
+], ids=["negative-seed", "inf-elite-fraction", "minus-inf-elite-fraction", "inf-band",
+        "suite-negative-seed", "suite-zero-days"])
 def test_cli_rejects_out_of_range_values_naming_the_field(tmp_path, capsys, args, ini,
                                                            message):
     if args[0] == "plot":
@@ -491,8 +494,8 @@ def test_cli_rejects_out_of_range_values_naming_the_field(tmp_path, capsys, args
         args = [*args, "--scenario", str(_ini(tmp_path, ini))]
     out = tmp_path / "out"
     assert cli_main([*args, "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-    assert message in error
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert message in json.loads(line)["error"]
     assert not out.exists()
 
 
