@@ -43,8 +43,6 @@ __all__ = [
     "BuildingState",
     "BackupConfig",
     "AmbientGenParams",
-    "DEFAULT_BUILDING",
-    "DEFAULT_AMBIENT",
     "step",
     "hour_affine_map",
     "make_synthetic_ambient",
@@ -84,9 +82,6 @@ class BuildingParams:
                              " must be < envelope_capacitance")
 
 
-DEFAULT_BUILDING = BuildingParams()
-
-
 @dataclass(frozen=True)
 class BuildingState:
     """Latent physical state: indoor and envelope temperature at an hour mark."""
@@ -114,9 +109,6 @@ class BackupConfig:
             raise ValueError("low_trip must be below high_trip")
 
 
-BACKUP_OFF = BackupConfig(enabled=False)
-
-
 def _apply_backup(indoor_temp: float, requested_w: float, params: BuildingParams,
                   backup: BackupConfig) -> float:
     if not backup.enabled:
@@ -129,7 +121,7 @@ def _apply_backup(indoor_temp: float, requested_w: float, params: BuildingParams
 
 
 def step(state: BuildingState, params: BuildingParams, ambient_c: float,
-         power_w: float, backup: BackupConfig = BACKUP_OFF) -> tuple[BuildingState, float]:
+         power_w: float, backup: BackupConfig = BackupConfig()) -> tuple[BuildingState, float]:
     """Advance the building by one hour; returns (new state, applied power).
 
     The backup filter is evaluated once, on the state at the start of the
@@ -220,14 +212,12 @@ class AmbientGenParams:
         check_ranges(self)
 
 
-DEFAULT_AMBIENT = AmbientGenParams()
-
 # Daily sinusoid peaks mid-afternoon (15:00) and bottoms out at 03:00.
 _DAILY_PHASE_HOUR = 9.0
 
 
 def make_synthetic_ambient(seed: int, days: int,
-                           gen_params: AmbientGenParams = DEFAULT_AMBIENT) -> np.ndarray:
+                           gen_params: AmbientGenParams = AmbientGenParams()) -> np.ndarray:
     """Deterministic synthetic ambient trace: a read-only array of days*24
     hourly temperatures."""
     if days < 1:

@@ -17,6 +17,7 @@ import configparser
 import csv
 import dataclasses
 import itertools
+import os
 import time
 import typing
 from dataclasses import dataclass, field, replace
@@ -57,6 +58,12 @@ PLOT_KINDS = ("temperature_trace", "action_histogram", "hourly_action_heatmap",
               "model_mae")
 
 
+def _check_name(name: str) -> None:
+    """A run's name prefixes every file it writes, so it names no other directory."""
+    if any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ValueError(f"name must not contain a path separator or NUL, got {name!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one run needs; every field has an overridable default."""
@@ -88,6 +95,7 @@ class Scenario:
 
     def validate(self) -> None:
         check_ranges(self)
+        _check_name(self.name)
         if not self.warmup_hours <= self.horizon_hours():
             raise ValueError("warmup_hours must lie within the run")
         if self.grid.levels_w[-1] > self.building.max_power_w:
@@ -283,6 +291,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         check_ranges(self)
+        _check_name(self.name)
         if not self.agents:
             raise ValueError("a suite needs at least one agent")
         if len(set(self.agents)) < len(self.agents):
@@ -414,13 +423,22 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
 # the sections of a scenario INI file, each read by scenario_from_ini
 _SCENARIO_SECTIONS = ("scenario", "band", "building", "ambient", "tariff", "rbc",
                       "cem", "ga", "mpc", "mbrl", "mfrl")
+# what the first line of an INI file that does not parse does wrong
+_INI_FAULTS = {configparser.DuplicateOptionError: "a key repeats within its section",
+               configparser.DuplicateSectionError: "a section header repeats",
+               configparser.MissingSectionHeaderError: "a key before the first [section]",
+               configparser.ParsingError: "neither a [section] header nor a key = value line"}
 
 
 def _read_ini(path, sections) -> configparser.ConfigParser:
     """Parse an INI file whose sections must all be among `sections`."""
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            line = getattr(exc, "lineno", None) or exc.errors[0][0]
+            raise ValueError(f"{path}, line {line}: {_INI_FAULTS[type(exc)]}") from None
     for name in parser.sections():
         if name not in sections:
             raise ValueError(f"{path}: unknown section [{name}]")

@@ -28,8 +28,6 @@ __all__ = [
     "Controller",
     "TariffConfig",
     "EpisodeLog",
-    "DEFAULT_GRID",
-    "DEFAULT_BAND",
     "TARIFF_KINDS",
     "encode_state",
     "consumption_reward",
@@ -80,9 +78,6 @@ class ActionGrid:
         return len(self.levels_w) - 1
 
 
-DEFAULT_GRID = ActionGrid()
-
-
 @dataclass(frozen=True)
 class ComfortBand:
     t_min: float = ranged(19.0, "(-inf, inf)")
@@ -92,9 +87,6 @@ class ComfortBand:
         check_ranges(self)
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
-
-
-DEFAULT_BAND = ComfortBand()
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ class BandSchedule:
             raise ValueError("phase start hours must be strictly increasing")
 
     @classmethod
-    def constant(cls, band: ComfortBand = DEFAULT_BAND) -> "BandSchedule":
+    def constant(cls, band: ComfortBand = ComfortBand()) -> "BandSchedule":
         return cls(((0, band),))
 
     def band_at(self, hour: int) -> ComfortBand:
@@ -205,12 +197,11 @@ class TariffConfig:
             raise ValueError("day window must satisfy 0 <= start < end <= 24")
 
 
-DEFAULT_TARIFF = TariffConfig()
 TARIFF_KINDS = ("flat", "dual", "real_time")
 
 
 def make_tariff(kind: str, horizon_hours: int,
-                config: TariffConfig = DEFAULT_TARIFF, seed: int = 0) -> np.ndarray:
+                config: TariffConfig = TariffConfig(), seed: int = 0) -> np.ndarray:
     """Per-hour prices, flat, dual (day/night) or real_time, as a read-only array.
 
     `seed` drives the real_time random walk; the other kinds ignore it.

@@ -14,6 +14,12 @@ normalised features, so a training cycle gathers its batch as is.
 `replay_sample` is numpy's weighted draw without replacement
 (`Generator.choice(n, size, replace=False, p=p)`), reproduced bit for bit
 in indices and generator state without its per-call validation of `p`.
+
+The agent encodes and values each observation once.  One record holds the
+newest observation valued with the online network, its features and its
+online Q-values; `act` and `observe` read it when both objects match,
+whichever values an observation first writes it (`observe` values
+`obs_next`), and a training cycle or the normalizer fit drops it.
 """
 
 from __future__ import annotations
@@ -139,15 +145,18 @@ def soft_update(pair: QPair) -> QPair:
 
 
 def q_target(x_next: np.ndarray, rewards: np.ndarray, pair: QPair,
-             selection_by_target: bool = False) -> np.ndarray:
+             selection_by_target: bool = False,
+             selector: np.ndarray | None = None) -> np.ndarray:
     """Bootstrap targets for a batch of transitions, one per row.
 
     `x_next` holds the encoded next states.  The online network picks the
     next action and the target network values it (double-Q);
     `selection_by_target` switches the argmax to the target network instead.
+    A caller that holds the online values of `x_next` passes them as `selector`.
     """
     q_tgt = forward_batch(pair.target, x_next)
-    selector = q_tgt if selection_by_target else forward_batch(pair.online, x_next)
+    if selector is None:
+        selector = q_tgt if selection_by_target else forward_batch(pair.online, x_next)
     bootstrap = q_tgt[np.arange(len(q_tgt)), np.argmax(selector, axis=1)]
     return rewards + pair.gamma * bootstrap
 
@@ -206,29 +215,30 @@ class ModelFreeAgent(Controller):
         self._optimizer = AdamOptimizer(cfg.learning_rate)
         self._rng = rng
         self._started = False
-        # (observation, online network, encoded features, Q-values) of the
-        # last act, for observe to reuse, and (next observation, encoded
-        # features) of the last observe, for act to reuse; train_cycle drops both
-        self._acted: tuple | None = None
-        self._observed: tuple | None = None
+        # (observation, online network, features, online Q-values): the record
+        self._record: tuple | None = None
         self.q_trace: list[tuple[int, tuple[float, ...], int]] = []
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Normalise state features, one vector or a matrix of rows."""
         return self.normalizer.apply(x) if self.normalizer is not None else x
 
-    def _encoded_q(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        observed = self._observed
-        x = observed[1] if observed is not None and observed[0] is obs else self.encode(obs)
-        return x, forward(self.pair.online, x)
+    def _valued(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Encoded features and online Q-values of `obs`, from or into the record."""
+        record = self._record
+        if record is not None and record[0] is obs and record[1] is self.pair.online:
+            return record[2], record[3]
+        x = self.encode(obs)
+        q = forward(self.pair.online, x)
+        self._record = (obs, self.pair.online, x, q)
+        return x, q
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
-        return self._encoded_q(obs)[1]
+        return self._valued(obs)[1]
 
     def act(self, obs: np.ndarray, hour: int | None = None,
             epsilon: float | None = None) -> int:
-        x, q = self._encoded_q(obs)
-        self._acted = (obs, self.pair.online, x, q)
+        x, q = self._valued(obs)
         # an explicitly passed epsilon overrides the warm-up random phase
         warming = epsilon is None and len(self.replay) < self.cfg.warmup_samples
         eps = self.schedule.epsilon() if epsilon is None else epsilon
@@ -242,25 +252,17 @@ class ModelFreeAgent(Controller):
 
     def observe(self, obs: np.ndarray, action: int, reward: float,
                 obs_next: np.ndarray) -> None:
-        """File the transition with its TD priority, as encoded features.
-
-        Reuses the features and Q-values of the `act` on this same
-        observation, if no training step came between them, and hands the
-        encoded `obs_next` on to the next `act`.
-        """
-        acted, self._acted = self._acted, None
-        if acted is not None and acted[0] is obs and acted[1] is self.pair.online:
-            x, q = acted[2], acted[3]
-        else:
-            x, q = self._encoded_q(obs)
+        """File the transition with its TD priority; record `obs_next`'s values."""
+        x, q = self._valued(obs)
         x_next = self.encode(obs_next[None, :])
-        target = q_target(x_next, np.array([reward]), self.pair)
+        q_next = forward_batch(self.pair.online, x_next)
+        target = q_target(x_next, np.array([reward]), self.pair, selector=q_next)
         self.replay.add(x, action, reward, x_next[0],
                         compute_priority(float(target[0]), float(q[action]),
                                          self.cfg.priority_offset))
-        self._observed = (obs_next, x_next[0])
+        self._record = (obs_next, self.pair.online, x_next[0], q_next[0])
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
-            self._observed = None  # encoded before the normalizer existed
+            self._record = None  # encoded before the normalizer existed
             mem = self.replay
             self.normalizer = fit_normalizer(mem.rows(mem.s))
             n = len(mem)
@@ -274,7 +276,7 @@ class ModelFreeAgent(Controller):
         """
         if len(self.replay) < self.cfg.warmup_samples:
             return False
-        self._acted = self._observed = None
+        self._record = None
         mem = self.replay
         idx = replay_sample(mem, self.cfg.batch_size, self._rng)
         x, x_next = mem.s[idx], mem.s_next[idx]
@@ -300,11 +302,7 @@ class ModelFreeAgent(Controller):
         if self._started:
             self.schedule.advance()
         self._started = True
-        done = 0
-        for _ in range(self.cfg.train_cycles_per_update):
-            if self.train_cycle():
-                done += 1
-        return done
+        return sum(self.train_cycle() for _ in range(self.cfg.train_cycles_per_update))
 
     def start_day(self, obs, prices, ambient, band) -> None:
         self.daily_update()

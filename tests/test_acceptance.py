@@ -319,9 +319,12 @@ def test_criterion_10_relative_compute_ordering():
     obs = encode_state((20.0,) * 4, 5.0, 3)
     mf = ModelFreeAgent(MfrlConfig(), GRID, np.random.default_rng(0), history_length=3)
     n_act = 300
+    # equal values in distinct objects: each call makes a full decision, where
+    # one repeated object would be served from the agent's record
+    observations = [obs.copy() for _ in range(n_act)]
     t0 = time.perf_counter()
-    for _ in range(n_act):
-        mf.act(obs, epsilon=0.0)
+    for o in observations:
+        mf.act(o, epsilon=0.0)
     act_seconds = (time.perf_counter() - t0) / n_act
 
     mb = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0), history_length=3)

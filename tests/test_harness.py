@@ -4,6 +4,7 @@ import filecmp
 import functools
 import json
 import operator
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -367,10 +368,21 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[scenario]\ninitial_temp_c = nan\n", "initial_temp_c must be finite"),
     ("[scenario]\nbackup_low_trip = -inf\n", "low_trip must be finite"),
     ("[scenario]\nbackup_high_trip = inf\n", "high_trip must be finite"),
+    ("[scenario]\ndays = 2\ndays = 3\n", r"config\.ini, line 3: a key repeats"),
+    ("[scenario]\ndays = 2\n[scenario]\nseed = 1\n",
+     r"config\.ini, line 3: a section header repeats"),
+    ("days = 2\n[scenario]\n", r"config\.ini, line 1: a key before the first \[section\]"),
+    ("[scenario]\ndays\n", r"config\.ini, line 2: neither a \[section\] header"),
 ])
-def test_scenario_from_ini_rejects_bad_entries(tmp_path, text, match):
+def test_scenario_from_ini_rejects_bad_entries(tmp_path, capsys, text, match):
+    path = _ini(tmp_path, text)
     with pytest.raises(ValueError, match=match):
-        scenario_from_ini(_ini(tmp_path, text))
+        scenario_from_ini(path)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert re.search(match, json.loads(line)["error"])
+    assert not out.exists()
 
 
 def test_scenario_history_length_reaches_both_agents(tmp_path):
@@ -450,6 +462,35 @@ def test_suite_rejects_bad_agent_lists(tmp_path, capsys, agents, match):
     assert cli_main(["suite", "--config", str(path), "--out", str(out)]) == 2
     assert match in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/x", "a\0b"])
+def test_scenario_and_suite_names_must_prefix_a_file(name):
+    with pytest.raises(ValueError, match="name must not contain a path separator or NUL"):
+        Scenario(name=name).validate()
+    with pytest.raises(ValueError, match="name must not contain a path separator or NUL"):
+        SuiteConfig(name=name)
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/x"])
+@pytest.mark.parametrize("form", ["run", "suite", "run-ini", "suite-ini"])
+def test_cli_rejects_a_name_that_cannot_prefix_a_file_before_running(tmp_path, capsys,
+                                                                    form, name):
+    work = tmp_path / "work"
+    work.mkdir()
+    command = form.removesuffix("-ini")
+    section, flag = ("scenario", "--scenario") if command == "run" else ("suite", "--config")
+    args = [command, "--days", "2", "--out", str(work / "out")]
+    if command == "run":
+        args += ["--agent", "rbc"]
+    if form.endswith("-ini"):
+        args += [flag, str(_ini(tmp_path, f"[{section}]\nname = {name}\n"))]
+    else:
+        args += ["--name", name]
+    assert cli_main(args) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"].startswith("name must not contain")
+    assert not any(work.iterdir())
 
 
 def test_suite_from_ini_scenario_sections_set_the_base(tmp_path):

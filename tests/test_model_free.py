@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from heatbench import model_free
+from heatbench.harness import Scenario, build_traces, simulate
 from heatbench.mdp import ActionGrid, encode_state
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, compute_priority, q_target, replay_sample,
@@ -421,6 +423,38 @@ def test_act_reuses_the_features_observe_encoded(monkeypatch):
     assert agent.train_cycle()
     agent.q_values(obs_next)
     assert len(encoded) == 2
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of `owner.name`, which keeps working as before."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_act_after_observe_reads_the_recorded_q_values(monkeypatch):
+    agent = _warm_agent()
+    obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
+    agent.observe(obs, 3, -1.0, obs_next)
+    fresh = forward(agent.pair.online, agent.normalizer.apply(obs_next))
+    forwards = _count_calls(monkeypatch, model_free, "forward")
+    action = agent.act(obs_next, hour=7, epsilon=0.0)
+    assert forwards == []
+    assert action == int(np.argmax(fresh))
+    assert agent.q_trace[-1] == (7, tuple(float(v) for v in fresh), action)
+
+
+def test_mfrl_run_values_each_observation_once(monkeypatch):
+    # seed 7, 20 flat days: 456 controlled hours, but a batch-1 forward only
+    # for the first decision and the first after each of the 15 days that
+    # trained (the normalizer fit falls on the eve of the first)
+    scenario = Scenario(days=20, agent="mfrl", seed=7)
+    traces = build_traces(scenario)
+    forwards = _count_calls(monkeypatch, model_free, "forward")
+    encodes = _count_calls(monkeypatch, ModelFreeAgent, "encode")
+    simulate(scenario, "mfrl", *traces)
+    assert (len(forwards), len(encodes)) == (16, 472)
 
 
 def test_act_after_the_normalizer_fit_encodes_afresh():
