@@ -14,8 +14,7 @@ import numpy as np
 
 from .emulator import BuildingParams, BuildingState
 from .mdp import ActionGrid, ComfortBand, Controller
-from .planners import (CemConfig, ExactDynamicsModel, GaConfig, plan_cem,
-                       plan_exhaustive, plan_ga)
+from .planners import CemConfig, ExactDynamicsModel, GaConfig, plan
 from .ranges import check_ranges, ranged
 
 __all__ = ["RbcConfig", "rbc_action", "RbcController", "MpcConfig", "MpcController"]
@@ -101,17 +100,9 @@ class MpcController(Controller):
             shifted = self._previous[1:] + (0,)
             seed_seq = shifted[:horizon] + (0,) * max(0, horizon - len(shifted))
 
-        if self.config.planner == "cem":
-            plan = plan_cem(model, obs, horizon, self.grid, tariff_window,
-                            ambient_window, band, self.config.cem, self._rng, seed_seq)
-        elif self.config.planner == "ga":
-            plan = plan_ga(model, obs, horizon, self.grid, tariff_window,
-                           ambient_window, band, self.config.ga, self._rng, seed_seq)
-        else:
-            plan = plan_exhaustive(model, obs, horizon, self.grid, tariff_window,
-                                   ambient_window, band)
-        self._previous = plan.actions
-        return plan.actions[0]
+        self._previous = plan(self.config, model, obs, horizon, self.grid, tariff_window,
+                              ambient_window, band, self._rng, seed_seq).actions
+        return self._previous[0]
 
     def action(self, t, state, obs, prices, ambient, band) -> int:
         return self.decide(state, obs, prices, ambient, band)

@@ -9,6 +9,11 @@ drives every controller through the hourly hooks of `mdp.Controller`:
 hour's grid index and `observe` for the hour's transition.  All
 randomness derives from the scenario seed, so a (scenario, seed) pair
 determines every output byte.
+
+An INI file's schema, `INI_SECTIONS`, is derived from `Scenario`'s type
+hints: `[scenario]` sets its own fields, and each dataclass-typed field, at
+any depth, is set by the section named after it, so `[cem]` sets both
+`mpc.cem` and `mbrl.cem`; `[band]` sets `band_schedule`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, Comfort
                   comfort_reward, consumption_reward, encode_state, log_metrics, make_tariff)
 from .model_based import MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
-from .planners import CemConfig, GaConfig
 from .ranges import check_ranges, ranged
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "run_suite",
     "emit_plot_data",
     "estimate_convergence",
+    "INI_SECTIONS",
     "scenario_from_ini",
     "suite_from_ini",
 ]
@@ -96,8 +101,8 @@ class Scenario:
     def validate(self) -> None:
         check_ranges(self)
         _check_name(self.name)
-        if not self.warmup_hours <= self.horizon_hours():
-            raise ValueError("warmup_hours must lie within the run")
+        if not self.warmup_hours < self.horizon_hours():
+            raise ValueError("warmup_hours must be < days * 24, leaving a controlled hour")
         if self.grid.levels_w[-1] > self.building.max_power_w:
             raise ValueError("action grid exceeds the heat pump's max power")
         self.backup_config()  # trips must be ordered
@@ -420,9 +425,6 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
 # Plain key-value (INI) configuration files
 # ---------------------------------------------------------------------------
 
-# the sections of a scenario INI file, each read by scenario_from_ini
-_SCENARIO_SECTIONS = ("scenario", "band", "building", "ambient", "tariff", "rbc",
-                      "cem", "ga", "mpc", "mbrl", "mfrl")
 # what the first line of an INI file that does not parse does wrong
 _INI_FAULTS = {configparser.DuplicateOptionError: "a key repeats within its section",
                configparser.DuplicateSectionError: "a section header repeats",
@@ -431,8 +433,8 @@ _INI_FAULTS = {configparser.DuplicateOptionError: "a key repeats within its sect
 
 
 def _read_ini(path, sections) -> configparser.ConfigParser:
-    """Parse an INI file whose sections must all be among `sections`."""
-    parser = configparser.ConfigParser()
+    """Parse an INI file whose sections must all be among `sections`; `%` reads as itself."""
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
@@ -474,14 +476,14 @@ def _caster(tp):
     return None
 
 
-def _section(parser, section: str, cls, aliases: dict | None = None) -> dict:
+def _section(parser, section: str, cls) -> dict:
     """Keyword arguments for dataclass `cls` from one INI section.
 
     The keys are the names of the fields that one value can set, each cast
-    to the field's annotated type.  `aliases` maps further keys to a
-    (field, cast) pair; a field reached through an alias loses its own key.
+    to the field's annotated type.  The section's `_ALIASES` map further keys
+    to a (field, cast) pair; a field reached through an alias loses its own key.
     """
-    aliases = aliases or {}
+    aliases = _ALIASES.get(section, {})
     hidden = {name for name, _ in aliases.values()}
     hints = typing.get_type_hints(cls)
     keys = {}
@@ -503,11 +505,6 @@ def _section(parser, section: str, cls, aliases: dict | None = None) -> dict:
     return out
 
 
-# INI keys whose names differ from the fields they set
-_PRICE_ALIAS = {"price": ("tariff_kind", _choice(PRICE_KINDS, "a price"))}
-_SCENARIO_ALIASES = {**_PRICE_ALIAS, "backup": ("backup_enabled", _bool)}
-
-
 def _parse_band_phases(raw: str) -> BandSchedule:
     phases = []
     for part in raw.split(","):
@@ -516,41 +513,60 @@ def _parse_band_phases(raw: str) -> BandSchedule:
     return BandSchedule(tuple(phases))
 
 
-def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
-    """Build a Scenario from an INI file; `overrides` wins over file values.
+# per section, the INI keys whose names differ from the fields they set
+_PRICE_ALIAS = {"price": ("tariff_kind", _choice(PRICE_KINDS, "a price"))}
+_ALIASES = {"suite": _PRICE_ALIAS,
+            "scenario": {**_PRICE_ALIAS, "backup": ("backup_enabled", _bool)},
+            "band": {"phases": ("phases", _parse_band_phases)}}
 
-    `[scenario]` sets Scenario's own fields; `[building]`, `[ambient]`,
-    `[tariff]`, `[rbc]`, `[cem]`, `[ga]`, `[mpc]`, `[mbrl]` and `[mfrl]`
-    set the fields of the config dataclass of the same name; `[band]`
-    takes ComfortBand's fields or a `phases` schedule.  Any other section
-    is rejected.
-    """
-    return _scenario(_read_ini(path, _SCENARIO_SECTIONS), overrides)
+
+def _config_fields(cls):
+    """(field, section, dataclass) of each config field of `cls`; [band] sets
+    band_schedule from ComfortBand's fields or a `phases` schedule."""
+    for name, tp in typing.get_type_hints(cls).items():
+        if tp is BandSchedule:
+            yield name, "band", ComfortBand
+        elif dataclasses.is_dataclass(tp):
+            yield name, name, tp
+
+
+def _sections(cls, section: str, table: dict) -> dict:
+    table[section] = cls
+    for _, sub, tp in _config_fields(cls):
+        _sections(tp, sub, table)
+    return table
+
+
+# each section of a scenario INI file -> the dataclass whose fields it sets
+INI_SECTIONS = _sections(Scenario, "scenario", {})
+
+
+def _band(parser) -> BandSchedule:
+    band = _section(parser, "band", ComfortBand)
+    if "phases" not in band:
+        return BandSchedule.constant(ComfortBand(**band))
+    if len(band) > 1:
+        raise ValueError("[band] takes either phases or t_min/t_max, not both")
+    return band["phases"]
+
+
+def _config(parser, cls, section: str, overrides: dict | None = None):
+    """`cls` from its section, each config field under it built from that
+    field's own section in turn; `overrides` wins over the file."""
+    kwargs = _section(parser, section, cls)
+    for name, sub, tp in _config_fields(cls):
+        kwargs[name] = _band(parser) if sub == "band" else _config(parser, tp, sub)
+    return cls(**{**kwargs, **(overrides or {})})
+
+
+def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
+    """Build a Scenario from an INI file whose sections are among INI_SECTIONS
+    (see the module docstring); `overrides` wins over file values."""
+    return _scenario(_read_ini(path, INI_SECTIONS), overrides)
 
 
 def _scenario(parser, overrides: dict | None) -> Scenario:
-    main = _section(parser, "scenario", Scenario, _SCENARIO_ALIASES)
-    band = _section(parser, "band", ComfortBand, {"phases": ("phases", _parse_band_phases)})
-    if "phases" in band:
-        if len(band) > 1:
-            raise ValueError("[band] takes either phases or t_min/t_max, not both")
-        main["band_schedule"] = band["phases"]
-    elif band:
-        main["band_schedule"] = BandSchedule.constant(ComfortBand(**band))
-    main.update(overrides or {})
-
-    cem = CemConfig(**_section(parser, "cem", CemConfig))
-    ga = GaConfig(**_section(parser, "ga", GaConfig))
-    scenario = Scenario(
-        **main,
-        building=BuildingParams(**_section(parser, "building", BuildingParams)),
-        ambient=AmbientGenParams(**_section(parser, "ambient", AmbientGenParams)),
-        tariff=TariffConfig(**_section(parser, "tariff", TariffConfig)),
-        rbc=RbcConfig(**_section(parser, "rbc", RbcConfig)),
-        mpc=MpcConfig(cem=cem, ga=ga, **_section(parser, "mpc", MpcConfig)),
-        mbrl=MbrlConfig(cem=cem, ga=ga, **_section(parser, "mbrl", MbrlConfig)),
-        mfrl=MfrlConfig(**_section(parser, "mfrl", MfrlConfig)),
-    )
+    scenario = _config(parser, Scenario, "scenario", overrides)
     scenario.validate()
     return scenario
 
@@ -559,10 +575,10 @@ def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
     """Build a SuiteConfig from the `[suite]` section of an INI file; the
     sections of a scenario file (see scenario_from_ini) there make the base
     scenario of every run.  Any other section is rejected."""
-    parser = _read_ini(path, ("suite", *_SCENARIO_SECTIONS))
-    head = {**_section(parser, "suite", SuiteConfig, _PRICE_ALIAS), **(overrides or {})}
+    parser = _read_ini(path, ("suite", *INI_SECTIONS))
+    head = {**_section(parser, "suite", SuiteConfig), **(overrides or {})}
     suite = SuiteConfig(**head)
-    if set(parser.sections()) & set(_SCENARIO_SECTIONS):
+    if INI_SECTIONS.keys() & parser.sections():
         suite = replace(suite, base=_scenario(parser, {"days": suite.days,
                                                        "seed": suite.seed}))
     return suite

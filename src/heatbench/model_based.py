@@ -16,7 +16,7 @@ import numpy as np
 from .mdp import ActionGrid, ComfortBand, Controller
 from .neural import (ACTIVATIONS, AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward_batch, train_minibatch)
-from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan_cem, plan_ga
+from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan
 from .ranges import check_ranges, ranged
 
 __all__ = [
@@ -234,10 +234,8 @@ class ModelBasedAgent(Controller):
 
     def plan_day(self, obs: np.ndarray, tariff_window, ambient_window,
                  band: ComfortBand) -> Plan:
-        planner, planner_cfg = ((plan_cem, self.cfg.cem) if self.cfg.planner == "cem"
-                                else (plan_ga, self.cfg.ga))
-        return planner(self.dynamics(), obs, min(24, len(tariff_window)), self.grid,
-                       tariff_window, ambient_window, band, planner_cfg, self._rng)
+        return plan(self.cfg, self.dynamics(), obs, min(24, len(tariff_window)), self.grid,
+                    tariff_window, ambient_window, band, self._rng)
 
     def act(self, hour_of_day: int, epsilon: float | None = None) -> int:
         eps = self.schedule.epsilon() if epsilon is None else epsilon
@@ -259,8 +257,8 @@ class ModelBasedAgent(Controller):
                                                  self.grid, self.cfg, self._rng)
         if mae is not None:
             self.mae_history.append((self.schedule.day, mae))
-        plan = self.plan_day(obs, tariff_window, ambient_window, band)
-        self._plan = plan.actions + (0,) * max(0, 24 - len(plan.actions))
+        actions = self.plan_day(obs, tariff_window, ambient_window, band).actions
+        self._plan = actions + (0,) * max(0, 24 - len(actions))
         return mae
 
     def start_day(self, obs, prices, ambient, band) -> None:

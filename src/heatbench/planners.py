@@ -34,6 +34,7 @@ __all__ = [
     "plan_cem",
     "plan_ga",
     "plan_exhaustive",
+    "plan",
 ]
 
 
@@ -306,3 +307,14 @@ def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
         returns = evaluate_sequences(model, start, powers, prices, ambient, band)
         tracker.offer(population, returns, powers.sum(axis=1))
     return tracker.plan()
+
+
+def plan(config, model: DynamicsModel, start: np.ndarray, horizon: int, grid: ActionGrid,
+         tariff_window, ambient_window, band: ComfortBand, rng: np.random.Generator,
+         seed_sequence=None) -> Plan:
+    """Plan with `config.planner` ("cem", "ga" or "exhaustive") and `config.cem`/`config.ga`."""
+    if config.planner == "exhaustive":
+        return plan_exhaustive(model, start, horizon, grid, tariff_window, ambient_window, band)
+    planner, settings = (plan_cem, config.cem) if config.planner == "cem" else (plan_ga, config.ga)
+    return planner(model, start, horizon, grid, tariff_window, ambient_window, band, settings,
+                   rng, seed_sequence)

@@ -5,6 +5,7 @@ fixtures; run with `pytest tests/test_acceptance.py -v -s` to see the
 per-criterion lines as they complete.
 """
 
+import runpy
 import time
 from pathlib import Path
 
@@ -15,8 +16,7 @@ from scipy import stats
 from heatbench.baselines import MpcConfig, MpcController
 from heatbench.emulator import BuildingParams, BuildingState, step
 from heatbench.harness import Scenario, build_traces, run_scenario, simulate
-from heatbench.mdp import (ActionGrid, BandSchedule, ComfortBand, encode_state,
-                           log_metrics)
+from heatbench.mdp import ActionGrid, ComfortBand, encode_state, log_metrics
 from heatbench.model_based import MbrlConfig, ModelBasedAgent
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, q_target, replay_sample)
@@ -29,6 +29,7 @@ BAND = ComfortBand(19.0, 23.0)
 SEEDS = (0, 1, 2)
 FULL_DAYS = 150
 WARMUP = 24
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _run_battery(seed, days, tariff_kind, agents):
@@ -233,35 +234,14 @@ def test_criterion_7_robustness_scenarios(tmp_path):
     """(a) setpoint-change scenario reports per-phase comfort for MB vs MF;
     (b) backup-filter scenario: MF-RL weekly comfort strictly decreasing
     after week 2, MB-RL degradation reported."""
-    schedule = BandSchedule((
-        (0, ComfortBand(19.0, 23.0)),
-        (264, ComfortBand(21.0, 25.0)),
-        (504, ComfortBand(17.0, 21.0)),
-        (744, ComfortBand(19.0, 23.0)),
-    ))
-    phases = [(24, 264), (264, 504), (504, 744), (744, 984)]
-    phase_report = {}
-    for kind in ("mbrl", "mfrl"):
-        scenario = Scenario(name=f"setpoint_{kind}", days=41, agent=kind, seed=0,
-                            band_schedule=schedule)
-        report = run_scenario(scenario, tmp_path / "setpoint")
-        from heatbench.mdp import EpisodeLog
-        log = EpisodeLog.read_csv(report.agent_log_path)
-        phase_report[kind] = [round(log.slice_hours(lo, hi).total_comfort_eur(), 1)
-                              for lo, hi in phases]
-        assert Path(report.agent_log_path).exists()
+    robustness = runpy.run_path(str(SCRIPTS / "run_robustness.py"))
+    phase_report = {kind: robustness["setpoint_phase_losses"](kind, 0, tmp_path / "setpoint")
+                    for kind in ("mbrl", "mfrl")}
     print(f"\nACCEPTANCE 7a PASS: setpoint-change per-phase comfort loss (EUR) "
           f"MB-RL {phase_report['mbrl']} vs MF-RL {phase_report['mfrl']}")
 
-    weekly = {}
-    for kind in ("mfrl", "mbrl"):
-        scenario = Scenario(name=f"backup_{kind}", days=36, agent=kind, seed=1,
-                            backup_enabled=True)
-        report = run_scenario(scenario, tmp_path / "backup")
-        from heatbench.mdp import EpisodeLog
-        log = EpisodeLog.read_csv(report.agent_log_path)
-        weekly[kind] = [round(log.slice_hours(lo, lo + 168).total_comfort_eur(), 1)
-                        for lo in range(WARMUP, WARMUP + 5 * 168, 168)]
+    weekly = {kind: robustness["backup_weekly_losses"](kind, 1, tmp_path / "backup")
+              for kind in ("mfrl", "mbrl")}
     mf = weekly["mfrl"]
     for k in range(1, len(mf) - 1):  # weeks 2,3,4,5 must strictly decrease
         assert mf[k + 1] < mf[k], f"MF-RL weekly comfort not decreasing: {mf}"

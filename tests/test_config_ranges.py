@@ -11,22 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatbench import (AmbientGenParams, BackupConfig, BuildingParams, CemConfig,
-                       ComfortBand, GaConfig, MbrlConfig, MfrlConfig, MpcConfig, RbcConfig,
-                       Scenario, SuiteConfig, TariffConfig)
-from heatbench.harness import scenario_from_ini
-from heatbench.mdp import ActionGrid
+from heatbench import BackupConfig, Scenario, SuiteConfig
+from heatbench.harness import INI_SECTIONS, scenario_from_ini
 from heatbench.model_based import ExplorationSchedule
 from heatbench.model_free import QPair
 from heatbench.neural import MlpParams, MlpSpec
 
-# the INI section that sets each config class's fields
-INI_SECTIONS = {"scenario": Scenario, "building": BuildingParams, "ambient": AmbientGenParams,
-                "band": ComfortBand, "tariff": TariffConfig, "rbc": RbcConfig,
-                "mpc": MpcConfig, "cem": CemConfig, "ga": GaConfig, "mbrl": MbrlConfig,
-                "mfrl": MfrlConfig}
-CONFIGS = (*INI_SECTIONS.values(), BackupConfig, ActionGrid, ExplorationSchedule, QPair,
-           SuiteConfig, MlpSpec)
+CONFIGS = (*INI_SECTIONS.values(), BackupConfig, ExplorationSchedule, QPair, SuiteConfig,
+           MlpSpec)
 
 
 def _numeric_fields(cls):

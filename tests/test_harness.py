@@ -13,10 +13,11 @@ import pytest
 
 from heatbench import harness
 from heatbench.cli import main as cli_main
-from heatbench.harness import (AGENT_KINDS, Scenario, SuiteConfig, build_traces, emit_plot_data,
-                               estimate_convergence, run_scenario, run_suite,
+from heatbench.harness import (AGENT_KINDS, INI_SECTIONS, Scenario, SuiteConfig, build_traces,
+                               emit_plot_data, estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
-from heatbench.mdp import ComfortBand, EpisodeLog
+from heatbench.mdp import ActionGrid, ComfortBand, EpisodeLog
+from heatbench.planners import CemConfig
 from heatbench.model_free import MfrlConfig, ModelFreeAgent
 
 
@@ -277,8 +278,8 @@ def test_scenario_from_ini(tmp_path):
     assert scenario.band_schedule.band_at(0) == ComfortBand(20.0, 24.0)
     assert scenario.mpc.cem.population == 32
 
-    overridden = scenario_from_ini(path, {"agent": "mpc", "days": 1, "seed": 1})
-    assert overridden.agent == "mpc" and overridden.days == 1 and overridden.seed == 1
+    overridden = scenario_from_ini(path, {"agent": "mpc", "days": 2, "seed": 1})
+    assert overridden.agent == "mpc" and overridden.days == 2 and overridden.seed == 1
 
 
 def test_scenario_from_ini_band_phases(tmp_path):
@@ -312,19 +313,27 @@ def test_scenario_from_ini_round_trips_every_default(tmp_path):
             return ", ".join(str(v) for v in value)
         return str(value)
 
-    base = Scenario()
-    sections = {"scenario": {k: v for k, v in vars(base).items()
-                             if isinstance(v, (int, float, str))},
-                "band": vars(base.band_schedule.band_at(0))}
-    for name in ("building", "ambient", "tariff", "rbc", "mbrl", "mfrl", "mpc"):
-        sections[name] = {k: v for k, v in vars(getattr(base, name)).items()
-                          if isinstance(v, (int, float, str, tuple))}
-    sections["cem"], sections["ga"] = vars(base.mpc.cem), vars(base.mpc.ga)
+    # each section's default is its dataclass's, wherever it occurs in Scenario()
+    sections = {name: {k: v for k, v in vars(cls()).items()
+                       if isinstance(v, (int, float, str, tuple))}
+                for name, cls in INI_SECTIONS.items()}
     sections["scenario"]["price"] = sections["scenario"].pop("tariff_kind")
     sections["scenario"]["backup"] = sections["scenario"].pop("backup_enabled")
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {render(v)}\n" for k, v in keys.items())
                    for name, keys in sections.items())
-    assert scenario_from_ini(_ini(tmp_path, text)) == base
+    assert scenario_from_ini(_ini(tmp_path, text)) == Scenario()
+
+
+def test_a_section_sets_the_config_field_of_its_name_wherever_it_occurs(tmp_path):
+    scenario = scenario_from_ini(_ini(tmp_path, "[grid]\nlevels_w = 0, 500, 1000\n"
+                                                "[cem]\npopulation = 16\n"))
+    assert scenario.grid == ActionGrid((0.0, 500.0, 1000.0))
+    assert scenario.mpc.cem == scenario.mbrl.cem == CemConfig(population=16)
+
+
+@pytest.mark.parametrize("raw", ["a%b", "a%%b", "%(days)s"])
+def test_scenario_from_ini_reads_a_percent_sign_as_itself(tmp_path, raw):
+    assert scenario_from_ini(_ini(tmp_path, f"[scenario]\nname = {raw}\n")).name == raw
 
 
 @pytest.mark.parametrize("section, key, raw, field, value", [
@@ -368,6 +377,7 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[scenario]\ninitial_temp_c = nan\n", "initial_temp_c must be finite"),
     ("[scenario]\nbackup_low_trip = -inf\n", "low_trip must be finite"),
     ("[scenario]\nbackup_high_trip = inf\n", "high_trip must be finite"),
+    ("[grid]\nlevels_w = 0, 5000\n", "action grid exceeds the heat pump's max power"),
     ("[scenario]\ndays = 2\ndays = 3\n", r"config\.ini, line 3: a key repeats"),
     ("[scenario]\ndays = 2\n[scenario]\nseed = 1\n",
      r"config\.ini, line 3: a section header repeats"),
@@ -522,8 +532,9 @@ def test_cli_run_and_plot(tmp_path, capsys):
      "t_max must be finite"),
     (["suite", "--seed", "-1", "--days", "2"], None, "seed must be >= 0"),
     (["suite", "--days", "0"], None, "days must be >= 1"),
+    (["run", "--agent", "rbc", "--days", "1"], None, "warmup_hours must be < days * 24"),
 ], ids=["negative-seed", "inf-elite-fraction", "minus-inf-elite-fraction", "inf-band",
-        "suite-negative-seed", "suite-zero-days"])
+        "suite-negative-seed", "suite-zero-days", "warmup-fills-the-run"])
 def test_cli_rejects_out_of_range_values_naming_the_field(tmp_path, capsys, args, ini,
                                                            message):
     if args[0] == "plot":
