@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from heatbench.harness import Scenario, build_traces, simulate
+from heatbench.mdp import write_rows
 
 
 def main():
@@ -26,12 +27,10 @@ def main():
     for seed in args.seeds:
         scenario = Scenario(days=args.days, agent="mbrl", seed=seed)
         _, agent = simulate(scenario, "mbrl", *build_traces(scenario))
-        curves[seed] = dict(agent.mae_history)
+        header, rows = agent.tables()["model_mae"]
+        curves[seed] = dict(rows)
         path = out / f"model_mae_seed{seed}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("day,holdout_mae_c\n")
-            for day, mae in agent.mae_history:
-                fh.write(f"{day},{mae!r}\n")
+        write_rows(path, header, rows)
         print(f"seed {seed}: wrote {path}")
 
     days = sorted(set().union(*(c.keys() for c in curves.values())))

@@ -55,11 +55,8 @@ def _overrides(args) -> dict:
 
 def _cmd_run(args) -> int:
     overrides = _overrides(args)
-    if args.scenario:
-        scenario = scenario_from_ini(args.scenario, overrides)
-    else:
-        scenario = Scenario(**overrides)
-
+    scenario = (scenario_from_ini(args.scenario, overrides) if args.scenario
+                else Scenario(**overrides))
     report = run_scenario(scenario, args.out)
     print(f"scenario {report.scenario_name}: agent={report.agent} "
           f"consumption={report.consumption_change_pct:+.2f}% "
@@ -72,11 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     overrides = _overrides(args)
-    if args.config:
-        cfg = suite_from_ini(args.config, overrides)
-    else:
-        cfg = SuiteConfig(**overrides)
-
+    cfg = suite_from_ini(args.config, overrides) if args.config else SuiteConfig(**overrides)
     rows = run_suite(cfg, args.out)
     width = max(len(r["agent"]) for r in rows)
     print(f"{'agent':<{width}}  consumption%  cost%     comfort EUR  status")
@@ -91,19 +84,14 @@ def _cmd_suite(args) -> int:
 
 def _cmd_plot(args) -> int:
     band = ComfortBand(args.band_low, args.band_high)
-    dest = emit_plot_data(args.log, args.kind, args.out, band)
-    print(f"wrote {dest}")
+    print(f"wrote {emit_plot_data(args.log, args.kind, args.out, band)}")
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
-        return _cmd_plot(args)
+        return {"run": _cmd_run, "suite": _cmd_suite, "plot": _cmd_plot}[args.command](args)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

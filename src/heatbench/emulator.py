@@ -29,13 +29,13 @@ scenario runs can each own an independent state without coordination.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .mdp import read_rows
 from .ranges import check_ranges, ranged
 
 __all__ = [
@@ -246,30 +246,12 @@ def make_synthetic_ambient(seed: int, days: int,
 
 def load_ambient_csv(path) -> np.ndarray:
     """Read an hourly ambient trace from a `hour,temp_c` CSV file into a
-    read-only array."""
-    temps: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: file is empty")
-        if [c.strip() for c in header] != ["hour", "temp_c"]:
-            raise ValueError(f"{path}: expected header 'hour,temp_c', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
-            try:
-                hour = int(row[0])
-                temp = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: malformed row {row!r}") from None
-            if hour != len(temps):
-                raise ValueError(f"{path}: line {line_no}: expected hour {len(temps)}, got {hour}")
-            if not math.isfinite(temp):
-                raise ValueError(f"{path}: line {line_no}: non-finite temperature")
-            temps.append(temp)
-    if not temps:
-        raise ValueError(f"{path}: no data rows")
-    trace = np.array(temps)
+    read-only array; its hours count up from 0 (see mdp.read_rows)."""
+    rows = read_rows(path, ("hour", "temp_c"))
+    if not rows:
+        raise ValueError(f"{path} line 2: no data rows")
+    if rows[0][0] != 0:
+        raise ValueError(f"{path} line 2: hour {rows[0][0]}, not 0")
+    trace = np.array([temp for _, temp in rows])
     trace.setflags(write=False)
     return trace

@@ -19,7 +19,6 @@ any depth, is set by the section named after it, so `[cem]` sets both
 from __future__ import annotations
 
 import configparser
-import csv
 import dataclasses
 import itertools
 import os
@@ -34,10 +33,12 @@ from .baselines import MpcConfig, MpcController, RbcConfig, RbcController
 from .emulator import (AmbientGenParams, BackupConfig, BuildingParams, BuildingState,
                        load_ambient_csv, make_synthetic_ambient, step)
 from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, ComfortBand,
-                  Controller, EpisodeLog, TariffConfig, _left_sum, _write_rows,
-                  comfort_reward, consumption_reward, encode_state, log_metrics, make_tariff)
-from .model_based import MbrlConfig, ModelBasedAgent
+                  Controller, EpisodeLog, TariffConfig, _left_sum, comfort_reward,
+                  consumption_reward, encode_state, log_metrics, make_tariff, read_rows,
+                  write_rows)
+from .model_based import MAE_CSV_HEADER, MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
+from .planners import EXHAUSTIVE_CAP
 from .ranges import check_ranges, ranged
 
 __all__ = [
@@ -61,6 +62,8 @@ AGENT_KINDS = ("rbc", "mpc", "mbrl", "mfrl")
 PRICE_KINDS = {"flat": "flat", "dual": "dual", "rtp": "real_time"}
 PLOT_KINDS = ("temperature_trace", "action_histogram", "hourly_action_heatmap",
               "model_mae")
+# the columns of a run's metrics file and of a suite table; RunReport's field names
+_METRICS = ("consumption_change_pct", "cost_change_pct", "comfort_loss_eur")
 
 
 def _check_name(name: str) -> None:
@@ -105,6 +108,10 @@ class Scenario:
             raise ValueError("warmup_hours must be < days * 24, leaving a controlled hour")
         if self.grid.levels_w[-1] > self.building.max_power_w:
             raise ValueError("action grid exceeds the heat pump's max power")
+        lookahead = min(self.mpc.horizon, self.horizon_hours() - self.warmup_hours)
+        if self.mpc.planner == "exhaustive" and len(self.grid) ** lookahead > EXHAUSTIVE_CAP:
+            raise ValueError(f"mpc.horizon {self.mpc.horizon}: {len(self.grid)}^{lookahead} "
+                             f"exhaustive plans exceed the cap of {EXHAUSTIVE_CAP}")
         self.backup_config()  # trips must be ordered
 
     def backup_config(self) -> BackupConfig:
@@ -149,11 +156,6 @@ def build_traces(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return ambient, prices
 
 
-def _agent_rng(scenario: Scenario) -> np.random.Generator:
-    ss = np.random.SeedSequence(scenario.seed)
-    return np.random.default_rng(ss.spawn(3)[2])
-
-
 def _check_trace(name: str, trace: np.ndarray, hours: int, positive: bool) -> None:
     """Raise ValueError naming the trace unless it holds at least `hours`
     finite values, each > 0 if `positive`."""
@@ -183,7 +185,8 @@ def simulate(scenario: Scenario, agent_kind: str, ambient,
     backup = scenario.backup_config()
     schedule = scenario.band_schedule
     grid = scenario.grid
-    rng = _agent_rng(scenario)
+    # the seed's third child drives the agent; build_traces takes the other two
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(3)[2])
     controllers = {
         "rbc": lambda: RbcController(scenario.rbc, grid),
         "mpc": lambda: MpcController(scenario.building, grid, scenario.mpc, rng),
@@ -244,42 +247,26 @@ def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
     timed RBC run on the same traces, and write the run's CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if scenario.agent == "rbc":
-        agent_log, agent, wall = baseline
-    else:
-        agent_log, agent, wall = _timed_simulate(scenario, scenario.agent, traces)
+    agent_log, agent, wall = (baseline if scenario.agent == "rbc"
+                              else _timed_simulate(scenario, scenario.agent, traces))
     baseline_log = baseline[0]
 
     controlled_agent = agent_log.slice_hours(scenario.warmup_hours)
-    controlled_base = baseline_log.slice_hours(scenario.warmup_hours)
-    metrics = log_metrics(controlled_agent, controlled_base)
+    metrics = log_metrics(controlled_agent, baseline_log.slice_hours(scenario.warmup_hours))
 
     agent_path = out / f"{scenario.name}_{scenario.agent}.csv"
     base_path = out / f"{scenario.name}_rbc_baseline.csv"
     agent_log.write_csv(agent_path)
     baseline_log.write_csv(base_path)
 
+    tables = {**agent.tables(), "metrics": (("agent", *_METRICS), [(scenario.agent, *metrics)])}
     extra = {}
-    if scenario.agent == "mbrl":
-        mae_path = out / f"{scenario.name}_model_mae.csv"
-        _write_rows(mae_path, ["day", "holdout_mae_c"], agent.mae_history)
-        extra["model_mae"] = str(mae_path)
-    elif scenario.agent == "mfrl":
-        q_path = out / f"{scenario.name}_qtrace.csv"
-        q_cols = [f"q{i}" for i in range(len(scenario.grid))]
-        _write_rows(q_path, ["hour", *q_cols, "chosen"],
-                    ((hour, *q, chosen) for hour, q, chosen in agent.q_trace))
-        extra["qtrace"] = str(q_path)
+    for table, (header, rows) in tables.items():
+        extra[table] = str(out / f"{scenario.name}_{table}.csv")
+        write_rows(extra[table], header, rows)
 
-    metrics_path = out / f"{scenario.name}_metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("agent,consumption_change_pct,cost_change_pct,comfort_loss_eur\n")
-        fh.write(f"{scenario.agent},{metrics[0]!r},{metrics[1]!r},{metrics[2]!r}\n")
-    extra["metrics"] = str(metrics_path)
-
-    convergence = None
-    if len(controlled_agent) >= 7 * 24:
-        convergence = estimate_convergence(controlled_agent)
+    convergence = (estimate_convergence(controlled_agent)
+                   if len(controlled_agent) >= 7 * 24 else None)
 
     return RunReport(scenario.name, scenario.agent, str(agent_path), str(base_path),
                      metrics[0], metrics[1], metrics[2], wall, convergence, extra)
@@ -287,6 +274,8 @@ def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Runs each of `agents` on `base`, which takes on the suite's days, seed and tariff_kind."""
+
     name: str = "suite"
     days: int = ranged(30, "[1, inf)")
     seed: int = ranged(0, "[0, inf)")
@@ -301,6 +290,9 @@ class SuiteConfig:
             raise ValueError("a suite needs at least one agent")
         if len(set(self.agents)) < len(self.agents):
             raise ValueError(f"suite agents {self.agents} name an agent twice")
+        object.__setattr__(self, "base", replace(self.base, days=self.days, seed=self.seed,
+                                                 tariff_kind=self.tariff_kind))
+        self.base.validate()
 
 
 def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
@@ -313,44 +305,31 @@ def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = replace(cfg.base, days=cfg.days, seed=cfg.seed, tariff_kind=cfg.tariff_kind)
     try:
-        base.validate()
-        traces = build_traces(base)
-        baseline, failure = _timed_simulate(base, "rbc", traces), None
+        traces = build_traces(cfg.base)
+        baseline, failure = _timed_simulate(cfg.base, "rbc", traces), None
     except Exception as exc:  # recorded in every agent's row below
         failure = exc
+    cols = ("agent", *_METRICS, "wall_clock_s", "convergence_hours", "status")
     rows: list[dict] = []
     for agent in cfg.agents:
-        row = {"agent": agent}
+        row = {**dict.fromkeys(cols, ""), "agent": agent}
         try:
             if failure is not None:
                 raise failure
-            report = _run_against(replace(base, name=f"{cfg.name}_{agent}", agent=agent),
+            report = _run_against(replace(cfg.base, name=f"{cfg.name}_{agent}", agent=agent),
                                   out, traces, baseline)
-            row.update(
-                consumption_change_pct=report.consumption_change_pct,
-                cost_change_pct=report.cost_change_pct,
-                comfort_loss_eur=report.comfort_loss_eur,
-                wall_clock_s=report.wall_seconds,
-                convergence_hours=(report.convergence.hours_of_experience
-                                   if report.convergence and report.convergence.converged
-                                   else ""),
-                status="ok",
-            )
+            convergence = report.convergence
+            row.update({m: getattr(report, m) for m in _METRICS},
+                       wall_clock_s=report.wall_seconds,
+                       convergence_hours=(convergence.hours_of_experience
+                                          if convergence and convergence.converged else ""),
+                       status="ok")
         except Exception as exc:  # record and continue with the other agents
-            row.update(consumption_change_pct="", cost_change_pct="",
-                       comfort_loss_eur="", wall_clock_s="", convergence_hours="",
-                       status=f"error: {type(exc).__name__}: {exc}")
+            row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
 
-    table_path = out / f"{cfg.name}_table.csv"
-    cols = ["agent", "consumption_change_pct", "cost_change_pct", "comfort_loss_eur",
-            "wall_clock_s", "convergence_hours", "status"]
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerows([row[c] for c in cols] for row in rows)
+    write_rows(out / f"{cfg.name}_table.csv", cols, ([row[c] for c in cols] for row in rows))
     return rows
 
 
@@ -386,27 +365,20 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(log_path).stem
-    dest = out / f"{stem}_{kind}.csv"
+    dest = out / f"{Path(log_path).stem}_{kind}.csv"
 
     if kind == "model_mae":
-        with open(log_path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "day,holdout_mae_c":
-                raise ValueError(f"{log_path}: not a model-MAE log")
-            body = fh.read()
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n" + body)
+        write_rows(dest, MAE_CSV_HEADER, read_rows(log_path, MAE_CSV_HEADER))
         return str(dest)
 
     steps = EpisodeLog.read_csv(log_path).steps
     if kind == "temperature_trace":
-        _write_rows(dest, ["hour", "t_i", "t_a", "band_low", "band_high"],
-                    zip(steps.hour.tolist(), steps.t_i.tolist(), steps.t_a.tolist(),
-                        itertools.repeat(band.t_min), itertools.repeat(band.t_max)))
+        write_rows(dest, ["hour", "t_i", "t_a", "band_low", "band_high"],
+                   zip(steps.hour.tolist(), steps.t_i.tolist(), steps.t_a.tolist(),
+                       itertools.repeat(band.t_min), itertools.repeat(band.t_max)))
     elif kind == "action_histogram":
         levels, counts = np.unique(steps.power_w, return_counts=True)
-        _write_rows(dest, ["level_w", "count"], zip(levels.tolist(), counts.tolist()))
+        write_rows(dest, ["level_w", "count"], zip(levels.tolist(), counts.tolist()))
     else:  # hourly_action_heatmap
         levels = tuple(levels_w) if levels_w is not None else ActionGrid().levels_w
         match = steps.power_w[:, None] == np.asarray(levels)
@@ -416,8 +388,8 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
                              "not on the action grid")
         matrix = np.zeros((24, len(levels)), dtype=int)
         np.add.at(matrix, (steps.hour % 24, match.argmax(axis=1)), 1)
-        _write_rows(dest, ["hour_of_day", *(f"n_{int(l)}w" for l in levels)],
-                    np.column_stack((np.arange(24), matrix)).tolist())
+        write_rows(dest, ["hour_of_day", *(f"n_{int(l)}w" for l in levels)],
+                   np.column_stack((np.arange(24), matrix)).tolist())
     return str(dest)
 
 
@@ -562,11 +534,7 @@ def _config(parser, cls, section: str, overrides: dict | None = None):
 def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
     """Build a Scenario from an INI file whose sections are among INI_SECTIONS
     (see the module docstring); `overrides` wins over file values."""
-    return _scenario(_read_ini(path, INI_SECTIONS), overrides)
-
-
-def _scenario(parser, overrides: dict | None) -> Scenario:
-    scenario = _config(parser, Scenario, "scenario", overrides)
+    scenario = _config(_read_ini(path, INI_SECTIONS), Scenario, "scenario", overrides)
     scenario.validate()
     return scenario
 
@@ -577,8 +545,6 @@ def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
     scenario of every run.  Any other section is rejected."""
     parser = _read_ini(path, ("suite", *INI_SECTIONS))
     head = {**_section(parser, "suite", SuiteConfig), **(overrides or {})}
-    suite = SuiteConfig(**head)
     if INI_SECTIONS.keys() & parser.sections():
-        suite = replace(suite, base=_scenario(parser, {"days": suite.days,
-                                                       "seed": suite.seed}))
-    return suite
+        head["base"] = _config(parser, Scenario, "scenario")
+    return SuiteConfig(**head)

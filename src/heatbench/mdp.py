@@ -35,6 +35,8 @@ __all__ = [
     "comfort_reward_batch",
     "make_tariff",
     "log_metrics",
+    "write_rows",
+    "read_rows",
 ]
 
 
@@ -125,6 +127,10 @@ class Controller:
     from hour t to the end of the traces, and each controller takes the
     lookahead it plans over.  `state` is the latent building state, which
     only the bounds (RBC and MPC) read.
+
+    After the run, `tables` returns the controller's own per-run tables as
+    {name: (header, rows)}; `harness.run_scenario` writes each with
+    `write_rows` to `<scenario name>_<name>.csv`.
     """
 
     def start_day(self, obs, prices, ambient, band: ComfortBand) -> None:
@@ -135,6 +141,9 @@ class Controller:
 
     def observe(self, obs, action: int, reward: float, obs_next) -> None:
         pass
+
+    def tables(self) -> dict:
+        return {}
 
 
 def consumption_reward(power_w: float, price_eur_per_kwh: float) -> float:
@@ -243,12 +252,41 @@ def _left_sum(terms):
     return functools.reduce(operator.add, terms, 0.0)
 
 
-def _write_rows(path, header, rows) -> None:
-    """Write a CSV of plain ints and floats, each float as its repr."""
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: the header, then one line per row.
+
+    Ints and floats come out as their repr; a text field is quoted only when
+    it holds a comma, a quote or a line break."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_rows(path, header) -> list[tuple]:
+    """The rows of a numeric CSV file with this header, each as (int, float, ...).
+
+    The first column is an int that counts up by one from row to row, every
+    other one a finite float.  A file that breaks this raises ValueError
+    "<path> line N: <reason>"."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(header):
+                raise ValueError(f"expected the header {','.join(header)}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, not {len(header)}")
+                values = (int(row[0]), *map(float, row[1:]))
+                if not (all(map(math.isfinite, values)) and abs(values[0]) < 2**63):
+                    raise ValueError(f"non-finite or out-of-range value in {row}")
+                if rows and values[0] != rows[-1][0] + 1:
+                    raise ValueError(f"{header[0]} {values[0]} after {rows[-1][0]}")
+                rows.append(values)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path} line {max(reader.line_num, 1)}: {exc}") from None
+    return rows
 
 
 class EpisodeLog:
@@ -285,31 +323,12 @@ class EpisodeLog:
         return 0.0 - _left_sum(self.steps.r_comfort.tolist())
 
     def write_csv(self, path) -> None:
-        _write_rows(path, EPISODE_CSV_HEADER, self.steps.tolist())
+        write_rows(path, EPISODE_CSV_HEADER, self.steps.tolist())
 
     @classmethod
     def read_csv(cls, path) -> "EpisodeLog":
-        """Read a log written by write_csv; a malformed line raises ValueError
-        naming the path and the line number."""
-        rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != EPISODE_CSV_HEADER:
-                raise ValueError(f"{path}: unexpected episode log header {header}")
-            for row in reader:
-                try:
-                    if len(row) != len(EPISODE_CSV_HEADER):
-                        raise ValueError(f"{len(row)} fields, not {len(EPISODE_CSV_HEADER)}")
-                    values = (int(row[0]), *map(float, row[1:]))
-                    if not (all(map(math.isfinite, values)) and abs(values[0]) < 2**63):
-                        raise ValueError(f"non-finite or out-of-range value in {row}")
-                    if rows and values[0] != rows[-1][0] + 1:
-                        raise ValueError(f"hour {values[0]} after {rows[-1][0]}")
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-                rows.append(values)
-        return cls(rows)
+        """Read a log written by write_csv; see read_rows for its checks."""
+        return cls(read_rows(path, EPISODE_CSV_HEADER))
 
 
 def log_metrics(agent_log: EpisodeLog,

@@ -30,6 +30,8 @@ __all__ = [
     "training_matrix",
 ]
 
+MAE_CSV_HEADER = ("day", "holdout_mae_c")  # the columns of the model_mae table
+
 
 class SampleMemory:
     """Bounded transition store: ring arrays with strict FIFO eviction.
@@ -106,6 +108,13 @@ class MbrlConfig:
         check_ranges(self)
         if self.memory_capacity < self.min_train_samples:
             raise ValueError("memory_capacity must hold min_train_samples")
+        if self.min_train_samples - self.holdout_rows(self.min_train_samples) < 2:
+            raise ValueError("holdout_fraction must leave at least 2 of min_train_samples "
+                             "rows to train on")
+
+    def holdout_rows(self, n: int) -> int:
+        """How many of `n` stored transitions a training call holds out, at least 1."""
+        return max(1, int(round(n * self.holdout_fraction)))
 
 
 @dataclass
@@ -156,7 +165,7 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
 
     x, y = training_matrix(memory, grid)
     order = rng.permutation(len(y))
-    n_holdout = max(1, int(round(len(y) * cfg.holdout_fraction)))
+    n_holdout = cfg.holdout_rows(len(y))
     holdout, train = order[:n_holdout], order[n_holdout:]
 
     if model.in_norm is None:
@@ -266,3 +275,6 @@ class ModelBasedAgent(Controller):
 
     def action(self, t, state, obs, prices, ambient, band) -> int:
         return self.act(t % 24)
+
+    def tables(self) -> dict:
+        return {"model_mae": (MAE_CSV_HEADER, self.mae_history)}

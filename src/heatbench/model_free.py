@@ -181,7 +181,7 @@ class MfrlConfig:
     tau: float = ranged(0.01, "(0, 1]")
     batch_size: int = ranged(96, "[1, inf)")
     capacity: int = ranged(4096, "[1, inf)")
-    warmup_samples: int = ranged(96, "[1, inf)")
+    warmup_samples: int = ranged(96, "[2, inf)")  # the normalizer fit needs 2 rows
     priority_alpha: float = ranged(0.6, "[0, inf)")
     priority_offset: float = ranged(1e-3, "(0, inf)")
     epsilon_initial: float = ranged(0.5, "(0, 1]")
@@ -309,3 +309,7 @@ class ModelFreeAgent(Controller):
 
     def action(self, t, state, obs, prices, ambient, band) -> int:
         return self.act(obs, t)
+
+    def tables(self) -> dict:
+        header = ("hour", *(f"q{i}" for i in range(len(self.grid))), "chosen")
+        return {"qtrace": (header, [(hour, *q, chosen) for hour, q, chosen in self.q_trace])}

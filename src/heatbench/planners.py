@@ -35,7 +35,11 @@ __all__ = [
     "plan_ga",
     "plan_exhaustive",
     "plan",
+    "EXHAUSTIVE_CAP",
 ]
+
+# the most action sequences plan_exhaustive ranks in one plan
+EXHAUSTIVE_CAP = 6 ** 4
 
 
 class DynamicsModel(Protocol):
@@ -198,13 +202,13 @@ class _BestTracker:
 
 def plan_exhaustive(model: DynamicsModel, start: np.ndarray, horizon: int,
                     grid: ActionGrid, tariff_window, ambient_window,
-                    band: ComfortBand, cap: int = 6 ** 4) -> Plan:
+                    band: ComfortBand) -> Plan:
     """True argmax over every action sequence; ties resolved toward lower
     total energy, then the lexicographically smaller sequence."""
     prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
     n_actions = len(grid)
-    if n_actions ** horizon > cap:
-        raise ValueError(f"{n_actions}^{horizon} sequences exceed the cap of {cap}")
+    if n_actions ** horizon > EXHAUSTIVE_CAP:
+        raise ValueError(f"{n_actions}^{horizon} sequences exceed the cap of {EXHAUSTIVE_CAP}")
     actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
     powers = np.asarray(grid.levels_w)[actions]
     returns = evaluate_sequences(model, start, powers, prices, ambient, band)

@@ -3,6 +3,7 @@ import csv
 import filecmp
 import functools
 import json
+import math
 import operator
 import re
 from dataclasses import replace
@@ -17,8 +18,10 @@ from heatbench.harness import (AGENT_KINDS, INI_SECTIONS, Scenario, SuiteConfig,
                                emit_plot_data, estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
 from heatbench.mdp import ActionGrid, ComfortBand, EpisodeLog
-from heatbench.planners import CemConfig
+from heatbench.baselines import MpcConfig
+from heatbench.model_based import MbrlConfig
 from heatbench.model_free import MfrlConfig, ModelFreeAgent
+from heatbench.planners import CemConfig
 
 
 def test_run_scenario_rbc_self_metrics(tmp_path):
@@ -102,16 +105,24 @@ def test_suite_four_agent_table_shape(tmp_path):
 
 
 def test_suite_records_partial_failure(tmp_path):
-    # the second base fails with a message that contains a comma
-    for i, base in enumerate((Scenario(warmup_hours=400),
-                              Scenario(ambient_csv="/nonexistent, file.csv"))):
-        cfg = SuiteConfig(name=f"broken{i}", days=2, agents=("rbc", "mpc"), base=base)
-        rows = run_suite(cfg, tmp_path)
-        assert all(r["status"].startswith("error") for r in rows)
-        with open(tmp_path / f"broken{i}_table.csv", newline="", encoding="utf-8") as fh:
-            table = list(csv.reader(fh))
-        assert [len(r) for r in table] == [7] * 3
-        assert [r[-1] for r in table[1:]] == [r["status"] for r in rows]
+    # the base fails with a message that contains a comma
+    base = Scenario(ambient_csv="/nonexistent, file.csv")
+    rows = run_suite(SuiteConfig(name="broken", days=2, agents=("rbc", "mpc"), base=base),
+                     tmp_path)
+    assert all(r["status"].startswith("error") for r in rows)
+    with open(tmp_path / "broken_table.csv", newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert [len(r) for r in table] == [7] * 3
+    assert [r[-1] for r in table[1:]] == [r["status"] for r in rows]
+
+
+def test_suite_rejects_an_invalid_base_at_entry(tmp_path, capsys):
+    with pytest.raises(ValueError, match="warmup_hours"):
+        SuiteConfig(days=2, base=Scenario(warmup_hours=400))
+    out = tmp_path / "never"
+    assert cli_main(["suite", "--days", "1", "--out", str(out)]) == 2
+    assert "warmup_hours" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not out.exists()
 
 
 def test_suite_error_row_names_the_exception_type(tmp_path, monkeypatch):
@@ -239,6 +250,70 @@ def test_plot_model_mae_pass_through(tmp_path):
     src.write_text("day,holdout_mae_c\n2,0.7\n3,0.5\n", encoding="utf-8")
     dest = emit_plot_data(src, "model_mae", tmp_path)
     assert Path(dest).read_text(encoding="utf-8").splitlines()[1] == "2,0.7"
+
+
+def test_plot_model_mae_writes_each_value_as_its_repr(tmp_path):
+    src = tmp_path / "mae.csv"
+    src.write_text("day,holdout_mae_c\n2,0.70\n3,5e-1\n", encoding="utf-8")
+    dest = emit_plot_data(src, "model_mae", tmp_path / "out")
+    assert Path(dest).read_text(encoding="utf-8") == "day,holdout_mae_c\n2,0.7\n3,0.5\n"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("3", "1 fields, not 2"),
+    ("3,abc", "could not convert string to float"),
+    ("3,inf", "non-finite or out-of-range value"),
+    ("5,0.5", "day 5 after 2"),
+])
+def test_cli_plot_rejects_malformed_mae_log(tmp_path, capsys, line, reason):
+    path = tmp_path / "mae.csv"
+    path.write_text(f"day,holdout_mae_c\n2,0.7\n{line}\n", encoding="utf-8")
+    code = cli_main(["plot", "--kind", "model_mae", "--log", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error.startswith(f"{path} line 3: {reason}")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("agent", AGENT_KINDS)
+def test_extra_paths_are_the_agents_tables_plus_metrics(tmp_path, agent):
+    scenario = Scenario(name="tab", days=3, agent=agent, seed=1)
+    _, controller = simulate(scenario, agent, *build_traces(scenario))
+    tables = {**controller.tables(), "metrics": (("agent", "consumption_change_pct",
+                                                  "cost_change_pct", "comfort_loss_eur"), ())}
+    report = run_scenario(scenario, tmp_path)
+    assert report.extra_paths == {name: str(tmp_path / f"tab_{name}.csv") for name in tables}
+    for name, (header, rows) in tables.items():
+        lines = Path(report.extra_paths[name]).read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(header)
+        if name != "metrics":
+            assert lines[1:] == [",".join(map(repr, row)) for row in rows]
+
+
+@pytest.mark.parametrize("scenario, field", [
+    (lambda: Scenario(mbrl=MbrlConfig(holdout_fraction=0.99)), "holdout_fraction"),
+    (lambda: Scenario(days=2, warmup_hours=22, mbrl=MbrlConfig(min_train_samples=2)),
+     "holdout_fraction"),
+    (lambda: Scenario(mfrl=MfrlConfig(batch_size=1, warmup_samples=1, capacity=1)),
+     "warmup_samples"),
+    (lambda: Scenario(agent="mpc", mpc=MpcConfig(planner="exhaustive")), "mpc.horizon"),
+], ids=["holdout_099", "min_train_2", "warmup_samples_1", "exhaustive_horizon_24"])
+def test_in_range_configs_that_failed_mid_run_are_rejected_at_entry(tmp_path, scenario, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        run_scenario(scenario(), tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(days=2, agent="mbrl", warmup_hours=21, mbrl=MbrlConfig(min_train_samples=3)),
+    Scenario(days=2, agent="mfrl", mfrl=MfrlConfig(batch_size=1, warmup_samples=2, capacity=2)),
+    Scenario(days=2, agent="mpc", warmup_hours=44, mpc=MpcConfig(planner="exhaustive")),
+], ids=["min_train_3", "warmup_samples_2", "exhaustive_lookahead_4"])
+def test_configs_at_the_new_entry_rules_run_to_the_end(tmp_path, scenario):
+    report = run_scenario(scenario, tmp_path)
+    assert all(map(math.isfinite, (report.consumption_change_pct, report.cost_change_pct,
+                                   report.comfort_loss_eur)))
 
 
 SCENARIO_INI = """

@@ -1,16 +1,19 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heatbench.emulator import load_ambient_csv
 from heatbench.mdp import (_ABOVE_GROWTH, _ABOVE_SCALE, _BELOW_GROWTH, _BELOW_SCALE,
                            ActionGrid, BandSchedule, ComfortBand, EpisodeLog,
                            TariffConfig, comfort_reward, comfort_reward_batch,
-                           consumption_reward, encode_state, log_metrics, make_tariff)
+                           consumption_reward, encode_state, log_metrics, make_tariff,
+                           read_rows, write_rows)
 
 BAND = ComfortBand(19.0, 23.0)
 
@@ -310,3 +313,38 @@ def test_band_schedule_lookup():
 def test_encode_state_rejects_non_finite(history, ambient):
     with pytest.raises(ValueError, match="must be finite"):
         encode_state(history, ambient, n=1)
+
+
+@pytest.mark.parametrize("ambient_line, episode_line, reason", [
+    ("1", "1", "1 fields, not "),
+    ("1,warm", "1,warm,21.0,20.0,0.0,0.24,0.0,0.0", "could not convert string to float: 'warm'"),
+    ("1,nan", "1,nan,21.0,20.0,0.0,0.24,0.0,0.0",
+     "non-finite or out-of-range value in ['1', 'nan'"),
+    ("2,5.0", "2,5.0,21.0,20.0,0.0,0.24,0.0,0.0", "hour 2 after 0"),
+], ids=["short_row", "not_a_number", "nan", "skipped_hour"])
+def test_ambient_and_episode_readers_report_a_bad_line_alike(tmp_path, ambient_line,
+                                                             episode_line, reason):
+    ambient = tmp_path / "ambient.csv"
+    ambient.write_text(f"hour,temp_c\n0,5.0\n{ambient_line}\n", encoding="utf-8")
+    episode = tmp_path / "episode.csv"
+    episode.write_text("hour,t_a,t_i,t_mass,power_w,price,r_cons,r_comfort\n"
+                       f"0,5.0,21.0,20.0,0.0,0.24,0.0,0.0\n{episode_line}\n", encoding="utf-8")
+    for read, path in ((load_ambient_csv, ambient), (EpisodeLog.read_csv, episode)):
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path} line 3: {reason}")
+
+
+def test_ambient_hours_start_at_zero(tmp_path):
+    path = tmp_path / "late.csv"
+    path.write_text("hour,temp_c\n1,5.0\n2,4.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 2: hour 1, not 0")):
+        load_ambient_csv(path)
+
+
+def test_write_rows_quotes_only_text_that_needs_it(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows(path, ("hour", "value", "note"), [(0, 0.1, "ok"), (1, 1e-300, "a, b")])
+    assert path.read_text(encoding="utf-8") == 'hour,value,note\n0,0.1,ok\n1,1e-300,"a, b"\n'
+    write_rows(path, ("hour", "value"), [(0, 0.1), (1, -2.5)])
+    assert read_rows(path, ("hour", "value")) == [(0, 0.1), (1, -2.5)]

@@ -1,10 +1,14 @@
 """The scripts under scripts/, each run in-process on a short horizon."""
 
+import ast
+import importlib
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from heatbench.harness import Scenario, run_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,3 +20,23 @@ def test_script_writes_its_outputs(tmp_path, monkeypatch, script, args, expected
     monkeypatch.setattr(sys, "argv", [script, *args, "--out", str(tmp_path)])
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert [name for name in expected if not (tmp_path / name).is_file()] == []
+
+
+def test_learning_curve_file_equals_the_runs_model_mae_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["model_learning_curve.py", "--days", "4", "--seeds", "1",
+                                      "--out", str(tmp_path / "curve")])
+    runpy.run_path(str(SCRIPTS / "model_learning_curve.py"), run_name="__main__")
+    report = run_scenario(Scenario(days=4, agent="mbrl", seed=1), tmp_path / "run")
+    curve = (tmp_path / "curve" / "model_mae_seed1.csv").read_bytes()
+    assert curve.count(b"\n") == 3  # the header and days 2 and 3
+    assert curve == Path(report.extra_paths["model_mae"]).read_bytes()
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_scripts_import_only_public_names(script):
+    tree = ast.parse((SCRIPTS / script).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("heatbench")]
+    private = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if alias.name not in getattr(importlib.import_module(node.module), "__all__", ())]
+    assert private == []
