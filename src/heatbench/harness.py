@@ -217,7 +217,11 @@ def simulate(scenario: Scenario, agent_kind: str, ambient,
 
         band_arrival = schedule.band_at(t + 1)
         r_cons = consumption_reward(applied, price[t])
-        r_comfort = comfort_reward(state.indoor_temp, band_arrival)
+        try:
+            r_comfort = comfort_reward(state.indoor_temp, band_arrival)
+        except OverflowError:
+            raise ValueError(f"hour {t}: indoor temperature {state.indoor_temp!r} degC is "
+                             "too far from the comfort band to score") from None
         steps[t] = (t, ambient_c[t], state.indoor_temp, state.envelope_temp,
                     applied, price[t], r_cons, r_comfort)
 
@@ -360,26 +364,21 @@ def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05,
 
 def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand(),
                    levels_w=None) -> str:
-    """Write a plot-ready CSV derived from an episode (or MAE) log."""
+    """Write a plot-ready CSV derived from an episode (or MAE) log; the log is
+    read and checked first, so a rejected log leaves nothing written."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / f"{Path(log_path).stem}_{kind}.csv"
-
+    steps = None if kind == "model_mae" else EpisodeLog.read_csv(log_path).steps
     if kind == "model_mae":
-        write_rows(dest, MAE_CSV_HEADER, read_rows(log_path, MAE_CSV_HEADER))
-        return str(dest)
-
-    steps = EpisodeLog.read_csv(log_path).steps
-    if kind == "temperature_trace":
-        write_rows(dest, ["hour", "t_i", "t_a", "band_low", "band_high"],
-                   zip(steps.hour.tolist(), steps.t_i.tolist(), steps.t_a.tolist(),
-                       itertools.repeat(band.t_min), itertools.repeat(band.t_max)))
+        header, rows = MAE_CSV_HEADER, read_rows(log_path, MAE_CSV_HEADER)
+    elif kind == "temperature_trace":
+        header = ["hour", "t_i", "t_a", "band_low", "band_high"]
+        rows = zip(steps.hour.tolist(), steps.t_i.tolist(), steps.t_a.tolist(),
+                   itertools.repeat(band.t_min), itertools.repeat(band.t_max))
     elif kind == "action_histogram":
         levels, counts = np.unique(steps.power_w, return_counts=True)
-        write_rows(dest, ["level_w", "count"], zip(levels.tolist(), counts.tolist()))
-    else:  # hourly_action_heatmap
+        header, rows = ["level_w", "count"], zip(levels.tolist(), counts.tolist())
+    elif kind == "hourly_action_heatmap":
         levels = tuple(levels_w) if levels_w is not None else ActionGrid().levels_w
         match = steps.power_w[:, None] == np.asarray(levels)
         off_grid = ~match.any(axis=1)
@@ -388,8 +387,12 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
                              "not on the action grid")
         matrix = np.zeros((24, len(levels)), dtype=int)
         np.add.at(matrix, (steps.hour % 24, match.argmax(axis=1)), 1)
-        write_rows(dest, ["hour_of_day", *(f"n_{int(l)}w" for l in levels)],
-                   np.column_stack((np.arange(24), matrix)).tolist())
+        header = ["hour_of_day", *(f"n_{int(l)}w" for l in levels)]
+        rows = np.column_stack((np.arange(24), matrix)).tolist()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    dest = out / f"{Path(log_path).stem}_{kind}.csv"
+    write_rows(dest, header, rows)
     return str(dest)
 
 

@@ -6,11 +6,13 @@ minimises a masked mean squared error: the mask selects which output
 units of which samples receive gradient, which is how Q-learning trains
 only the taken action's head.
 
-Everything is plain numpy.  The parameters are one float64 vector, laid
-out layer by layer with each (fan_in, fan_out) weight matrix before its
-bias vector; the per-layer weights and biases are views into it.  The
+Everything is plain numpy.  The parameters are one vector, laid out layer
+by layer with each (fan_in, fan_out) weight matrix before its bias
+vector; the per-layer weights and biases are views into it.  The
 gradient and the optimizer moments share that layout, so each update is
-a handful of whole-vector operations.
+a handful of whole-vector operations.  The network follows its
+parameters' dtype: float64, or float32 for a copy made only to evaluate
+(training stays float64).
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class MlpParams:
     """
 
     def __init__(self, spec: MlpSpec, theta):
-        theta = np.array(theta, dtype=float)
+        theta = np.asarray(theta)  # a float32 vector stays float32, anything else float64
+        theta = np.array(theta, dtype=np.float32 if theta.dtype == np.float32 else float)
         if theta.ndim != 1:
             raise ValueError("theta must be a 1-D vector")
         self.weights, self.biases = _layer_views(spec.layer_sizes, theta)
@@ -113,7 +116,7 @@ def _layer_outputs(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
 def forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     """Forward pass on a (batch, in_dim) matrix; returns (batch, out_dim)."""
-    x = np.asarray(inputs, dtype=float)
+    x = np.asarray(inputs, dtype=params.theta.dtype)
     if x.ndim != 2 or x.shape[1] != params.spec.layer_sizes[0]:
         raise ValueError(f"expected inputs of width {params.spec.layer_sizes[0]}")
     return _layer_outputs(params, x)[-1]
@@ -121,7 +124,7 @@ def forward_batch(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
 
 def forward(params: MlpParams, input_vec) -> np.ndarray:
     """Forward pass on a single input vector."""
-    vec = np.asarray(input_vec, dtype=float)
+    vec = np.asarray(input_vec, dtype=params.theta.dtype)
     if vec.ndim != 1:
         raise ValueError("forward expects a 1-D input vector")
     return forward_batch(params, vec[None, :])[0]
@@ -134,19 +137,17 @@ def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
     t = np.asarray(targets, dtype=float)
     if x.ndim != 2 or t.shape != (x.shape[0], params.spec.layer_sizes[-1]):
         raise ValueError("inputs/targets shape mismatch")
-    if mask is None:
-        m = np.ones_like(t)
-    else:
-        m = np.asarray(mask, dtype=float)
-        if m.shape != t.shape:
-            raise ValueError("mask shape must match targets")
-    denom = m.sum()
+    m = None if mask is None else np.asarray(mask, dtype=float)
+    if m is not None and m.shape != t.shape:
+        raise ValueError("mask shape must match targets")
+    denom = float(t.size) if m is None else m.sum()
     if denom <= 0.0:
         raise ValueError("mask selects no outputs")
 
     post = _layer_outputs(params, x)
-    err = (post[-1] - t) * m
-    loss = float((err * (post[-1] - t)).sum() / denom)
+    diff = post[-1] - t
+    err = diff if m is None else diff * m
+    loss = float((err * diff).sum() / denom)
 
     delta = 2.0 * err / denom
     grad = np.empty_like(params.theta)
@@ -155,11 +156,12 @@ def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
         np.matmul(post[i].T, delta, out=grad_w[i])
         np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
-            # the activation's derivative from its output: relu a > 0 iff z > 0,
-            # tanh 1 - a^2
+            # times the activation's derivative from its output: relu a > 0 iff
+            # z > 0, tanh 1 - a^2 (post[i] is not read again)
             a = post[i]
-            slope = (a > 0.0).astype(float) if params.spec.activation == "relu" else 1.0 - a * a
-            delta = (delta @ params.weights[i].T) * slope
+            delta = delta @ params.weights[i].T
+            delta *= (a > 0.0 if params.spec.activation == "relu"
+                      else np.subtract(1.0, np.square(a, out=a), out=a))
     return loss, grad
 
 
@@ -188,22 +190,24 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
+        self._state: np.ndarray | None = None  # rows: moments m and v, two scratch vectors
         self._t = 0
 
     def step(self, params: MlpParams, grad: np.ndarray) -> None:
-        if self._m is None:
-            self._m = np.zeros_like(grad)
-            self._v = np.zeros_like(grad)
+        if self._state is None:
+            self._state = np.zeros((4, grad.size))
+        m, v, a, b = self._state
         self._t += 1
         lr_t = self.learning_rate * (np.sqrt(1.0 - self.beta2 ** self._t)
                                      / (1.0 - self.beta1 ** self._t))
-        self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * grad
-        self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * grad * grad
-        params.theta -= lr_t * self._m / (np.sqrt(self._v) + self.eps)
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=a), grad, out=a)
+        # theta -= lr_t * m / (sqrt(v) + eps), in that order, so the bits do not change
+        np.multiply(m, lr_t, out=a)
+        a /= np.add(np.sqrt(v, out=b), self.eps, out=b)
+        params.theta -= a
 
 
 def train_minibatch(params: MlpParams, inputs, targets, optimizer,
@@ -259,7 +263,8 @@ class Normalizer:
             raise ValueError("scales must be > 0")
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return (np.asarray(vec, dtype=float) - self.shift) / self.scale
+        """(vec - shift) / scale, in the dtype of shift."""
+        return (np.asarray(vec, dtype=self.shift.dtype) - self.shift) / self.scale
 
 
 _MIN_SCALE = 1e-6

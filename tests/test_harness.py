@@ -273,7 +273,7 @@ def test_cli_plot_rejects_malformed_mae_log(tmp_path, capsys, line, reason):
     assert code == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert error.startswith(f"{path} line 3: {reason}")
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("agent", AGENT_KINDS)
@@ -682,7 +682,40 @@ def test_cli_plot_rejects_malformed_log(tmp_path, capsys, line, reason):
     assert code == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert f"{path} line 3: " in error and reason in error
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, line, reason", [
+    ("model_mae", "3,x", "line 3: could not convert string to float"),
+    ("temperature_trace", "1,5.0,21.0", "line 3: 3 fields, not 8"),
+    ("action_histogram", "1,5.0,21.0", "line 3: 3 fields, not 8"),
+    ("hourly_action_heatmap", "1,5.0,21.0", "line 3: 3 fields, not 8"),
+    ("hourly_action_heatmap", "1,5.0,21.0,20.0,300.0,0.24,0.0,0.0",
+     "power 300.0 W not on the action grid"),
+])
+def test_cli_plot_creates_no_directory_for_a_rejected_log(tmp_path, capsys, kind, line, reason):
+    header = ("day,holdout_mae_c\n2,0.7\n" if kind == "model_mae" else
+              "hour,t_a,t_i,t_mass,power_w,price,r_cons,r_comfort\n"
+              "0,5.0,21.0,20.0,0.0,0.24,0.0,0.0\n")
+    path = tmp_path / "log.csv"
+    path.write_text(f"{header}{line}\n", encoding="utf-8")
+    out = tmp_path / "plots"
+    assert cli_main(["plot", "--kind", kind, "--log", str(path), "--out", str(out)]) == 2
+    assert reason in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, hour", [("[ambient]\nmean_c = 10000\n", 3),
+                                        ("[building]\ncop = 1e300\n", 24)])
+def test_cli_names_the_hour_and_temperature_of_a_comfort_overflow(tmp_path, capsys, text,
+                                                                   hour):
+    path = _ini(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(path), "--days", "3", "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert re.fullmatch(rf"hour {hour}: indoor temperature \S+ degC is too far from the "
+                        "comfort band to score", json.loads(line)["error"])
+    assert not out.exists()
 
 
 def test_episode_csv_round_trips_byte_for_byte(tmp_path):

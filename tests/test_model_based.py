@@ -8,6 +8,7 @@ from heatbench.model_based import (ExplorationSchedule, LearnedDynamicsModel,
                                    MbrlConfig, ModelBasedAgent, SampleMemory,
                                    TransitionModel, train_transition_model,
                                    training_matrix)
+from heatbench.neural import forward_batch
 from heatbench.planners import ExactDynamicsModel, plan_cem
 
 GRID = ActionGrid()
@@ -158,7 +159,8 @@ def test_learned_batch_rollout_matches_per_step():
     history = tuple(obs[:-1].tolist())
     for k, a in enumerate(actions[0]):
         features = np.array(history + (ambient[k], GRID.levels_w[a]))
-        t_next = float(model.predict_batch(features[None, :])[0])
+        # per-hour predictions of the float32 copy that the rollout runs on
+        t_next = float(learned.model.predict_batch(features[None, :])[0])
         assert temps[0, k] == pytest.approx(t_next, abs=1e-9)
         history = (t_next,) + history[:-1]
 
@@ -179,25 +181,65 @@ def _column_stack_rollout(model, start, actions, ambient_window):
     return out
 
 
-@pytest.mark.parametrize("history_length", [0, 1, 3])
-def test_learned_rollout_equals_column_stack_reference(history_length):
+def _trained_model(history_length, rng, ambient=None):
+    """A model trained on random transitions, at one fixed ambient if `ambient` is set."""
     cfg = MbrlConfig()
     n = history_length + 1
-    rng = np.random.default_rng(history_length)
     mem = SampleMemory(128)
     for _ in range(64):
-        t, ambient = rng.uniform(17.0, 24.0, size=n + 1), rng.uniform(-5.0, 10.0)
-        mem.add(np.append(t[1:], ambient), int(rng.integers(6)), -0.05,
-                np.append(t[:-1], ambient))
+        t = rng.uniform(17.0, 24.0, size=n + 1)
+        a_c = rng.uniform(-5.0, 10.0) if ambient is None else ambient
+        mem.add(np.append(t[1:], a_c), int(rng.integers(6)), -0.05, np.append(t[:-1], a_c))
     model = TransitionModel.create(n + 2, cfg, seed=1)
-    model, _ = train_transition_model(mem, model, GRID, cfg, rng)
+    return train_transition_model(mem, model, GRID, cfg, rng)[0]
 
-    obs = encode_state(rng.uniform(18.0, 22.0, size=n), 4.0, history_length)
+
+@pytest.mark.parametrize("history_length", [0, 1, 3])
+def test_learned_rollout_equals_column_stack_reference(history_length):
+    rng = np.random.default_rng(history_length)
+    model = _trained_model(history_length, rng)
+
+    obs = encode_state(rng.uniform(18.0, 22.0, size=history_length + 1), 4.0, history_length)
     actions = rng.integers(len(GRID), size=(16, 24))
     ambient = rng.uniform(-5.0, 10.0, size=24)
+    learned = LearnedDynamicsModel(model)
+    temps = learned.rollout_temps(obs, np.asarray(GRID.levels_w)[actions], ambient)
+    # the reference predicts with the float32 copy that the rollout runs on
+    assert np.array_equal(temps, _column_stack_rollout(learned.model, obs, actions, ambient))
+
+
+@pytest.mark.parametrize("history_length, fixed_ambient", [(0, None), (1, None), (3, None),
+                                                           (3, 5.0)])
+def test_float32_planning_rollout_stays_within_1e4_of_the_float64_model(history_length,
+                                                                         fixed_ambient):
+    """With `fixed_ambient`, the ambient feature is fitted at the 1e-6 scale floor and
+    the planner sees that same ambient, so the feature normalises to exactly 0."""
+    rng = np.random.default_rng(10 + history_length)
+    model = _trained_model(history_length, rng, fixed_ambient)
+    if fixed_ambient is not None:
+        assert model.in_norm.scale[history_length + 1] == 1e-6
+
+    obs = encode_state(rng.uniform(18.0, 22.0, size=history_length + 1),
+                       fixed_ambient or 4.0, history_length)
+    actions = rng.integers(len(GRID), size=(64, 24))
+    ambient = (rng.uniform(-5.0, 10.0, size=24) if fixed_ambient is None
+               else np.full(24, fixed_ambient))
     temps = LearnedDynamicsModel(model).rollout_temps(obs, np.asarray(GRID.levels_w)[actions],
                                                       ambient)
-    assert np.array_equal(temps, _column_stack_rollout(model, obs, actions, ambient))
+    exact = _column_stack_rollout(model, obs, actions, ambient)
+    assert exact.dtype == np.float64
+    assert np.max(np.abs(temps - exact)) < 1e-4
+
+
+def test_planning_copy_computes_in_float32_and_the_model_stays_float64():
+    model = _trained_model(3, np.random.default_rng(0))
+    copy = LearnedDynamicsModel(model).model
+    x = np.array([[20.0, 20.5, 21.0, 21.5, 4.0, 800.0]])
+    assert copy.mlp.theta.dtype == np.float32 and copy.in_norm.shift.dtype == np.float32
+    assert copy.in_norm.apply(x).dtype == np.float32
+    assert forward_batch(copy.mlp, copy.in_norm.apply(x)).dtype == np.float32
+    assert copy.predict_batch(x).dtype == np.float32
+    assert model.mlp.theta.dtype == np.float64 and model.predict_batch(x).dtype == np.float64
 
 
 def _agent(seed=0, **overrides):

@@ -189,3 +189,107 @@ def test_normalizer_fit_and_clamp():
 def test_normalizer_requires_two_samples():
     with pytest.raises(ValueError):
         fit_normalizer(np.array([[1.0, 2.0]]))
+
+
+# --- the training step as it was before it ran in place, kept as the reference ---
+
+def _reference_loss_and_grads(params, x, t, mask):
+    """Masked MSE and its gradient, computed the way the out-of-place step did."""
+    m = np.ones_like(t) if mask is None else mask
+    denom = m.sum()
+    post = [x]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = post[-1] @ w
+        h += b
+        if i < len(params.weights) - 1:
+            if params.spec.activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
+        post.append(h)
+    err = (post[-1] - t) * m
+    loss = float((err * (post[-1] - t)).sum() / denom)
+    delta = 2.0 * err / denom
+    grad = MlpParams(params.spec, np.zeros_like(params.theta))  # views in theta's layout
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(post[i].T, delta, out=grad.weights[i])
+        np.sum(delta, axis=0, out=grad.biases[i])
+        if i > 0:
+            a = post[i]
+            slope = (a > 0.0).astype(float) if params.spec.activation == "relu" else 1.0 - a * a
+            delta = (delta @ params.weights[i].T) * slope
+    return loss, grad.theta
+
+
+class _ReferenceAdam:
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self._m = self._v = None
+        self._t = 0
+
+    def step(self, params, grad):
+        if self._m is None:
+            self._m = np.zeros_like(grad)
+            self._v = np.zeros_like(grad)
+        self._t += 1
+        lr_t = self.learning_rate * (np.sqrt(1.0 - self.beta2 ** self._t)
+                                     / (1.0 - self.beta1 ** self._t))
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * grad
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * grad * grad
+        params.theta -= lr_t * self._m / (np.sqrt(self._v) + self.eps)
+
+
+def _mask(kind, rng, shape):
+    if kind == "none":
+        return None
+    if kind == "one_hot":  # one output per sample, as Q-learning trains the taken action
+        mask = np.zeros(shape)
+        mask[np.arange(shape[0]), rng.integers(shape[1], size=shape[0])] = 1.0
+        return mask
+    mask = (rng.random(shape) < 0.5).astype(float)
+    mask.flat[rng.integers(mask.size)] = 1.0  # selects at least one output
+    return mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4), batch=st.integers(1, 40),
+       activation=st.sampled_from(["relu", "tanh"]),
+       mask_kind=st.sampled_from(["none", "one_hot", "partial"]),
+       rate=st.sampled_from([1e-3, 1e-2, 0.3]), steps=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_train_minibatch_is_bit_identical_to_the_out_of_place_step(sizes, batch, activation,
+                                                                   mask_kind, rate, steps,
+                                                                   seed):
+    rng = np.random.default_rng(seed)
+    params = MlpParams.init(MlpSpec(tuple(sizes), activation, init_seed=seed % 1000))
+    reference = params.copy()
+    optimizer, reference_optimizer = AdamOptimizer(rate), _ReferenceAdam(rate)
+    for _ in range(steps):
+        x = rng.normal(size=(batch, sizes[0]))
+        t = rng.normal(size=(batch, sizes[-1]))
+        mask = _mask(mask_kind, rng, t.shape)
+        _, loss = train_minibatch(params, x, t, optimizer, mask)
+        reference_loss, grad = _reference_loss_and_grads(reference, x, t, mask)
+        reference_optimizer.step(reference, grad)
+        assert np.float64(loss).tobytes() == np.float64(reference_loss).tobytes()
+        assert params.theta.tobytes() == reference.theta.tobytes()
+
+
+def test_the_network_follows_its_parameters_dtype():
+    spec = MlpSpec((4, 8, 2), "tanh", init_seed=2)
+    params = MlpParams.init(spec)
+    x = np.random.default_rng(0).normal(size=(5, 4))
+    # float64 parameters compute in float64, whatever the input's dtype
+    assert params.theta.dtype == np.float64
+    assert forward_batch(params, x.astype(np.float32)).dtype == np.float64
+    assert fit_normalizer(x).apply(x.astype(np.float32)).dtype == np.float64
+    for theta in (params.theta.astype(np.float16), params.theta.tolist()):
+        assert MlpParams(spec, theta).theta.dtype == np.float64
+    # a float32 copy keeps float32 through every step: no float64 scalar upcasts it
+    copy = MlpParams(spec, params.theta.astype(np.float32))
+    assert copy.theta.dtype == copy.copy().theta.dtype == np.float32
+    assert forward_batch(copy, x).dtype == np.float32
+    assert forward(copy, x[0]).dtype == np.float32
+    assert np.max(np.abs(forward_batch(copy, x) - forward_batch(params, x))) < 1e-5
