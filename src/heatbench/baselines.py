@@ -56,7 +56,7 @@ class RbcController(Controller):
         self.config = config
         self.grid = grid
 
-    def action(self, t, state, obs, prices, ambient, band) -> int:
+    def act(self, t, state, obs, prices, ambient, band) -> int:
         return rbc_action(state.indoor_temp, band, self.config, self.grid)
 
 
@@ -104,5 +104,5 @@ class MpcController(Controller):
                               ambient_window, band, self._rng, seed_seq).actions
         return self._previous[0]
 
-    def action(self, t, state, obs, prices, ambient, band) -> int:
+    def act(self, t, state, obs, prices, ambient, band) -> int:
         return self.decide(state, obs, prices, ambient, band)

@@ -63,7 +63,7 @@ class BuildingParams:
     envelope_capacitance: float = ranged(5.0e7, "(0, inf)")
     ambient_conductance: float = ranged(100.0, "(0, inf)")
     envelope_conductance: float = ranged(200.0, "(0, inf)")
-    cop: float = ranged(3.0, "[1, inf)")
+    cop: float = ranged(3.0, "[1, 10]")  # heat pumps run at about 2 to 6
     max_power_w: float = ranged(2000.0, "(0, inf)")
     # 10 s keeps the halving-refinement error below 0.01 degC across the
     # full ambient/power envelope; the planner path is unaffected (affine map)
@@ -201,10 +201,10 @@ class AmbientGenParams:
     1/sqrt(1 - ar1_coeff^2)).
     """
 
-    mean_c: float = ranged(6.0, "(-inf, inf)")
-    drift_start_c: float = ranged(-4.0, "(-inf, inf)")
-    drift_end_c: float = ranged(6.0, "(-inf, inf)")
-    daily_amplitude_c: float = ranged(4.0, "(-inf, inf)")
+    mean_c: float = ranged(6.0, "[-90, 60]")  # the air's measured extremes on Earth
+    drift_start_c: float = ranged(-4.0, "[-50, 50]")
+    drift_end_c: float = ranged(6.0, "[-50, 50]")
+    daily_amplitude_c: float = ranged(4.0, "[-30, 30]")
     ar1_coeff: float = ranged(0.9, "[0, 1)")
     noise_sigma_c: float = ranged(1.0, "[0, inf)")
 

@@ -5,7 +5,7 @@ period, then hands control to the chosen agent; the rule-based
 controller is always run on the identical ambient/tariff traces as the
 metric denominator; a suite runs it once for all its agents.  `simulate`
 drives every controller through the hourly hooks of `mdp.Controller`:
-`start_day` at each controlled hour that opens a day, `action` for the
+`daily_update` at each controlled hour that opens a day, `act` for the
 hour's grid index and `observe` for the hour's transition.  All
 randomness derives from the scenario seed, so a (scenario, seed) pair
 determines every output byte.
@@ -36,7 +36,7 @@ from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, Comfort
                   Controller, EpisodeLog, TariffConfig, _left_sum, comfort_reward,
                   consumption_reward, encode_state, log_metrics, make_tariff, read_rows,
                   write_rows)
-from .model_based import MAE_CSV_HEADER, MbrlConfig, ModelBasedAgent
+from .model_based import MAE_CSV_HEADER, ExplorationSchedule, MbrlConfig, ModelBasedAgent
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import EXHAUSTIVE_CAP
 from .ranges import check_ranges, ranged
@@ -87,7 +87,7 @@ class Scenario:
     backup_low_trip: float | None = None
     backup_high_trip: float | None = None
     warmup_hours: int = ranged(24, "[0, inf)")
-    initial_temp_c: float = ranged(21.0, "(-inf, inf)")
+    initial_temp_c: float = ranged(21.0, "[-90, 60]")  # as ambient.mean_c
     building: BuildingParams = field(default_factory=BuildingParams)
     ambient: AmbientGenParams = field(default_factory=AmbientGenParams)
     ambient_csv: str | None = None
@@ -113,6 +113,15 @@ class Scenario:
             raise ValueError(f"mpc.horizon {self.mpc.horizon}: {len(self.grid)}^{lookahead} "
                              f"exhaustive plans exceed the cap of {EXHAUSTIVE_CAP}")
         self.backup_config()  # trips must be ordered
+        # the exploration schedules reach day max(1, the run's controlled day starts)
+        last_day = max(1, self.days - (self.warmup_hours + 23) // 24)
+        for section in ("mbrl", "mfrl"):
+            cfg = getattr(self, section)
+            try:
+                ExplorationSchedule(cfg.epsilon_initial, cfg.epsilon_exponent, last_day).epsilon()
+            except OverflowError:
+                raise ValueError(f"{section}.epsilon_exponent {cfg.epsilon_exponent!r}: day ** "
+                                 f"epsilon_exponent overflows by day {last_day}") from None
 
     def backup_config(self) -> BackupConfig:
         band0 = self.band_schedule.band_at(0)
@@ -209,8 +218,8 @@ def simulate(scenario: Scenario, agent_kind: str, ambient,
         if controlled:
             ahead = (obs, prices[t:], ambient[t:], schedule.band_at(t))
             if t % 24 == 0:
-                agent.start_day(*ahead)
-            action = agent.action(t, state, *ahead)
+                agent.daily_update(*ahead)
+            action = agent.act(t, state, *ahead)
 
         state, applied = step(state, scenario.building, ambient_c[t],
                               grid.levels_w[action], backup)
@@ -248,16 +257,21 @@ def run_scenario(scenario: Scenario, out_dir) -> RunReport:
 
 def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
     """Run the scenario's agent on `traces`, score it against `baseline`, the
-    timed RBC run on the same traces, and write the run's CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    timed RBC run on the same traces, and write the run's CSVs; a run that
+    cannot be scored writes nothing."""
     agent_log, agent, wall = (baseline if scenario.agent == "rbc"
                               else _timed_simulate(scenario, scenario.agent, traces))
     baseline_log = baseline[0]
-
     controlled_agent = agent_log.slice_hours(scenario.warmup_hours)
-    metrics = log_metrics(controlled_agent, baseline_log.slice_hours(scenario.warmup_hours))
+    controlled_baseline = baseline_log.slice_hours(scenario.warmup_hours)
+    if not controlled_baseline.total_kwh() > 0.0:
+        raise ValueError("the RBC baseline never heated after the warm-up, so the change "
+                         "metrics are undefined: the room never fell below [band] t_min - "
+                         f"[rbc] hysteresis_c (hysteresis_c = {scenario.rbc.hysteresis_c!r})")
+    metrics = log_metrics(controlled_agent, controlled_baseline)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     agent_path = out / f"{scenario.name}_{scenario.agent}.csv"
     base_path = out / f"{scenario.name}_rbc_baseline.csv"
     agent_log.write_csv(agent_path)

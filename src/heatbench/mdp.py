@@ -119,24 +119,24 @@ class BandSchedule:
 
 
 class Controller:
-    """The hourly hooks `harness.simulate` calls; all but `action` do nothing here.
+    """The hourly hooks `harness.simulate` calls; all but `act` do nothing here.
 
-    At a controlled hour t, `start_day` runs first if t opens a day, then
-    `action` returns the grid index to apply and `observe` receives the
-    hour's transition with its total reward.  `prices` and `ambient` run
-    from hour t to the end of the traces, and each controller takes the
-    lookahead it plans over.  `state` is the latent building state, which
-    only the bounds (RBC and MPC) read.
+    At a controlled hour t, `daily_update` runs first if t opens a day, then
+    `act` returns the grid index to apply and `observe` receives the hour's
+    transition with its total reward.  `prices` and `ambient` run from hour
+    t to the end of the traces, and each controller takes the lookahead it
+    plans over.  `state` is the latent building state, which only the
+    bounds (RBC and MPC) read.
 
     After the run, `tables` returns the controller's own per-run tables as
     {name: (header, rows)}; `harness.run_scenario` writes each with
     `write_rows` to `<scenario name>_<name>.csv`.
     """
 
-    def start_day(self, obs, prices, ambient, band: ComfortBand) -> None:
+    def daily_update(self, obs, prices, ambient, band: ComfortBand) -> None:
         pass
 
-    def action(self, t: int, state, obs, prices, ambient, band: ComfortBand) -> int:
+    def act(self, t: int, state, obs, prices, ambient, band: ComfortBand) -> int:
         raise NotImplementedError
 
     def observe(self, obs, action: int, reward: float, obs_next) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from .mdp import ActionGrid, ComfortBand, Controller
 from .neural import (ACTIVATIONS, AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward_batch, train_minibatch)
-from .planners import CemConfig, DynamicsModel, GaConfig, Plan, plan
+from .planners import CemConfig, GaConfig, plan
 from .ranges import check_ranges, ranged
 
 __all__ = [
@@ -229,13 +229,11 @@ class ModelBasedAgent(Controller):
 
     `act` serves the current day's plan (epsilon-greedy); `observe` files
     the transition; `daily_update` retrains the model, decays epsilon and
-    plans the next day.  A DynamicsModel override can be injected to run
-    the same loop on the exact emulator clone.
+    plans the next day on a `LearnedDynamicsModel` of it.
     """
 
     def __init__(self, cfg: MbrlConfig, grid: ActionGrid,
-                 rng: np.random.Generator, seed: int = 0, *, history_length: int,
-                 dynamics_override: DynamicsModel | None = None):
+                 rng: np.random.Generator, seed: int = 0, *, history_length: int):
         self.cfg = cfg
         self.grid = grid
         self.memory = SampleMemory(cfg.memory_capacity)
@@ -243,33 +241,20 @@ class ModelBasedAgent(Controller):
         n_features = history_length + 3  # temps window + ambient + action power
         self.model = TransitionModel.create(n_features, cfg, seed)
         self._rng = rng
-        self._override = dynamics_override
         self._plan: tuple[int, ...] = (0,) * 24
         self._started = False
         self.mae_history: list[tuple[int, float]] = []
 
-    def dynamics(self) -> DynamicsModel:
-        if self._override is not None:
-            return self._override
-        return LearnedDynamicsModel(self.model)
-
-    def plan_day(self, obs: np.ndarray, tariff_window, ambient_window,
-                 band: ComfortBand) -> Plan:
-        return plan(self.cfg, self.dynamics(), obs, min(24, len(tariff_window)), self.grid,
-                    tariff_window, ambient_window, band, self._rng)
-
-    def act(self, hour_of_day: int, epsilon: float | None = None) -> int:
-        eps = self.schedule.epsilon() if epsilon is None else epsilon
-        if eps > 0.0 and self._rng.random() < eps:
+    def act(self, t, state, obs, prices, ambient, band) -> int:
+        if self._rng.random() < self.schedule.epsilon():
             return int(self._rng.integers(len(self.grid)))
-        return self._plan[hour_of_day % 24]
+        return self._plan[t % 24]
 
     def observe(self, obs: np.ndarray, action: int, reward: float,
                 obs_next: np.ndarray) -> None:
         self.memory.add(obs, action, reward, obs_next)
 
-    def daily_update(self, obs: np.ndarray, tariff_window, ambient_window,
-                     band: ComfortBand) -> float | None:
+    def daily_update(self, obs: np.ndarray, prices, ambient, band: ComfortBand) -> None:
         """Retrain on the memory, decay epsilon, and plan the coming day."""
         if self._started:
             self.schedule.advance()
@@ -278,15 +263,9 @@ class ModelBasedAgent(Controller):
                                                  self.grid, self.cfg, self._rng)
         if mae is not None:
             self.mae_history.append((self.schedule.day, mae))
-        actions = self.plan_day(obs, tariff_window, ambient_window, band).actions
+        actions = plan(self.cfg, LearnedDynamicsModel(self.model), obs, min(24, len(prices)),
+                       self.grid, prices, ambient, band, self._rng).actions
         self._plan = actions + (0,) * max(0, 24 - len(actions))
-        return mae
-
-    def start_day(self, obs, prices, ambient, band) -> None:
-        self.daily_update(obs, prices, ambient, band)
-
-    def action(self, t, state, obs, prices, ambient, band) -> int:
-        return self.act(t % 24)
 
     def tables(self) -> dict:
         return {"model_mae": (MAE_CSV_HEADER, self.mae_history)}

@@ -49,8 +49,9 @@ __all__ = [
 class PrioritizedReplay(SampleMemory):
     """Transition store with a proportional replay priority per slot.
 
-    Each slot also keeps its replay weight priority**alpha, written with
-    the priority, so a draw does not raise the whole store to alpha.
+    Slot i's priority is `priorities[i]`.  Each slot also keeps its replay
+    weight priority**alpha, written with the priority, so a draw does not
+    raise the whole store to alpha.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
@@ -58,7 +59,7 @@ class PrioritizedReplay(SampleMemory):
         if not 0.0 <= alpha < np.inf:
             raise ValueError("alpha must be finite and >= 0")
         self.alpha = alpha
-        self._priorities = np.zeros(capacity)
+        self.priorities = np.zeros(capacity)
         self._weights = np.zeros(capacity)
 
     def _weight(self, priorities):
@@ -71,16 +72,13 @@ class PrioritizedReplay(SampleMemory):
             priority: float) -> int:
         weight = self._weight(priority)
         i = super().add(s, a, r, s_next)
-        self._priorities[i], self._weights[i] = priority, weight
+        self.priorities[i], self._weights[i] = priority, weight
         return i
-
-    def priority(self, index: int) -> float:
-        return float(self._priorities[index])
 
     def update_priorities(self, indices, priorities) -> None:
         """Overwrite the priorities of the given slots."""
         self._weights[indices] = self._weight(priorities)
-        self._priorities[indices] = priorities
+        self.priorities[indices] = priorities
 
     def probabilities(self) -> np.ndarray:
         w = self._weights[:len(self)]
@@ -233,21 +231,14 @@ class ModelFreeAgent(Controller):
         self._record = (obs, self.pair.online, x, q)
         return x, q
 
-    def q_values(self, obs: np.ndarray) -> np.ndarray:
-        return self._valued(obs)[1]
-
-    def act(self, obs: np.ndarray, hour: int | None = None,
-            epsilon: float | None = None) -> int:
-        x, q = self._valued(obs)
-        # an explicitly passed epsilon overrides the warm-up random phase
-        warming = epsilon is None and len(self.replay) < self.cfg.warmup_samples
-        eps = self.schedule.epsilon() if epsilon is None else epsilon
-        if warming or (eps > 0.0 and self._rng.random() < eps):
+    def act(self, t, state, obs, prices, ambient, band) -> int:
+        q = self._valued(obs)[1]
+        warming = len(self.replay) < self.cfg.warmup_samples
+        if warming or self._rng.random() < self.schedule.epsilon():
             action = int(self._rng.integers(len(self.grid)))
         else:
             action = int(np.argmax(q))  # first max = lowest-power tie break
-        if hour is not None:
-            self.q_trace.append((hour, tuple(float(v) for v in q), action))
+        self.q_trace.append((t, tuple(float(v) for v in q), action))
         return action
 
     def observe(self, obs: np.ndarray, action: int, reward: float,
@@ -297,18 +288,13 @@ class ModelFreeAgent(Controller):
             idx, compute_priority(new_targets, q_now, self.cfg.priority_offset))
         return True
 
-    def daily_update(self) -> int:
+    def daily_update(self, obs, prices, ambient, band) -> None:
         """Advance epsilon and run the configured number of training cycles."""
         if self._started:
             self.schedule.advance()
         self._started = True
-        return sum(self.train_cycle() for _ in range(self.cfg.train_cycles_per_update))
-
-    def start_day(self, obs, prices, ambient, band) -> None:
-        self.daily_update()
-
-    def action(self, t, state, obs, prices, ambient, band) -> int:
-        return self.act(obs, t)
+        for _ in range(self.cfg.train_cycles_per_update):
+            self.train_cycle()
 
     def tables(self) -> dict:
         header = ("hour", *(f"q{i}" for i in range(len(self.grid))), "chosen")

@@ -26,7 +26,6 @@ from .ranges import check_ranges, ranged
 __all__ = [
     "MlpSpec",
     "MlpParams",
-    "SgdOptimizer",
     "AdamOptimizer",
     "Normalizer",
     "forward",
@@ -165,28 +164,14 @@ def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
     return loss, grad
 
 
-def _checked_rate(learning_rate: float) -> float:
-    if not 0.0 < learning_rate < np.inf:
-        raise ValueError("learning_rate must be finite and > 0")
-    return learning_rate
-
-
-class SgdOptimizer:
-    """Plain gradient descent."""
-
-    def __init__(self, learning_rate: float = 1e-3):
-        self.learning_rate = _checked_rate(learning_rate)
-
-    def step(self, params: MlpParams, grad: np.ndarray) -> None:
-        params.theta -= self.learning_rate * grad
-
-
 class AdamOptimizer:
     """Adaptive-moment gradient descent with bias correction."""
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.learning_rate = _checked_rate(learning_rate)
+        if not 0.0 < learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps

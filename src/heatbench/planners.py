@@ -35,6 +35,7 @@ __all__ = [
     "plan_ga",
     "plan_exhaustive",
     "plan",
+    "sample_categorical",
     "EXHAUSTIVE_CAP",
 ]
 
@@ -218,7 +219,7 @@ def plan_exhaustive(model: DynamicsModel, start: np.ndarray, horizon: int,
     return tracker.plan()
 
 
-def _sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample (n, horizon) action indices from per-step categoricals: an index
     counts the cumulative bounds its uniform draw reaches, leaving out the last
     so that a row summing to slightly less than 1 stays on the grid."""
@@ -252,7 +253,7 @@ def plan_cem(model: DynamicsModel, start: np.ndarray, horizon: int,
         probs[np.arange(horizon), np.asarray(seed_sequence)] += config.seed_bias
 
     for _ in range(config.iterations):
-        population = _sample_categorical(probs, config.population, rng)
+        population = sample_categorical(probs, config.population, rng)
         if seed_sequence is not None:
             population[0] = seed_sequence
         powers = levels[population]

@@ -126,7 +126,7 @@ def test_suite_rejects_an_invalid_base_at_entry(tmp_path, capsys):
 
 
 def test_suite_error_row_names_the_exception_type(tmp_path, monkeypatch):
-    def failing_act(self, obs, hour=None, epsilon=None):
+    def failing_act(self, *args):
         raise ValueError("no action")
 
     monkeypatch.setattr(ModelFreeAgent, "act", failing_act)
@@ -449,7 +449,14 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[tariff]\nrtp_step = -0.5\n", "rtp_step must be finite and >= 0"),
     ("[building]\nindoor_capacitance = 1e5\nsubstep_seconds = 3600\n", "unstable sub-step"),
     ("[scenario]\nhistory_length = -1\n", "history_length must be >= 0"),
-    ("[scenario]\ninitial_temp_c = nan\n", "initial_temp_c must be finite"),
+    ("[scenario]\ninitial_temp_c = nan\n", r"initial_temp_c must be in \[-90, 60\], got nan"),
+    ("[scenario]\ninitial_temp_c = 1000\n", r"initial_temp_c must be in \[-90, 60\]"),
+    ("[building]\ncop = 1e300\n", r"cop must be in \[1, 10\], got 1e\+300"),
+    ("[ambient]\nmean_c = 10000\n", r"mean_c must be in \[-90, 60\], got 10000\.0"),
+    ("[ambient]\ndrift_end_c = -400\n", r"drift_end_c must be in \[-50, 50\]"),
+    ("[ambient]\ndaily_amplitude_c = 99\n", r"daily_amplitude_c must be in \[-30, 30\]"),
+    ("[mfrl]\nepsilon_exponent = 2000\n",
+     r"mfrl\.epsilon_exponent 2000\.0: day \*\* epsilon_exponent overflows by day 29"),
     ("[scenario]\nbackup_low_trip = -inf\n", "low_trip must be finite"),
     ("[scenario]\nbackup_high_trip = inf\n", "high_trip must be finite"),
     ("[grid]\nlevels_w = 0, 5000\n", "action grid exceeds the heat pump's max power"),
@@ -705,16 +712,48 @@ def test_cli_plot_creates_no_directory_for_a_rejected_log(tmp_path, capsys, kind
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, hour", [("[ambient]\nmean_c = 10000\n", 3),
-                                        ("[building]\ncop = 1e300\n", 24)])
+@pytest.mark.parametrize("text, hour", [
+    ("[scenario]\nambient_csv = {hot}\n", 3),
+    ("[building]\nmax_power_w = 1e7\n[grid]\nlevels_w = 0, 1e7\n", 24)],
+    ids=["10000 degC ambient trace", "10 MW heat pump"])
 def test_cli_names_the_hour_and_temperature_of_a_comfort_overflow(tmp_path, capsys, text,
                                                                    hour):
-    path = _ini(tmp_path, text)
+    hot = tmp_path / "hot.csv"
+    hot.write_text("hour,temp_c\n" + "".join(f"{h},10000.0\n" for h in range(73)),
+                   encoding="utf-8")
+    path = _ini(tmp_path, text.format(hot=hot))
     out = tmp_path / "out"
     assert cli_main(["run", "--scenario", str(path), "--days", "3", "--out", str(out)]) == 2
     [line] = capsys.readouterr().err.strip().splitlines()
     assert re.fullmatch(rf"hour {hour}: indoor temperature \S+ degC is too far from the "
                         "comfort band to score", json.loads(line)["error"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["mbrl", "mfrl"])
+def test_cli_rejects_an_exploration_schedule_that_overflows_within_the_run(tmp_path, capsys,
+                                                                           section):
+    path = _ini(tmp_path, f"[{section}]\nepsilon_exponent = 2000\n")
+    out = tmp_path / "out"
+    run = ["run", "--scenario", str(path), "--agent", section, "--out", str(out)]
+    assert cli_main([*run, "--days", "3"]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == (f"{section}.epsilon_exponent 2000.0: day ** "
+                                         "epsilon_exponent overflows by day 2")
+    assert not out.exists()
+    # two days hold one controlled day start: the schedule stays on day 1
+    assert cli_main([*run, "--days", "2"]) == 0
+
+
+def test_cli_run_whose_baseline_never_heats_names_the_fields_and_writes_nothing(tmp_path,
+                                                                                capsys):
+    path = _ini(tmp_path, "[rbc]\nhysteresis_c = 1e6\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(path), "--days", "2", "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error.startswith("the RBC baseline never heated after the warm-up")
+    assert "[band] t_min - [rbc] hysteresis_c (hysteresis_c = 1000000.0)" in error
     assert not out.exists()
 
 

@@ -1,0 +1,50 @@
+"""The public surface that `harness.simulate` and the benchmark's tracer rely on.
+
+Each controller meets `simulate` through the four hooks of `mdp.Controller`
+and has no second entry point; the few extra methods it keeps are the ones
+`perfbench/tracer.py` wraps by name.  The tracer's targets are resolved here
+without running a scenario, so a refactor that drops one fails in
+milliseconds, naming it.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+from heatbench.baselines import MpcController, RbcController
+from heatbench.mdp import Controller
+from heatbench.model_based import ModelBasedAgent
+from heatbench.model_free import ModelFreeAgent
+
+HOOKS = {"daily_update", "act", "observe", "tables"}
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _public_methods(cls) -> set[str]:
+    return {name for name in dir(cls) if not name.startswith("_")
+            and callable(getattr(cls, name))}
+
+
+@pytest.mark.parametrize("cls, extra", [
+    (Controller, set()),
+    (RbcController, set()),
+    (MpcController, {"decide"}),
+    (ModelBasedAgent, set()),
+    (ModelFreeAgent, {"encode", "train_cycle"}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_each_controller_has_the_four_hooks_and_only_the_traced_extras(cls, extra):
+    assert _public_methods(cls) == HOOKS | extra
+    assert cls is Controller or "act" in vars(cls)
+
+
+def test_every_tracer_target_resolves_on_heatbench():
+    missing = []
+    for name, (module, attr, *_) in runpy.run_path(str(TRACER))["TARGETS"].items():
+        owner = importlib.import_module(f"heatbench.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert not missing, f"perfbench traces names heatbench lacks: {missing}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from heatbench import model_based, planners
 from heatbench.emulator import BuildingParams, BuildingState
 from heatbench.mdp import ActionGrid, ComfortBand, encode_state
 from heatbench.model_based import (ExplorationSchedule, LearnedDynamicsModel,
@@ -248,19 +249,24 @@ def _agent(seed=0, **overrides):
                            history_length=3)
 
 
+def _act(agent, t):
+    """The agent's action at hour t; MB-RL reads only the hour."""
+    return agent.act(t, None, None, None, None, None)
+
+
 def test_act_uniform_when_forced_to_explore():
-    agent = _agent()
-    draws = np.array([agent.act(0, epsilon=1.0) for _ in range(10_000)])
+    agent = _agent(epsilon_initial=1.0)
+    draws = np.array([_act(agent, 0) for _ in range(10_000)])
     counts = np.bincount(draws, minlength=len(GRID))
     chi2 = ((counts - len(draws) / 6) ** 2 / (len(draws) / 6)).sum()
     assert stats.chi2.sf(chi2, df=5) > 0.01
 
 
 def test_act_follows_plan_when_greedy():
-    agent = _agent()
+    agent = _agent(epsilon_initial=1e-9)
     agent._plan = tuple(range(6)) + (0,) * 18
     for hour in range(6):
-        assert agent.act(hour, epsilon=0.0) == hour
+        assert _act(agent, hour) == hour
 
 
 def test_daily_update_deterministic():
@@ -291,21 +297,26 @@ def test_daily_update_advances_epsilon_after_first_day():
     assert agent.schedule.epsilon() < 0.5
 
 
-def test_exact_model_injection_reduces_to_mpc_plan():
+def test_exact_model_injection_reduces_to_mpc_plan(monkeypatch):
     params = BuildingParams()
     state = BuildingState(19.5, 20.5, 0)
     exact = ExactDynamicsModel(params, state)
+    monkeypatch.setattr(model_based, "LearnedDynamicsModel", lambda model: exact)
+    plans = []  # what the agent's one call of the planner returns
+    monkeypatch.setattr(model_based, "plan",
+                        lambda *args: plans.append(planners.plan(*args)) or plans[-1])
     agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(123),
-                            seed=0, history_length=3, dynamics_override=exact)
+                            seed=0, history_length=3)
     obs = encode_state((19.5,) * 4, 2.0, 3)
     tariff = np.full(24, 0.24)
     ambient = np.linspace(2.0, 4.0, 24)
 
-    plan_agent = agent.plan_day(obs, tariff, ambient, BAND)
+    agent.daily_update(obs, tariff, ambient, BAND)  # an empty memory: no training
+    [plan_agent] = plans
     plan_mpc = plan_cem(ExactDynamicsModel(params, state), obs, 24, GRID,
                         tariff, ambient, BAND, MbrlConfig().cem,
                         np.random.default_rng(123))
-    assert plan_agent.actions == plan_mpc.actions
+    assert agent._plan == plan_agent.actions == plan_mpc.actions
     assert plan_agent.expected_return == pytest.approx(plan_mpc.expected_return)
 
 

@@ -123,7 +123,7 @@ def test_replay_ring_eviction_and_priority_floor():
         _add(mem, compute_priority(0.0, 0.0, 1e-3), a=i % 2)
     assert len(mem) == 2
     assert mem.rows(mem.a).tolist() == [1, 0]  # samples 3 and 4, oldest first
-    assert all(mem.priority(i) >= 1e-3 for i in range(2))
+    assert all(mem.priorities[:2] >= 1e-3)
     with pytest.raises(ValueError):
         _add(mem, 0.0)
 
@@ -188,7 +188,7 @@ def test_replay_rejects_non_finite_alpha_and_priorities():
             _add(mem, bad)
         with pytest.raises(ValueError, match="priority must be finite and > 0"):
             mem.update_priorities(np.array([0, 1]), np.array([1.0, bad]))
-    assert len(mem) == 2 and [mem.priority(0), mem.priority(1)] == [1.0, 2.0]
+    assert len(mem) == 2 and mem.priorities[:2].tolist() == [1.0, 2.0]
 
 
 def test_config_rejects_non_positive_or_non_finite_learning_rate():
@@ -296,30 +296,51 @@ def _agent(seed=0, **overrides):
                           np.random.default_rng(seed), seed=seed, history_length=0)
 
 
+def _act(agent, obs, t=0):
+    """The agent's action at hour t; MF-RL reads only the hour and the observation."""
+    return agent.act(t, None, obs, None, None, None)
+
+
+def _warm_agent(**overrides):
+    """Agent past warm-up: normalizer fitted, replay filled with encoded rows.
+
+    A tiny `epsilon_initial` makes its choices greedy; 1.0 makes them random."""
+    agent = _agent(**overrides)
+    states = [encode_state((float(i),), 0.5 * i, 0) for i in range(6)]
+    for i in range(5):
+        agent.observe(states[i], i % 2, -float(i), states[i + 1])
+    assert agent.normalizer is not None
+    return agent
+
+
+def _greedy_agent():
+    return _warm_agent(epsilon_initial=1e-9)
+
+
 def test_act_argmax_and_tie_break():
-    agent = _agent()
+    agent = _greedy_agent()
     agent.pair.online = _bias_net([0.0, 1.0, 5.0, 2.0, 2.0, 1.0], 2)
     agent.pair.target = _bias_net([0.0, 1.0, 5.0, 2.0, 2.0, 1.0], 2)
     obs = encode_state((20.0,), 5.0, 0)
-    assert agent.act(obs, epsilon=0.0) == 2
+    assert _act(agent, obs) == 2
 
     agent.pair.online = _bias_net([1.0] * 6, 2)
-    assert agent.act(obs, epsilon=0.0) == 0  # ties resolve to lowest power
+    assert _act(agent, obs) == 0  # ties resolve to lowest power
 
 
 def test_act_greedy_invariant_under_constant_shift():
-    agent = _agent()
+    agent = _greedy_agent()
     obs = encode_state((20.0,), 5.0, 0)
     agent.pair.online = _bias_net([0.0, 1.0, 5.0, 2.0, 2.0, 1.0], 2)
-    base = agent.act(obs, epsilon=0.0)
+    base = _act(agent, obs)
     agent.pair.online = _bias_net([7.0, 8.0, 12.0, 9.0, 9.0, 8.0], 2)
-    assert agent.act(obs, epsilon=0.0) == base
+    assert _act(agent, obs) == base
 
 
 def test_act_uniform_at_full_exploration():
-    agent = _agent()
+    agent = _warm_agent(epsilon_initial=1.0)
     obs = encode_state((20.0,), 5.0, 0)
-    draws = np.array([agent.act(obs, epsilon=1.0) for _ in range(10_000)])
+    draws = np.array([_act(agent, obs) for _ in range(10_000)])
     counts = np.bincount(draws, minlength=6)
     chi2 = ((counts - len(draws) / 6) ** 2 / (len(draws) / 6)).sum()
     assert stats.chi2.sf(chi2, df=5) > 0.01
@@ -353,17 +374,7 @@ def test_observe_stores_with_td_priority():
     agent = _agent()
     agent.observe(S0, 0, -2.0, S1)
     assert len(agent.replay) == 1
-    assert agent.replay.priority(0) >= agent.cfg.priority_offset
-
-
-def _warm_agent():
-    """Agent past warm-up: normalizer fitted, replay filled with encoded rows."""
-    agent = _agent()
-    states = [encode_state((float(i),), 0.5 * i, 0) for i in range(6)]
-    for i in range(5):
-        agent.observe(states[i], i % 2, -float(i), states[i + 1])
-    assert agent.normalizer is not None
-    return agent
+    assert agent.replay.priorities[0] >= agent.cfg.priority_offset
 
 
 def _expected_priority(agent, obs, action, reward, obs_next):
@@ -375,12 +386,12 @@ def _expected_priority(agent, obs, action, reward, obs_next):
 
 
 def test_observe_after_act_scores_like_a_fresh_forward():
-    agent = _warm_agent()
+    agent = _greedy_agent()
     obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
-    action = agent.act(obs, epsilon=0.0)
+    action = _act(agent, obs)
     agent.observe(obs, action, -1.0, obs_next)
     slot = len(agent.replay) - 1
-    assert agent.replay.priority(slot) == _expected_priority(agent, obs, action, -1.0,
+    assert agent.replay.priorities[slot] == _expected_priority(agent, obs, action, -1.0,
                                                              obs_next)
     assert np.array_equal(agent.replay.s[slot], agent.normalizer.apply(obs))
     assert np.array_equal(agent.replay.s_next[slot],
@@ -388,22 +399,24 @@ def test_observe_after_act_scores_like_a_fresh_forward():
 
 
 @pytest.mark.parametrize("between", ["train_cycle", "daily_update", "other_obs"])
-def test_observe_does_not_reuse_q_values_across_training(between):
-    agent = _warm_agent()
+def test_observe_does_not_reuse_q_values_across_training(between, monkeypatch):
+    agent = _greedy_agent()
     obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
     stale = forward(agent.pair.online, agent.normalizer.apply(obs))
-    agent.act(obs, epsilon=0.0)
+    _act(agent, obs)
     if between == "train_cycle":
         assert agent.train_cycle()
     elif between == "daily_update":
-        assert agent.daily_update() == agent.cfg.train_cycles_per_update
+        cycles = _cycle_results(monkeypatch, agent)
+        agent.daily_update(obs, None, None, None)
+        assert cycles == [True] * agent.cfg.train_cycles_per_update
     else:  # an equal but distinct observation must not match the cached one
         obs = encode_state((2.5,), 1.0, 0)
         agent.pair.online.biases[-1][...] += 1.0
     agent.observe(obs, 3, -1.0, obs_next)
     slot = len(agent.replay) - 1
     expected = _expected_priority(agent, obs, 3, -1.0, obs_next)
-    assert agent.replay.priority(slot) == expected
+    assert agent.replay.priorities[slot] == expected
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs))
     assert fresh[3] != stale[3]
 
@@ -416,12 +429,13 @@ def test_act_reuses_the_features_observe_encoded(monkeypatch):
     monkeypatch.setattr(agent, "encode",
                         lambda x: encoded.append(x) or agent.normalizer.apply(x))
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs_next))
-    assert np.array_equal(agent.q_values(obs_next), fresh)
+    _act(agent, obs_next)
+    assert agent.q_trace[-1][1] == tuple(fresh.tolist())
     assert encoded == []
-    agent.q_values(encode_state((3.0,), 1.5, 0))  # equal, but not the same object
+    _act(agent, encode_state((3.0,), 1.5, 0))  # equal, but not the same object
     assert len(encoded) == 1
     assert agent.train_cycle()
-    agent.q_values(obs_next)
+    _act(agent, obs_next)
     assert len(encoded) == 2
 
 
@@ -434,12 +448,12 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_act_after_observe_reads_the_recorded_q_values(monkeypatch):
-    agent = _warm_agent()
+    agent = _greedy_agent()
     obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
     agent.observe(obs, 3, -1.0, obs_next)
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs_next))
     forwards = _count_calls(monkeypatch, model_free, "forward")
-    action = agent.act(obs_next, hour=7, epsilon=0.0)
+    action = _act(agent, obs_next, t=7)
     assert forwards == []
     assert action == int(np.argmax(fresh))
     assert agent.q_trace[-1] == (7, tuple(float(v) for v in fresh), action)
@@ -463,8 +477,9 @@ def test_act_after_the_normalizer_fit_encodes_afresh():
     for i in range(4):
         agent.observe(states[i], 0, -1.0, states[i + 1])
     assert agent.normalizer is not None  # fitted by the fourth observe
-    assert np.array_equal(agent.q_values(states[4]),
-                          forward(agent.pair.online, agent.normalizer.apply(states[4])))
+    _act(agent, states[4])
+    assert agent.q_trace[-1][1] == tuple(
+        forward(agent.pair.online, agent.normalizer.apply(states[4])).tolist())
 
 
 def test_train_cycle_skips_before_warmup_bit_identical():
@@ -480,9 +495,9 @@ def test_train_cycle_updates_priorities_in_place():
     agent = _agent()
     for i in range(6):
         agent.observe(S0, 0, -float(i), S1)
-    priorities_before = [agent.replay.priority(i) for i in range(6)]
+    priorities_before = agent.replay.priorities[:6].tolist()
     assert agent.train_cycle() is True
-    priorities_after = [agent.replay.priority(i) for i in range(6)]
+    priorities_after = agent.replay.priorities[:6].tolist()
     assert priorities_before != priorities_after
     assert all(p >= agent.cfg.priority_offset for p in priorities_after)
 
@@ -515,18 +530,26 @@ def test_toy_mdp_converges_to_value_iteration():
             agent.observe(s, a, r, s2)
     for _ in range(4000):
         agent.train_cycle()
-    learned = np.array([agent.q_values(s0), agent.q_values(s1)])
+    learned = np.array([forward(agent.pair.online, agent.encode(s)) for s in (s0, s1)])
     assert np.abs(learned - q).max() < 1e-2
 
 
-def test_daily_update_runs_cycles_and_decays_epsilon():
+def _cycle_results(monkeypatch, agent):
+    """What each of the agent's training cycles from now on returns, in order."""
+    results, cycle = [], agent.train_cycle
+    monkeypatch.setattr(agent, "train_cycle", lambda: results.append(cycle()) or results[-1])
+    return results
+
+
+def test_daily_update_runs_cycles_and_decays_epsilon(monkeypatch):
     agent = _agent(train_cycles_per_update=3)
     for _ in range(8):
         agent.observe(S0, 0, -1.0, S1)
-    done = agent.daily_update()
-    assert done == 3
+    cycles = _cycle_results(monkeypatch, agent)
+    agent.daily_update(S0, None, None, None)
+    assert cycles == [True] * 3
     assert agent.schedule.day == 1
-    agent.daily_update()
+    agent.daily_update(S0, None, None, None)
     assert agent.schedule.day == 2
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heatbench.emulator import BuildingParams, BuildingState, hour_affine_map, step
 from heatbench.mdp import ActionGrid, ComfortBand, encode_state, comfort_reward
-from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, _sample_categorical,
+from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, sample_categorical,
                                 evaluate_sequences, plan_cem, plan_exhaustive, plan_ga)
 
 PARAMS = BuildingParams()
@@ -349,7 +349,7 @@ def test_sampler_matches_searchsorted_reference(data, horizon, n_actions, shortf
         weights = np.array(data.draw(st.lists(rows, min_size=horizon,
                                               max_size=horizon))) + 1e-300
     probs = weights / weights.sum(axis=1, keepdims=True) * (1.0 - shortfall)
-    got = _sample_categorical(probs, 64, np.random.default_rng(seed))
+    got = sample_categorical(probs, 64, np.random.default_rng(seed))
     want = _searchsorted_sample(probs, 64, np.random.default_rng(seed))
     assert np.array_equal(got, want)
 
