@@ -1,0 +1,88 @@
+"""Output bytes pinned across commits: each case's output directory must
+digest to the value recorded in `golden_digests.json`.
+
+Criterion 9 compares two runs made in one process, so it cannot see a change
+from one commit to the next; this test compares a run with the bytes recorded
+when the golden file was written.  The cases are the criterion-9 scenarios,
+the three benchmark workloads at seed 1 and their benchmark lengths, and four
+short runs of the real-time tariff, a history-free MF-RL, and the exhaustive
+and GA planners.
+
+Digests depend on the platform: the numpy version, its BLAS build and the
+CPU and SIMD paths they take.  The golden file records the platform it was
+taken on, and on any other the test skips, naming both.  A change that moves
+output bytes on purpose rewrites the file in the same commit with
+
+    PYTHONPATH=src python tests/test_golden_digests.py
+"""
+
+import json
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heatbench.baselines import MpcConfig
+from heatbench.harness import Scenario, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
+output_digest = runpy.run_path(str(ROOT / "perfbench" / "checks.py"))["output_digest"]
+machine_info = runpy.run_path(str(ROOT / "perfbench" / "machine.py"))["machine_info"]
+
+CASES = {s.name: s for s in (
+    Scenario(name="det_mbrl", days=20, agent="mbrl", seed=7),
+    Scenario(name="det_mfrl", days=10, agent="mfrl", seed=7),
+    Scenario(name="det_mpc", days=3, agent="mpc", seed=7),
+    Scenario(name="mpc_dual", days=10, agent="mpc", seed=1, tariff_kind="dual"),
+    Scenario(name="mbrl_flat", days=40, agent="mbrl", seed=1),
+    Scenario(name="mfrl_flat", days=20, agent="mfrl", seed=1),
+    Scenario(name="mfrl_real_time", days=10, agent="mfrl", seed=3, tariff_kind="real_time"),
+    Scenario(name="mfrl_no_history", days=10, agent="mfrl", seed=5, history_length=0),
+    Scenario(name="mpc_exhaustive", days=2, agent="mpc", seed=2,
+             mpc=MpcConfig(planner="exhaustive", horizon=4)),
+    Scenario(name="mpc_ga", days=2, agent="mpc", seed=2, mpc=MpcConfig(planner="ga")),
+)}
+
+
+def digest_platform() -> dict:
+    """What the digests depend on besides the code, as numpy reports it."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": [blas.get("name"), blas.get("version"), blas.get("openblas configuration")],
+            "cpu_model": machine_info()["cpu_model"],
+            "simd": config["SIMD Extensions"]}
+
+
+def digest(scenario, out_dir) -> str:
+    run_scenario(scenario, out_dir)
+    return output_digest(out_dir)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    here = digest_platform()
+    if recorded["platform"] != here:
+        pytest.skip(f"golden digests were taken on {recorded['platform']}, this is {here}")
+    return recorded["digests"]
+
+
+def test_golden_file_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_bytes_equal_the_golden_digest(golden, tmp_path, name):
+    assert digest(CASES[name], tmp_path) == golden[name], f"{name}: output bytes changed"
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: digest(s, Path(tmp) / name) for name, s in CASES.items()}
+    recorded = {"platform": digest_platform(), "digests": digests}
+    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
