@@ -64,7 +64,7 @@ class BuildingParams:
     ambient_conductance: float = ranged(100.0, "(0, inf)")
     envelope_conductance: float = ranged(200.0, "(0, inf)")
     cop: float = ranged(3.0, "[1, 10]")  # heat pumps run at about 2 to 6
-    max_power_w: float = ranged(2000.0, "(0, inf)")
+    max_power_w: float = ranged(2000.0, "(0, 1e5]")  # 100 kW: a large building's heat pump
     # 10 s keeps the halving-refinement error below 0.01 degC across the
     # full ambient/power envelope; the planner path is unaffected (affine map)
     substep_seconds: int = ranged(10, "[1, inf)")
@@ -246,12 +246,16 @@ def make_synthetic_ambient(seed: int, days: int,
 
 def load_ambient_csv(path) -> np.ndarray:
     """Read an hourly ambient trace from a `hour,temp_c` CSV file into a
-    read-only array; its hours count up from 0 (see mdp.read_rows)."""
+    read-only array; its hours count up from 0 (see mdp.read_rows) and its
+    temperatures lie in AmbientGenParams.mean_c's range."""
     rows = read_rows(path, ("hour", "temp_c"))
     if not rows:
         raise ValueError(f"{path} line 2: no data rows")
     if rows[0][0] != 0:
         raise ValueError(f"{path} line 2: hour {rows[0][0]}, not 0")
+    for line, (_, temp) in enumerate(rows, start=2):
+        if not -90.0 <= temp <= 60.0:
+            raise ValueError(f"{path} line {line}: temp_c {temp!r} is outside [-90, 60] degC")
     trace = np.array([temp for _, temp in rows])
     trace.setflags(write=False)
     return trace

@@ -95,7 +95,7 @@ class MbrlConfig:
     epsilon_exponent: float = ranged(0.7, "(0, inf)")
     hidden: tuple[int, ...] = ranged((32, 32), "[1, inf)")
     activation: str = ranged("tanh", ACTIVATIONS)
-    learning_rate: float = ranged(1e-3, "(0, inf)")
+    learning_rate: float = ranged(1e-3, "(0, 1]")  # 1e300 diverges mid-run
     epochs_per_update: int = ranged(50, "[1, inf)")
     batch_size: int = ranged(256, "[1, inf)")
     min_train_samples: int = ranged(24, "[2, inf)")

@@ -8,18 +8,11 @@ and replayed with probability priority**alpha.  The target network
 follows the online one through soft updates w_tgt <- tau*w + (1-tau)*w_tgt.
 
 The feature normalizer is fitted once, when the replay first holds
-`warmup_samples` transitions, and never changes.  At that moment the
-stored rows are normalised in place; from then on the replay rows hold
-normalised features, so a training cycle gathers its batch as is.
-`replay_sample` is numpy's weighted draw without replacement
+`warmup_samples` transitions, and never changes.  The replay holds the raw
+observations; `act`, `observe` and a training cycle each encode what they
+value.  `replay_sample` is numpy's weighted draw without replacement
 (`Generator.choice(n, size, replace=False, p=p)`), reproduced bit for bit
 in indices and generator state without its per-call validation of `p`.
-
-The agent encodes and values each observation once.  One record holds the
-newest observation valued with the online network, its features and its
-online Q-values; `act` and `observe` read it when both objects match,
-whichever values an observation first writes it (`observe` values
-`obs_next`), and a training cycle or the normalizer fit drops it.
 """
 
 from __future__ import annotations
@@ -143,20 +136,16 @@ def soft_update(pair: QPair) -> QPair:
 
 
 def q_target(x_next: np.ndarray, rewards: np.ndarray, pair: QPair,
-             selection_by_target: bool = False,
-             selector: np.ndarray | None = None) -> np.ndarray:
+             selection_by_target: bool = False) -> np.ndarray:
     """Bootstrap targets for a batch of transitions, one per row.
 
     `x_next` holds the encoded next states.  The online network picks the
     next action and the target network values it (double-Q);
     `selection_by_target` switches the argmax to the target network instead.
-    A caller that holds the online values of `x_next` passes them as `selector`.
     """
     q_tgt = forward_batch(pair.target, x_next)
-    if selector is None:
-        selector = q_tgt if selection_by_target else forward_batch(pair.online, x_next)
-    bootstrap = q_tgt[np.arange(len(q_tgt)), np.argmax(selector, axis=1)]
-    return rewards + pair.gamma * bootstrap
+    picks = np.argmax(q_tgt if selection_by_target else forward_batch(pair.online, x_next), axis=1)
+    return rewards + pair.gamma * q_tgt[np.arange(len(q_tgt)), picks]
 
 
 def compute_priority(target, q_sa, offset: float):
@@ -171,7 +160,7 @@ def compute_priority(target, q_sa, offset: float):
 class MfrlConfig:
     hidden: tuple[int, ...] = ranged((64, 64), "[1, inf)")
     activation: str = ranged("relu", ACTIVATIONS)
-    learning_rate: float = ranged(1e-3, "(0, inf)")
+    learning_rate: float = ranged(1e-3, "(0, 1]")  # 1e300 diverges mid-run
     # a short discount horizon keeps the steep below-band penalty from
     # bleeding across the fitted Q surface and inflating the hold threshold;
     # the slow thermal plant makes near-myopic control close to optimal
@@ -213,26 +202,14 @@ class ModelFreeAgent(Controller):
         self._optimizer = AdamOptimizer(cfg.learning_rate)
         self._rng = rng
         self._started = False
-        # (observation, online network, features, online Q-values): the record
-        self._record: tuple | None = None
         self.q_trace: list[tuple[int, tuple[float, ...], int]] = []
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Normalise state features, one vector or a matrix of rows."""
         return self.normalizer.apply(x) if self.normalizer is not None else x
 
-    def _valued(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Encoded features and online Q-values of `obs`, from or into the record."""
-        record = self._record
-        if record is not None and record[0] is obs and record[1] is self.pair.online:
-            return record[2], record[3]
-        x = self.encode(obs)
-        q = forward(self.pair.online, x)
-        self._record = (obs, self.pair.online, x, q)
-        return x, q
-
     def act(self, t, state, obs, prices, ambient, band) -> int:
-        q = self._valued(obs)[1]
+        q = forward(self.pair.online, self.encode(obs))
         warming = len(self.replay) < self.cfg.warmup_samples
         if warming or self._rng.random() < self.schedule.epsilon():
             action = int(self._rng.integers(len(self.grid)))
@@ -243,22 +220,13 @@ class ModelFreeAgent(Controller):
 
     def observe(self, obs: np.ndarray, action: int, reward: float,
                 obs_next: np.ndarray) -> None:
-        """File the transition with its TD priority; record `obs_next`'s values."""
-        x, q = self._valued(obs)
-        x_next = self.encode(obs_next[None, :])
-        q_next = forward_batch(self.pair.online, x_next)
-        target = q_target(x_next, np.array([reward]), self.pair, selector=q_next)
-        self.replay.add(x, action, reward, x_next[0],
-                        compute_priority(float(target[0]), float(q[action]),
-                                         self.cfg.priority_offset))
-        self._record = (obs_next, self.pair.online, x_next[0], q_next[0])
+        """File the raw transition with its TD priority."""
+        q_sa = forward(self.pair.online, self.encode(obs))[action]
+        target = q_target(self.encode(obs_next[None, :]), np.array([reward]), self.pair)
+        self.replay.add(obs, action, reward, obs_next,
+                        compute_priority(float(target[0]), float(q_sa), self.cfg.priority_offset))
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
-            self._record = None  # encoded before the normalizer existed
-            mem = self.replay
-            self.normalizer = fit_normalizer(mem.rows(mem.s))
-            n = len(mem)
-            mem.s[:n] = self.normalizer.apply(mem.s[:n])
-            mem.s_next[:n] = self.normalizer.apply(mem.s_next[:n])
+            self.normalizer = fit_normalizer(self.replay.rows(self.replay.s))
 
     def train_cycle(self) -> bool:
         """One replay batch: masked Q step, soft target update, priority write-back.
@@ -267,10 +235,9 @@ class ModelFreeAgent(Controller):
         """
         if len(self.replay) < self.cfg.warmup_samples:
             return False
-        self._record = None
         mem = self.replay
         idx = replay_sample(mem, self.cfg.batch_size, self._rng)
-        x, x_next = mem.s[idx], mem.s_next[idx]
+        x, x_next = self.encode(mem.s[idx]), self.encode(mem.s_next[idx])
         rewards, actions = mem.r[idx], mem.a[idx]
         rows = np.arange(len(idx))
 

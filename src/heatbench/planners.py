@@ -82,24 +82,17 @@ class ExactDynamicsModel:
     lower-triangular impulse response of the one-hour map, cached per
     (building, horizon).  One matrix product serves a whole candidate batch
     and equals the hour-by-hour recursion up to floating-point re-association.
-    The free response is kept for the last ambient window, so the repeated
-    rollouts of one plan compute it once.
     """
 
     def __init__(self, params: BuildingParams, state: BuildingState):
         self._params = params
         self._root = np.array([state.indoor_temp, state.envelope_temp])
-        self._free: tuple[tuple[int, bytes], np.ndarray] | None = None
 
     def rollout_temps(self, start: np.ndarray, powers: np.ndarray,
                       ambient: np.ndarray) -> np.ndarray:
-        horizon = powers.shape[1]
-        lead, gain = _impulse_response(self._params, horizon)
-        key = horizon, np.asarray(ambient, dtype=float).tobytes()
-        if self._free is None or self._free[0] != key:
-            self._free = key, lead @ self._root + gain @ (
-                self._params.ambient_conductance * ambient)
-        return self._free[1] + (self._params.cop * powers) @ gain.T
+        lead, gain = _impulse_response(self._params, powers.shape[1])
+        free = lead @ self._root + gain @ (self._params.ambient_conductance * ambient)
+        return free + (self._params.cop * powers) @ gain.T
 
 
 @dataclass(frozen=True)

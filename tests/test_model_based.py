@@ -68,8 +68,8 @@ def test_config_rejects_capacity_below_min_train_samples():
 
 
 def test_config_rejects_non_positive_or_non_finite_learning_rate():
-    for rate in (float("nan"), -1e-3, 0.0, float("inf")):
-        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+    for rate in (float("nan"), -1e-3, 0.0, float("inf"), 1.5, 1e300):
+        with pytest.raises(ValueError, match=r"learning_rate must be in \(0, 1\]"):
             MbrlConfig(learning_rate=rate)
 
 

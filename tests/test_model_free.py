@@ -192,8 +192,8 @@ def test_replay_rejects_non_finite_alpha_and_priorities():
 
 
 def test_config_rejects_non_positive_or_non_finite_learning_rate():
-    for rate in (float("nan"), -1e-3, 0.0, float("inf")):
-        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+    for rate in (float("nan"), -1e-3, 0.0, float("inf"), 1.5, 1e300):
+        with pytest.raises(ValueError, match=r"learning_rate must be in \(0, 1\]"):
             MfrlConfig(learning_rate=rate)
 
 
@@ -302,7 +302,7 @@ def _act(agent, obs, t=0):
 
 
 def _warm_agent(**overrides):
-    """Agent past warm-up: normalizer fitted, replay filled with encoded rows.
+    """Agent past warm-up: normalizer fitted, replay filled with raw rows.
 
     A tiny `epsilon_initial` makes its choices greedy; 1.0 makes them random."""
     agent = _agent(**overrides)
@@ -393,12 +393,12 @@ def test_observe_after_act_scores_like_a_fresh_forward():
     slot = len(agent.replay) - 1
     assert agent.replay.priorities[slot] == _expected_priority(agent, obs, action, -1.0,
                                                              obs_next)
-    assert np.array_equal(agent.replay.s[slot], agent.normalizer.apply(obs))
-    assert np.array_equal(agent.replay.s_next[slot],
-                          agent.normalizer.apply(obs_next))
+    assert np.array_equal(agent.replay.s[slot], obs)
+    assert np.array_equal(agent.replay.s_next[slot], obs_next)
 
 
-@pytest.mark.parametrize("between", ["train_cycle", "daily_update", "other_obs"])
+@pytest.mark.parametrize("between", ["train_cycle", "daily_update", "other_obs",
+                                     "in_place_edit"])
 def test_observe_does_not_reuse_q_values_across_training(between, monkeypatch):
     agent = _greedy_agent()
     obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
@@ -410,8 +410,10 @@ def test_observe_does_not_reuse_q_values_across_training(between, monkeypatch):
         cycles = _cycle_results(monkeypatch, agent)
         agent.daily_update(obs, None, None, None)
         assert cycles == [True] * agent.cfg.train_cycles_per_update
-    else:  # an equal but distinct observation must not match the cached one
+    elif between == "other_obs":  # an equal but distinct observation
         obs = encode_state((2.5,), 1.0, 0)
+        agent.pair.online.biases[-1][...] += 1.0
+    else:  # the same observation, valued by a network changed in place since
         agent.pair.online.biases[-1][...] += 1.0
     agent.observe(obs, 3, -1.0, obs_next)
     slot = len(agent.replay) - 1
@@ -419,24 +421,6 @@ def test_observe_does_not_reuse_q_values_across_training(between, monkeypatch):
     assert agent.replay.priorities[slot] == expected
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs))
     assert fresh[3] != stale[3]
-
-
-def test_act_reuses_the_features_observe_encoded(monkeypatch):
-    agent = _warm_agent()
-    obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
-    agent.observe(obs, 3, -1.0, obs_next)
-    encoded = []
-    monkeypatch.setattr(agent, "encode",
-                        lambda x: encoded.append(x) or agent.normalizer.apply(x))
-    fresh = forward(agent.pair.online, agent.normalizer.apply(obs_next))
-    _act(agent, obs_next)
-    assert agent.q_trace[-1][1] == tuple(fresh.tolist())
-    assert encoded == []
-    _act(agent, encode_state((3.0,), 1.5, 0))  # equal, but not the same object
-    assert len(encoded) == 1
-    assert agent.train_cycle()
-    _act(agent, obs_next)
-    assert len(encoded) == 2
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -447,28 +431,36 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_act_after_observe_reads_the_recorded_q_values(monkeypatch):
+def test_act_encodes_and_values_its_observation_afresh(monkeypatch):
     agent = _greedy_agent()
     obs, obs_next = encode_state((2.5,), 1.0, 0), encode_state((3.0,), 1.5, 0)
     agent.observe(obs, 3, -1.0, obs_next)
+    agent.pair.online.biases[-1][...] += 1.0  # changed in place, by no training cycle
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs_next))
     forwards = _count_calls(monkeypatch, model_free, "forward")
+    encodes = _count_calls(monkeypatch, agent, "encode")
     action = _act(agent, obs_next, t=7)
-    assert forwards == []
+    assert (len(forwards), len(encodes)) == (1, 1)
     assert action == int(np.argmax(fresh))
     assert agent.q_trace[-1] == (7, tuple(float(v) for v in fresh), action)
 
 
-def test_mfrl_run_values_each_observation_once(monkeypatch):
-    # seed 7, 20 flat days: 456 controlled hours, but a batch-1 forward only
-    # for the first decision and the first after each of the 15 days that
-    # trained (the normalizer fit falls on the eve of the first)
+def test_mfrl_run_encodes_and_values_each_use(monkeypatch):
+    # seed 7, 20 flat days, 456 controlled hours: each act encodes and
+    # forwards its observation, each observe encodes both of its own and
+    # forwards the first, and each useful training cycle encodes its batch
+    # and its next states
     scenario = Scenario(days=20, agent="mfrl", seed=7)
     traces = build_traces(scenario)
     forwards = _count_calls(monkeypatch, model_free, "forward")
     encodes = _count_calls(monkeypatch, ModelFreeAgent, "encode")
+    cycles = []
+    cycle = ModelFreeAgent.train_cycle
+    monkeypatch.setattr(ModelFreeAgent, "train_cycle",
+                        lambda self: cycles.append(cycle(self)) or cycles[-1])
     simulate(scenario, "mfrl", *traces)
-    assert (len(forwards), len(encodes)) == (16, 472)
+    assert sum(cycles) == 15 * scenario.mfrl.train_cycles_per_update
+    assert (len(forwards), len(encodes)) == (2 * 456, 3 * 456 + 2 * sum(cycles))
 
 
 def test_act_after_the_normalizer_fit_encodes_afresh():
