@@ -4,9 +4,10 @@ digest to the value recorded in `golden_digests.json`.
 Criterion 9 compares two runs made in one process, so it cannot see a change
 from one commit to the next; this test compares a run with the bytes recorded
 when the golden file was written.  The cases are the criterion-9 scenarios,
-the three benchmark workloads at seed 1 and their benchmark lengths, and four
+the three benchmark workloads at seed 1 and their benchmark lengths, four
 short runs of the real-time tariff, a history-free MF-RL, and the exhaustive
-and GA planners.
+and GA planners, and two learning agents whose 30 h warm-up ends mid-day, so
+that they act before their first daily update.
 
 Digests depend on the platform: the numpy version, its BLAS build and the
 CPU and SIMD paths they take.  The golden file records the platform it was
@@ -43,6 +44,8 @@ CASES = {s.name: s for s in (
     Scenario(name="mpc_exhaustive", days=2, agent="mpc", seed=2,
              mpc=MpcConfig(planner="exhaustive", horizon=4)),
     Scenario(name="mpc_ga", days=2, agent="mpc", seed=2, mpc=MpcConfig(planner="ga")),
+    Scenario(name="mbrl_odd_warmup", days=8, agent="mbrl", seed=6, warmup_hours=30),
+    Scenario(name="mfrl_odd_warmup", days=8, agent="mfrl", seed=6, warmup_hours=30),
 )}
 
 
