@@ -72,13 +72,15 @@ def _cmd_suite(args) -> int:
     cfg = suite_from_ini(args.config, overrides) if args.config else SuiteConfig(**overrides)
     rows = run_suite(cfg, args.out)
     width = max(len(r["agent"]) for r in rows)
-    print(f"{'agent':<{width}}  consumption%  cost%     comfort EUR  status")
+    print(f"{'agent':<{width}}  consumption%  cost%     comfort EUR  wall s  status")
     for r in rows:
         if r["status"] == "ok":
             print(f"{r['agent']:<{width}}  {r['consumption_change_pct']:+11.2f}  "
-                  f"{r['cost_change_pct']:+8.2f}  {r['comfort_loss_eur']:11.2f}  ok")
+                  f"{r['cost_change_pct']:+8.2f}  {r['comfort_loss_eur']:11.2f}  "
+                  f"{r['wall_clock_s']:6.1f}  ok")
         else:
-            print(f"{r['agent']:<{width}}  {'-':>11}  {'-':>8}  {'-':>11}  {r['status']}")
+            print(f"{r['agent']:<{width}}  {'-':>11}  {'-':>8}  {'-':>11}  {'-':>6}  "
+                  f"{r['status']}")
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
 

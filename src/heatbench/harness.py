@@ -36,7 +36,7 @@ from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, Comfort
                   Controller, EpisodeLog, TariffConfig, _left_sum, comfort_reward,
                   consumption_reward, encode_state, log_metrics, make_tariff, read_rows,
                   write_rows)
-from .model_based import MAE_CSV_HEADER, ExplorationSchedule, MbrlConfig, ModelBasedAgent
+from .model_based import MAE_CSV_HEADER, MbrlConfig, ModelBasedAgent, exploration_rate
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import EXHAUSTIVE_CAP
 from .ranges import check_ranges, ranged
@@ -45,7 +45,6 @@ __all__ = [
     "Scenario",
     "SuiteConfig",
     "RunReport",
-    "ConvergenceEstimate",
     "build_traces",
     "simulate",
     "run_scenario",
@@ -113,12 +112,12 @@ class Scenario:
             raise ValueError(f"mpc.horizon {self.mpc.horizon}: {len(self.grid)}^{lookahead} "
                              f"exhaustive plans exceed the cap of {EXHAUSTIVE_CAP}")
         self.backup_config()  # trips must be ordered
-        # the exploration schedules reach day max(1, the run's controlled day starts)
-        last_day = max(1, self.days - (self.warmup_hours + 23) // 24)
+        # a learning agent's last daily update is the run's last controlled day start
+        last_day = self.days - (self.warmup_hours + 23) // 24
         for section in ("mbrl", "mfrl"):
             cfg = getattr(self, section)
             try:
-                ExplorationSchedule(cfg.epsilon_initial, cfg.epsilon_exponent, last_day).epsilon()
+                exploration_rate(cfg, last_day)
             except OverflowError:
                 raise ValueError(f"{section}.epsilon_exponent {cfg.epsilon_exponent!r}: day ** "
                                  f"epsilon_exponent overflows by day {last_day}") from None
@@ -128,13 +127,6 @@ class Scenario:
         low = self.backup_low_trip if self.backup_low_trip is not None else band0.t_min
         high = self.backup_high_trip if self.backup_high_trip is not None else band0.t_max
         return BackupConfig(self.backup_enabled, low, high)
-
-
-@dataclass(frozen=True)
-class ConvergenceEstimate:
-    converged: bool
-    day: int  # 1-based first day of the all-clean tail; -1 when never
-    hours_of_experience: int
 
 
 @dataclass
@@ -147,7 +139,7 @@ class RunReport:
     cost_change_pct: float
     comfort_loss_eur: float
     wall_seconds: float
-    convergence: ConvergenceEstimate | None
+    convergence_day: int | None  # estimate_convergence's day; None if never or under 7 days
     extra_paths: dict = field(default_factory=dict)
 
 
@@ -283,11 +275,11 @@ def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
         extra[table] = str(out / f"{scenario.name}_{table}.csv")
         write_rows(extra[table], header, rows)
 
-    convergence = (estimate_convergence(controlled_agent)
-                   if len(controlled_agent) >= 7 * 24 else None)
+    convergence_day = (estimate_convergence(controlled_agent)
+                       if len(controlled_agent) >= 7 * 24 else None)
 
     return RunReport(scenario.name, scenario.agent, str(agent_path), str(base_path),
-                     metrics[0], metrics[1], metrics[2], wall, convergence, extra)
+                     metrics[0], metrics[1], metrics[2], wall, convergence_day, extra)
 
 
 @dataclass(frozen=True)
@@ -328,21 +320,20 @@ def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
         baseline, failure = _timed_simulate(cfg.base, "rbc", traces), None
     except Exception as exc:  # recorded in every agent's row below
         failure = exc
-    cols = ("agent", *_METRICS, "wall_clock_s", "convergence_hours", "status")
+    # the table holds no wall clock, so a suite's files are the same on every run
+    cols = ("agent", *_METRICS, "convergence_hours", "status")
     rows: list[dict] = []
     for agent in cfg.agents:
-        row = {**dict.fromkeys(cols, ""), "agent": agent}
+        row = {**dict.fromkeys(cols, ""), "agent": agent, "wall_clock_s": ""}
         try:
             if failure is not None:
                 raise failure
             report = _run_against(replace(cfg.base, name=f"{cfg.name}_{agent}", agent=agent),
                                   out, traces, baseline)
-            convergence = report.convergence
+            day = report.convergence_day
             row.update({m: getattr(report, m) for m in _METRICS},
                        wall_clock_s=report.wall_seconds,
-                       convergence_hours=(convergence.hours_of_experience
-                                          if convergence and convergence.converged else ""),
-                       status="ok")
+                       convergence_hours="" if day is None else (day - 1) * 24, status="ok")
         except Exception as exc:  # record and continue with the other agents
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
@@ -351,33 +342,23 @@ def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
     return rows
 
 
-def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05,
-                         window_days: int = 3) -> ConvergenceEstimate:
-    """First day whose every following 3-day comfort-penalty window is clean.
-
-    Days are 1-based within the log.  Returns the sentinel day -1 when no
-    all-clean tail exists.
-    """
+def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05) -> int | None:
+    """The 1-based first day of the log whose every following 3-day
+    comfort-penalty window sums below `threshold_eur`; None when no such
+    all-clean tail exists."""
     n_days = len(log) // 24
     if n_days < 7:
         raise ValueError("need at least 7 days of log to estimate convergence")
     # row h of the transposed (days, 24) view is hour h of every day: adding the
     # rows in order sums each day's hours left to right
     daily = -_left_sum(log.steps.r_comfort[:n_days * 24].reshape(n_days, 24).T)
-    windows = np.array([daily[d:d + window_days].sum()
-                        for d in range(n_days - window_days + 1)])
+    windows = np.array([daily[d:d + 3].sum() for d in range(n_days - 2)])
     dirty = np.nonzero(windows >= threshold_eur)[0]
-    if len(dirty) == 0:
-        return ConvergenceEstimate(True, 1, 0)
-    first_clean = int(dirty[-1]) + 1  # 0-based window start of the clean tail
-    if first_clean >= len(windows):
-        return ConvergenceEstimate(False, -1, n_days * 24)
-    day = first_clean + 1  # 1-based day index
-    return ConvergenceEstimate(True, day, (day - 1) * 24)
+    first_clean = int(dirty[-1]) + 1 if len(dirty) else 0  # 0-based window start
+    return first_clean + 1 if first_clean < len(windows) else None
 
 
-def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand(),
-                   levels_w=None) -> str:
+def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand()) -> str:
     """Write a plot-ready CSV derived from an episode (or MAE) log; the log is
     read and checked first, so a rejected log leaves nothing written."""
     if kind not in PLOT_KINDS:
@@ -393,7 +374,7 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
         levels, counts = np.unique(steps.power_w, return_counts=True)
         header, rows = ["level_w", "count"], zip(levels.tolist(), counts.tolist())
     elif kind == "hourly_action_heatmap":
-        levels = tuple(levels_w) if levels_w is not None else ActionGrid().levels_w
+        levels = ActionGrid().levels_w
         match = steps.power_w[:, None] == np.asarray(levels)
         off_grid = ~match.any(axis=1)
         if off_grid.any():

@@ -4,7 +4,7 @@ The agent stores hourly transitions in a bounded FIFO memory, refits a
 small network mapping (temperature window, ambient, action power) to
 the next indoor temperature once per day, and plans the next day's
 action sequence on that learned model with the CEM or GA planner.
-Exploration follows a harmonic schedule eps(d) = eps0 / d**x over days.
+Exploration decays harmonically over days, eps(d) = eps0 / d**x (`exploration_rate`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .ranges import check_ranges, ranged
 
 __all__ = [
     "SampleMemory",
-    "ExplorationSchedule",
+    "exploration_rate",
     "MbrlConfig",
     "TransitionModel",
     "LearnedDynamicsModel",
@@ -70,22 +70,11 @@ class SampleMemory:
         return np.roll(column[:self._size], -self._next, axis=0)
 
 
-@dataclass
-class ExplorationSchedule:
-    """Harmonic exploration decay eps(d) = initial / d**exponent, d >= 1."""
-
-    initial: float = ranged(0.5, "(0, 1]")
-    exponent: float = ranged(0.7, "(0, inf)")
-    day: int = ranged(1, "[1, inf)")
-
-    def __post_init__(self):
-        check_ranges(self)
-
-    def epsilon(self) -> float:
-        return self.initial / self.day ** self.exponent
-
-    def advance(self) -> None:
-        self.day += 1
+def exploration_rate(cfg, days: int) -> float:
+    """Epsilon after `days` daily updates of an agent configured by `cfg`:
+    cfg.epsilon_initial / d**cfg.epsilon_exponent with d = max(days, 1), so
+    an agent explores at its day-1 rate until its second update."""
+    return cfg.epsilon_initial / max(days, 1) ** cfg.epsilon_exponent
 
 
 @dataclass(frozen=True)
@@ -227,9 +216,9 @@ class LearnedDynamicsModel:
 class ModelBasedAgent(Controller):
     """Daily plan-and-execute agent over a learned transition model.
 
-    `act` serves the current day's plan (epsilon-greedy); `observe` files
-    the transition; `daily_update` retrains the model, decays epsilon and
-    plans the next day on a `LearnedDynamicsModel` of it.
+    `act` serves the day's plan, exploring at `exploration_rate(cfg, day)`;
+    `observe` files the transition; `daily_update` counts the day, retrains
+    the model and plans the next day on a `LearnedDynamicsModel` of it.
     """
 
     def __init__(self, cfg: MbrlConfig, grid: ActionGrid,
@@ -237,16 +226,15 @@ class ModelBasedAgent(Controller):
         self.cfg = cfg
         self.grid = grid
         self.memory = SampleMemory(cfg.memory_capacity)
-        self.schedule = ExplorationSchedule(cfg.epsilon_initial, cfg.epsilon_exponent)
+        self.day = 0  # daily updates so far
         n_features = history_length + 3  # temps window + ambient + action power
         self.model = TransitionModel.create(n_features, cfg, seed)
         self._rng = rng
         self._plan: tuple[int, ...] = (0,) * 24
-        self._started = False
         self.mae_history: list[tuple[int, float]] = []
 
     def act(self, t, state, obs, prices, ambient, band) -> int:
-        if self._rng.random() < self.schedule.epsilon():
+        if self._rng.random() < exploration_rate(self.cfg, self.day):
             return int(self._rng.integers(len(self.grid)))
         return self._plan[t % 24]
 
@@ -255,14 +243,12 @@ class ModelBasedAgent(Controller):
         self.memory.add(obs, action, reward, obs_next)
 
     def daily_update(self, obs: np.ndarray, prices, ambient, band: ComfortBand) -> None:
-        """Retrain on the memory, decay epsilon, and plan the coming day."""
-        if self._started:
-            self.schedule.advance()
-        self._started = True
+        """Count the day, retrain on the memory, and plan the coming day."""
+        self.day += 1
         self.model, mae = train_transition_model(self.memory, self.model,
                                                  self.grid, self.cfg, self._rng)
         if mae is not None:
-            self.mae_history.append((self.schedule.day, mae))
+            self.mae_history.append((self.day, mae))
         actions = plan(self.cfg, LearnedDynamicsModel(self.model), obs, min(24, len(prices)),
                        self.grid, prices, ambient, band, self._rng).actions
         self._plan = actions + (0,) * max(0, 24 - len(actions))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import ActionGrid, Controller
-from .model_based import ExplorationSchedule, SampleMemory
+from .model_based import SampleMemory, exploration_rate
 from .neural import (ACTIVATIONS, AdamOptimizer, MlpParams, MlpSpec, Normalizer, fit_normalizer,
                      forward, forward_batch, train_minibatch)
 from .ranges import check_ranges, ranged
@@ -186,7 +186,8 @@ class MfrlConfig:
 
 
 class ModelFreeAgent(Controller):
-    """Epsilon-greedy double fitted Q iteration with prioritized replay."""
+    """Epsilon-greedy double fitted Q iteration with prioritized replay; `act`
+    explores at `exploration_rate(cfg, day)`, `day` counting daily updates."""
 
     def __init__(self, cfg: MfrlConfig, grid: ActionGrid,
                  rng: np.random.Generator, seed: int = 0, *, history_length: int):
@@ -197,11 +198,10 @@ class ModelFreeAgent(Controller):
         spec = MlpSpec((n_features, *cfg.hidden, len(grid)), cfg.activation,
                        init_seed=seed)
         self.pair = QPair.create(spec, cfg.tau, cfg.gamma)
-        self.schedule = ExplorationSchedule(cfg.epsilon_initial, cfg.epsilon_exponent)
+        self.day = 0  # daily updates so far
         self.normalizer: Normalizer | None = None
         self._optimizer = AdamOptimizer(cfg.learning_rate)
         self._rng = rng
-        self._started = False
         self.q_trace: list[tuple[int, tuple[float, ...], int]] = []
 
     def encode(self, x: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ class ModelFreeAgent(Controller):
     def act(self, t, state, obs, prices, ambient, band) -> int:
         q = forward(self.pair.online, self.encode(obs))
         warming = len(self.replay) < self.cfg.warmup_samples
-        if warming or self._rng.random() < self.schedule.epsilon():
+        if warming or self._rng.random() < exploration_rate(self.cfg, self.day):
             action = int(self._rng.integers(len(self.grid)))
         else:
             action = int(np.argmax(q))  # first max = lowest-power tie break
@@ -256,10 +256,8 @@ class ModelFreeAgent(Controller):
         return True
 
     def daily_update(self, obs, prices, ambient, band) -> None:
-        """Advance epsilon and run the configured number of training cycles."""
-        if self._started:
-            self.schedule.advance()
-        self._started = True
+        """Count the day and run the configured number of training cycles."""
+        self.day += 1
         for _ in range(self.cfg.train_cycles_per_update):
             self.train_cycle()
 

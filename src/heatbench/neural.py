@@ -167,14 +167,12 @@ def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
 class AdamOptimizer:
     """Adaptive-moment gradient descent with bias correction."""
 
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moments' decay rates; the step's guard
+
+    def __init__(self, learning_rate: float = 1e-3):
         if not 0.0 < learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state: np.ndarray | None = None  # rows: moments m and v, two scratch vectors
         self._t = 0
 
@@ -183,15 +181,15 @@ class AdamOptimizer:
             self._state = np.zeros((4, grad.size))
         m, v, a, b = self._state
         self._t += 1
-        lr_t = self.learning_rate * (np.sqrt(1.0 - self.beta2 ** self._t)
-                                     / (1.0 - self.beta1 ** self._t))
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=a), grad, out=a)
+        lr_t = self.learning_rate * (np.sqrt(1.0 - self.BETA2 ** self._t)
+                                     / (1.0 - self.BETA1 ** self._t))
+        m *= self.BETA1
+        m += np.multiply(grad, 1.0 - self.BETA1, out=a)
+        v *= self.BETA2
+        v += np.multiply(np.multiply(grad, 1.0 - self.BETA2, out=a), grad, out=a)
         # theta -= lr_t * m / (sqrt(v) + eps), in that order, so the bits do not change
         np.multiply(m, lr_t, out=a)
-        a /= np.add(np.sqrt(v, out=b), self.eps, out=b)
+        a /= np.add(np.sqrt(v, out=b), self.EPS, out=b)
         params.theta -= a
 
 

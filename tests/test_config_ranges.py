@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from heatbench import BackupConfig, Scenario, SuiteConfig
 from heatbench.harness import INI_SECTIONS, scenario_from_ini
-from heatbench.model_based import ExplorationSchedule
 from heatbench.model_free import QPair
 from heatbench.neural import MlpParams, MlpSpec
 
-CONFIGS = (*INI_SECTIONS.values(), BackupConfig, ExplorationSchedule, QPair, SuiteConfig,
-           MlpSpec)
+CONFIGS = (*INI_SECTIONS.values(), BackupConfig, QPair, SuiteConfig, MlpSpec)
 
 
 def _numeric_fields(cls):

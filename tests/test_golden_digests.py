@@ -6,8 +6,9 @@ from one commit to the next; this test compares a run with the bytes recorded
 when the golden file was written.  The cases are the criterion-9 scenarios,
 the three benchmark workloads at seed 1 and their benchmark lengths, four
 short runs of the real-time tariff, a history-free MF-RL, and the exhaustive
-and GA planners, and two learning agents whose 30 h warm-up ends mid-day, so
-that they act before their first daily update.
+and GA planners, two learning agents whose 30 h warm-up ends mid-day, so
+that they act before their first daily update, and a 3-day suite of all four
+agents.
 
 Digests depend on the platform: the numpy version, its BLAS build and the
 CPU and SIMD paths they take.  The golden file records the platform it was
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from heatbench.baselines import MpcConfig
-from heatbench.harness import Scenario, run_scenario
+from heatbench.harness import Scenario, SuiteConfig, run_scenario, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
@@ -46,6 +47,7 @@ CASES = {s.name: s for s in (
     Scenario(name="mpc_ga", days=2, agent="mpc", seed=2, mpc=MpcConfig(planner="ga")),
     Scenario(name="mbrl_odd_warmup", days=8, agent="mbrl", seed=6, warmup_hours=30),
     Scenario(name="mfrl_odd_warmup", days=8, agent="mfrl", seed=6, warmup_hours=30),
+    SuiteConfig(name="suite_all4", days=3, seed=4),
 )}
 
 
@@ -59,8 +61,8 @@ def digest_platform() -> dict:
             "simd": config["SIMD Extensions"]}
 
 
-def digest(scenario, out_dir) -> str:
-    run_scenario(scenario, out_dir)
+def digest(case, out_dir) -> str:
+    (run_suite if isinstance(case, SuiteConfig) else run_scenario)(case, out_dir)
     return output_digest(out_dir)
 
 

@@ -38,11 +38,14 @@ def test_run_scenario_mpc_smoke_row_count(tmp_path):
     assert Path(report.baseline_log_path).exists()
 
 
-def test_run_scenario_deterministic_bytes(tmp_path):
-    scenario = Scenario(name="det", days=4, agent="mfrl", seed=5)
+@pytest.mark.parametrize("run, cfg", [
+    (run_scenario, Scenario(name="det", days=4, agent="mfrl", seed=5)),
+    (run_suite, SuiteConfig(name="twice", days=3, seed=4)),  # its table holds no wall clock
+], ids=["scenario", "suite"])
+def test_run_writes_the_same_bytes_on_every_run(tmp_path, run, cfg):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    run_scenario(scenario, dir_a)
-    run_scenario(scenario, dir_b)
+    run(cfg, dir_a)
+    run(cfg, dir_b)
     names = sorted(p.name for p in dir_a.iterdir())
     assert names == sorted(p.name for p in dir_b.iterdir())
     for name in names:
@@ -112,7 +115,7 @@ def test_suite_records_partial_failure(tmp_path):
     assert all(r["status"].startswith("error") for r in rows)
     with open(tmp_path / "broken_table.csv", newline="", encoding="utf-8") as fh:
         table = list(csv.reader(fh))
-    assert [len(r) for r in table] == [7] * 3
+    assert [len(r) for r in table] == [6] * 3
     assert [r[-1] for r in table[1:]] == [r["status"] for r in rows]
 
 
@@ -161,6 +164,17 @@ def test_suite_files_equal_those_of_lone_runs(tmp_path):
                                               shallow=False)
         assert (differ, missing) == ([], [])
 
+
+@pytest.mark.parametrize("day, cell", [(10, "216"), (1, "0"), (None, "")])
+def test_suite_convergence_cell_is_the_hours_before_the_estimated_day(tmp_path, monkeypatch,
+                                                                      day, cell):
+    monkeypatch.setattr(harness, "estimate_convergence", lambda log: day)
+    [row] = run_suite(SuiteConfig(name="conv", days=8, agents=("rbc",)), tmp_path)
+    assert row["convergence_hours"] == ("" if day is None else int(cell))
+    with open(tmp_path / "conv_table.csv", newline="", encoding="utf-8") as fh:
+        table = list(csv.DictReader(fh))
+    assert table[0]["convergence_hours"] == cell
+
 def _log_with_comfort(days, dirty_days, penalty=-1.0):
     return EpisodeLog([(h, 5.0, 21.0, 20.0, 0.0, 0.24, 0.0,
                         penalty if (h // 24) in dirty_days else 0.0)
@@ -168,20 +182,18 @@ def _log_with_comfort(days, dirty_days, penalty=-1.0):
 
 
 def test_convergence_clean_log_is_day_one():
-    est = estimate_convergence(_log_with_comfort(8, dirty_days=()))
-    assert est.converged and est.day == 1 and est.hours_of_experience == 0
+    assert estimate_convergence(_log_with_comfort(8, dirty_days=())) == 1
 
 
-def test_convergence_never_converged_sentinel():
-    est = estimate_convergence(_log_with_comfort(8, dirty_days=range(8)))
-    assert not est.converged and est.day == -1
+def test_convergence_never_converged_is_none():
+    assert estimate_convergence(_log_with_comfort(8, dirty_days=range(8))) is None
+    # a clean last day leaves the last 3-day window dirty
+    assert estimate_convergence(_log_with_comfort(8, dirty_days=range(7))) is None
 
 
 def test_convergence_day_ten_boundary():
     # violations on days 1-9 only (1-based): the clean tail starts on day 10
-    est = estimate_convergence(_log_with_comfort(14, dirty_days=range(9)))
-    assert est.converged and est.day == 10
-    assert est.hours_of_experience == 9 * 24
+    assert estimate_convergence(_log_with_comfort(14, dirty_days=range(9))) == 10
 
 
 def test_convergence_requires_week_of_data():
@@ -199,8 +211,8 @@ def test_convergence_sums_each_day_left_to_right(day):
     daily = -functools.reduce(operator.add, day, 0.0)
     # every window holds that day's sum or zero, so the largest one is dirty at
     # exactly that day's sum and clean just above it
-    assert estimate_convergence(log, threshold_eur=daily).day != 1
-    assert estimate_convergence(log, threshold_eur=np.nextafter(daily, np.inf)).day == 1
+    assert estimate_convergence(log, threshold_eur=daily) != 1
+    assert estimate_convergence(log, threshold_eur=np.nextafter(daily, np.inf)) == 1
 
 
 def _episode_csv(tmp_path, powers):
@@ -646,7 +658,9 @@ def test_cli_suite(tmp_path, capsys):
     path.write_text("[suite]\ndays = 2\nagents = rbc\n", encoding="utf-8")
     code = cli_main(["suite", "--config", str(path), "--out", str(out)])
     assert code == 0
-    assert (out / "suite_table.csv").exists()
+    # the wall clock is printed, and kept out of the table
+    assert "wall s" in capsys.readouterr().out.splitlines()[0]
+    assert "wall" not in (out / "suite_table.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("price", ["flat", "dual"])
@@ -751,7 +765,7 @@ def test_cli_rejects_an_exploration_schedule_that_overflows_within_the_run(tmp_p
     assert json.loads(line)["error"] == (f"{section}.epsilon_exponent 2000.0: day ** "
                                          "epsilon_exponent overflows by day 2")
     assert not out.exists()
-    # two days hold one controlled day start: the schedule stays on day 1
+    # two days hold one controlled day start: epsilon stays at its day-1 rate
     assert cli_main([*run, "--days", "2"]) == 0
 
 

@@ -5,10 +5,11 @@ from scipy import stats
 from heatbench import model_based, planners
 from heatbench.emulator import BuildingParams, BuildingState
 from heatbench.mdp import ActionGrid, ComfortBand, encode_state
-from heatbench.model_based import (ExplorationSchedule, LearnedDynamicsModel,
-                                   MbrlConfig, ModelBasedAgent, SampleMemory,
-                                   TransitionModel, train_transition_model,
-                                   training_matrix)
+from heatbench.harness import Scenario
+from heatbench.model_based import (LearnedDynamicsModel, MbrlConfig, ModelBasedAgent,
+                                   SampleMemory, TransitionModel, exploration_rate,
+                                   train_transition_model, training_matrix)
+from heatbench.model_free import MfrlConfig
 from heatbench.neural import forward_batch
 from heatbench.planners import ExactDynamicsModel, plan_cem
 
@@ -87,29 +88,29 @@ def test_config_rejects_hidden_layers_below_one_unit(hidden):
         MbrlConfig(hidden=hidden)
 
 
-def test_exploration_schedule_values():
-    sched = ExplorationSchedule(initial=0.5, exponent=0.7)
-    assert sched.epsilon() == 0.5  # day 1
-    sched.advance()
-    assert sched.epsilon() == pytest.approx(0.5 / 2 ** 0.7)
-    assert sched.epsilon() < 0.5
+@pytest.mark.parametrize("cfg", [MbrlConfig(), MfrlConfig()], ids=["mbrl", "mfrl"])
+def test_exploration_rate_values(cfg):
+    # before the first daily update and after it, the rate is that of day 1
+    assert exploration_rate(cfg, 0) == exploration_rate(cfg, 1) == 0.5
+    assert exploration_rate(cfg, 2) == pytest.approx(0.5 / 2 ** 0.7)
+    assert exploration_rate(cfg, 2) < 0.5
 
 
-def test_exploration_schedule_monotone_and_positive():
-    sched = ExplorationSchedule(initial=0.5, exponent=0.7)
-    values = []
-    for _ in range(200):
-        values.append(sched.epsilon())
-        sched.advance()
+def test_exploration_rate_monotone_and_positive():
+    values = [exploration_rate(MbrlConfig(), day) for day in range(1, 201)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] > 0.0
 
 
-def test_exploration_schedule_validation():
-    with pytest.raises(ValueError):
-        ExplorationSchedule(initial=0.0)
-    with pytest.raises(ValueError):
-        ExplorationSchedule(initial=0.5, exponent=0.0)
+def test_exploration_rate_overflows_where_validate_expects():
+    cfg = MbrlConfig(epsilon_exponent=2000.0)
+    assert exploration_rate(cfg, 1) == cfg.epsilon_initial
+    with pytest.raises(OverflowError):
+        exploration_rate(cfg, 2)
+    # three days after a 24 h warm-up hold two controlled day starts
+    with pytest.raises(ValueError, match="overflows by day 2"):
+        Scenario(days=3, agent="mbrl", mbrl=cfg).validate()
+    Scenario(days=2, agent="mbrl", mbrl=cfg).validate()
 
 
 def test_train_skips_on_insufficient_samples():
@@ -290,11 +291,13 @@ def test_daily_update_advances_epsilon_after_first_day():
     obs = encode_state((20.0,) * 4, 5.0, 3)
     tariff = np.full(24, 0.24)
     ambient = np.full(24, 5.0)
+    assert agent.day == 0
     agent.daily_update(obs, tariff, ambient, BAND)
-    assert agent.schedule.day == 1  # first planning day keeps epsilon(1)
+    assert agent.day == 1  # first planning day keeps the day-1 rate
+    assert exploration_rate(agent.cfg, agent.day) == 0.5
     agent.daily_update(obs, tariff, ambient, BAND)
-    assert agent.schedule.day == 2
-    assert agent.schedule.epsilon() < 0.5
+    assert agent.day == 2
+    assert exploration_rate(agent.cfg, agent.day) < 0.5
 
 
 def test_exact_model_injection_reduces_to_mpc_plan(monkeypatch):

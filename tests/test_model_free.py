@@ -7,6 +7,7 @@ from scipy import stats
 from heatbench import model_free
 from heatbench.harness import Scenario, build_traces, simulate
 from heatbench.mdp import ActionGrid, encode_state
+from heatbench.model_based import exploration_rate
 from heatbench.model_free import (MfrlConfig, ModelFreeAgent, PrioritizedReplay,
                                   QPair, compute_priority, q_target, replay_sample,
                                   soft_update)
@@ -538,11 +539,13 @@ def test_daily_update_runs_cycles_and_decays_epsilon(monkeypatch):
     for _ in range(8):
         agent.observe(S0, 0, -1.0, S1)
     cycles = _cycle_results(monkeypatch, agent)
+    assert agent.day == 0
     agent.daily_update(S0, None, None, None)
     assert cycles == [True] * 3
-    assert agent.schedule.day == 1
+    assert agent.day == 1
     agent.daily_update(S0, None, None, None)
-    assert agent.schedule.day == 2
+    assert agent.day == 2
+    assert exploration_rate(agent.cfg, agent.day) < exploration_rate(agent.cfg, 1)
 
 
 def test_qpair_validation():
