@@ -9,7 +9,7 @@ import sys
 from .harness import (AGENT_KINDS, PLOT_KINDS, PRICE_KINDS, Scenario, SuiteConfig,
                       emit_plot_data, run_scenario, run_suite, scenario_from_ini,
                       suite_from_ini)
-from .mdp import ComfortBand
+from .mdp import ActionGrid, ComfortBand
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,6 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--log", required=True)
     plot.add_argument("--band-low", type=float, default=19.0)
     plot.add_argument("--band-high", type=float, default=23.0)
+    plot.add_argument("--scenario", help="the run's INI scenario file; its [grid] bins the heatmap")
     plot.add_argument("--out", required=True)
     return parser
 
@@ -86,7 +87,8 @@ def _cmd_suite(args) -> int:
 
 def _cmd_plot(args) -> int:
     band = ComfortBand(args.band_low, args.band_high)
-    print(f"wrote {emit_plot_data(args.log, args.kind, args.out, band)}")
+    grid = scenario_from_ini(args.scenario).grid if args.scenario else ActionGrid()
+    print(f"wrote {emit_plot_data(args.log, args.kind, args.out, band, grid)}")
     return 0
 
 

@@ -206,7 +206,7 @@ class AmbientGenParams:
     drift_end_c: float = ranged(6.0, "[-50, 50]")
     daily_amplitude_c: float = ranged(4.0, "[-30, 30]")
     ar1_coeff: float = ranged(0.9, "[0, 1)")
-    noise_sigma_c: float = ranged(1.0, "[0, inf)")
+    noise_sigma_c: float = ranged(1.0, "[0, 50]")
 
     def __post_init__(self):
         check_ranges(self)
@@ -240,6 +240,10 @@ def make_synthetic_ambient(seed: int, days: int,
             noise[k] = x
 
     temps = gen_params.mean_c + drift + daily + noise
+    hour = int(np.argmax(~((-90.0 <= temps) & (temps <= 60.0))))  # as load_ambient_csv
+    if not -90.0 <= temps[hour] <= 60.0:
+        raise ValueError(f"ambient {float(temps[hour])!r} degC at hour {hour} is outside [-90, 60] "
+                         "degC; lower mean_c, the drift, daily_amplitude_c or noise_sigma_c")
     temps.setflags(write=False)
     return temps
 

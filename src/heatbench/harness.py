@@ -358,7 +358,8 @@ def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05) -> int | 
     return first_clean + 1 if first_clean < len(windows) else None
 
 
-def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand()) -> str:
+def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand(),
+                   grid: ActionGrid = ActionGrid()) -> str:
     """Write a plot-ready CSV derived from an episode (or MAE) log; the log is
     read and checked first, so a rejected log leaves nothing written."""
     if kind not in PLOT_KINDS:
@@ -374,7 +375,7 @@ def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand
         levels, counts = np.unique(steps.power_w, return_counts=True)
         header, rows = ["level_w", "count"], zip(levels.tolist(), counts.tolist())
     elif kind == "hourly_action_heatmap":
-        levels = ActionGrid().levels_w
+        levels = grid.levels_w
         match = steps.power_w[:, None] == np.asarray(levels)
         off_grid = ~match.any(axis=1)
         if off_grid.any():

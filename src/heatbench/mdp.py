@@ -66,11 +66,11 @@ class ActionGrid:
     def __post_init__(self):
         check_ranges(self)
         if len(self.levels_w) < 1:
-            raise ValueError("action grid is empty")
+            raise ValueError("levels_w must not be empty")
         if self.levels_w[0] != 0.0:
-            raise ValueError("first action level must be 0 W")
+            raise ValueError("levels_w must start at 0 W")
         if any(b <= a for a, b in zip(self.levels_w, self.levels_w[1:])):
-            raise ValueError("action levels must be strictly increasing")
+            raise ValueError("levels_w must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.levels_w)
@@ -186,24 +186,24 @@ def comfort_reward_batch(temps: np.ndarray, band: ComfortBand) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TariffConfig:
-    """Price levels for the tariff generators (Eur/kWh)."""
+    """Price levels for the tariff generators (Eur/kWh; at most 100, so nothing overflows)."""
 
-    flat_price: float = ranged(0.24, "(0, inf)")
-    day_price: float = ranged(0.28, "(0, inf)")
-    night_price: float = ranged(0.20, "(0, inf)")
+    flat_price: float = ranged(0.24, "(0, 100]")
+    day_price: float = ranged(0.28, "(0, 100]")
+    night_price: float = ranged(0.20, "(0, 100]")
     day_start_hour: int = ranged(7, "[0, 24)")
     day_end_hour: int = ranged(22, "(0, 24]")
-    rtp_base: float = ranged(0.24, "(0, inf)")
-    rtp_step: float = ranged(0.02, "[0, inf)")
-    rtp_min: float = ranged(0.05, "(0, inf)")
-    rtp_max: float = ranged(0.60, "(0, inf)")
+    rtp_base: float = ranged(0.24, "(0, 100]")
+    rtp_step: float = ranged(0.02, "[0, 100]")
+    rtp_min: float = ranged(0.05, "(0, 100]")
+    rtp_max: float = ranged(0.60, "(0, 100]")
 
     def __post_init__(self):
         check_ranges(self)
         if not self.rtp_min <= self.rtp_max:
             raise ValueError("rtp_min must not exceed rtp_max")
         if not self.day_start_hour < self.day_end_hour:
-            raise ValueError("day window must satisfy 0 <= start < end <= 24")
+            raise ValueError("day_start_hour must be < day_end_hour")
 
 
 TARIFF_KINDS = ("flat", "dual", "real_time")

@@ -84,7 +84,7 @@ class MbrlConfig:
     epsilon_exponent: float = ranged(0.7, "(0, inf)")
     hidden: tuple[int, ...] = ranged((32, 32), "[1, inf)")
     activation: str = ranged("tanh", ACTIVATIONS)
-    learning_rate: float = ranged(1e-3, "(0, 1]")  # 1e300 diverges mid-run
+    learning_rate: float = ranged(1e-3, "(0, 1]")
     epochs_per_update: int = ranged(50, "[1, inf)")
     batch_size: int = ranged(256, "[1, inf)")
     min_train_samples: int = ranged(24, "[2, inf)")
@@ -108,7 +108,7 @@ class MbrlConfig:
 
 @dataclass
 class TransitionModel:
-    """Next-temperature predictor: network plus frozen feature/target scaling.
+    """Next-temperature predictor: a float32 network plus frozen feature/target scaling.
 
     The normalizers are fitted at the first training call and kept fixed so
     that later updates resume from meaningful weights.  Before any training
@@ -123,20 +123,11 @@ class TransitionModel:
     @classmethod
     def create(cls, n_features: int, cfg: MbrlConfig, seed: int) -> "TransitionModel":
         spec = MlpSpec((n_features, *cfg.hidden, 1), cfg.activation, init_seed=seed)
-        return cls(MlpParams.init(spec))
-
-    def astype(self, dtype) -> "TransitionModel":
-        """A copy whose network and input scaling compute in `dtype`."""
-        norm = None if self.in_norm is None else Normalizer(self.in_norm.shift.astype(dtype),
-                                                            self.in_norm.scale.astype(dtype))
-        return TransitionModel(MlpParams(self.mlp.spec, self.mlp.theta.astype(dtype)), norm,
-                               self.out_shift, self.out_scale)
+        return cls(MlpParams(spec, MlpParams.init(spec).theta.astype(np.float32)))
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         """Next indoor temperatures, in the network's dtype."""
-        x = np.asarray(features, dtype=self.mlp.theta.dtype)
-        if self.in_norm is not None:
-            x = self.in_norm.apply(x)
+        x = features if self.in_norm is None else self.in_norm.apply(features)
         y = forward_batch(self.mlp, x)[:, 0]
         return y * self.out_scale + self.out_shift
 
@@ -170,8 +161,9 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
         model.out_shift = float(y[train].mean())
         model.out_scale = float(max(y[train].std(), 1e-6))
 
-    x_train = model.in_norm.apply(x[train])
-    y_train = (y[train] - model.out_shift) / model.out_scale
+    dtype = model.mlp.theta.dtype
+    x_train = model.in_norm.apply(x[train]).astype(dtype)
+    y_train = ((y[train] - model.out_shift) / model.out_scale).astype(dtype)
     optimizer = AdamOptimizer(cfg.learning_rate)
     n_train = len(train)
     for _ in range(cfg.epochs_per_update):
@@ -186,27 +178,42 @@ def train_transition_model(memory: SampleMemory, model: TransitionModel,
 
 
 class LearnedDynamicsModel:
-    """DynamicsModel adapter that rolls out a float32 copy of a TransitionModel.
+    """DynamicsModel adapter that rolls out a TransitionModel on raw features.
 
-    The planner only ranks candidate sequences, so it does not need float64:
-    the copy moves a 24 h rollout by at most about 2e-5 degC, and runs faster.
+    The input normalizer and the output shift and scale are folded, in
+    float64, into the first and last layers of one float32 network, so each
+    rollout step is one forward pass.  The planner only ranks candidates; a
+    24 h rollout moves by at most about 2e-5 degC from the unfolded float64
+    model.  A feature near-constant at the normalizer's fit has folded terms
+    of size |shift| / scale that cancel below float32's resolution, so past
+    1e3 the folded network stays float64.
     """
 
     def __init__(self, model: TransitionModel):
-        self.model = model.astype(np.float32)  # the copy that rollout_temps predicts with
+        net = MlpParams(model.mlp.spec, model.mlp.theta.astype(float))  # folded in place
+        w, b = net.weights, net.biases
+        dtype = np.float32
+        if model.in_norm is not None:  # (x - shift) / scale @ W0 + b0
+            ratio = model.in_norm.shift / model.in_norm.scale
+            b[0] -= ratio @ w[0]
+            w[0] /= model.in_norm.scale[:, None]
+            dtype = np.float32 if np.abs(ratio).max() < 1e3 else np.float64
+        w[-1] *= model.out_scale
+        b[-1][:] = b[-1] * model.out_scale + model.out_shift
+        self.mlp = MlpParams(net.spec, net.theta.astype(dtype))
 
     def rollout_temps(self, start: np.ndarray, powers: np.ndarray,
                       ambient: np.ndarray) -> np.ndarray:
         n_seq, horizon = powers.shape
         n_hist = len(start) - 1
         # one feature matrix per rollout: temperature window, ambient, power
-        features = np.empty((n_seq, n_hist + 2), dtype=self.model.mlp.theta.dtype)
+        features = np.empty((n_seq, n_hist + 2), dtype=self.mlp.theta.dtype)
         features[:, :-1] = start
         out = np.empty((n_seq, horizon))
         for k in range(horizon):
             features[:, n_hist] = ambient[k]
             features[:, n_hist + 1] = powers[:, k]
-            t_next = self.model.predict_batch(features)
+            t_next = forward_batch(self.mlp, features)[:, 0]
             out[:, k] = t_next
             features[:, 1:n_hist] = features[:, :n_hist - 1]
             features[:, 0] = t_next

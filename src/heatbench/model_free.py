@@ -160,7 +160,7 @@ def compute_priority(target, q_sa, offset: float):
 class MfrlConfig:
     hidden: tuple[int, ...] = ranged((64, 64), "[1, inf)")
     activation: str = ranged("relu", ACTIVATIONS)
-    learning_rate: float = ranged(1e-3, "(0, 1]")  # 1e300 diverges mid-run
+    learning_rate: float = ranged(1e-3, "(0, 1]")
     # a short discount horizon keeps the steep below-band penalty from
     # bleeding across the fitted Q surface and inflating the hold threshold;
     # the slow thermal plant makes near-myopic control close to optimal
@@ -169,8 +169,8 @@ class MfrlConfig:
     batch_size: int = ranged(96, "[1, inf)")
     capacity: int = ranged(4096, "[1, inf)")
     warmup_samples: int = ranged(96, "[2, inf)")  # the normalizer fit needs 2 rows
-    priority_alpha: float = ranged(0.6, "[0, inf)")
-    priority_offset: float = ranged(1e-3, "(0, inf)")
+    priority_alpha: float = ranged(0.6, "[0, 1]")
+    priority_offset: float = ranged(1e-3, "(0, 1]")
     epsilon_initial: float = ranged(0.5, "(0, 1]")
     epsilon_exponent: float = ranged(0.7, "(0, inf)")
     # One call to train_cycle takes one gradient step; this many cycles run
@@ -180,7 +180,7 @@ class MfrlConfig:
     def __post_init__(self):
         check_ranges(self)
         if self.warmup_samples < self.batch_size:
-            raise ValueError("warmup must cover at least one batch")
+            raise ValueError("warmup_samples must cover at least one batch_size batch")
         if self.capacity < self.warmup_samples:
             raise ValueError("capacity must hold warmup_samples")
 

@@ -11,8 +11,8 @@ by layer with each (fan_in, fan_out) weight matrix before its bias
 vector; the per-layer weights and biases are views into it.  The
 gradient and the optimizer moments share that layout, so each update is
 a handful of whole-vector operations.  The network follows its
-parameters' dtype: float64, or float32 for a copy made only to evaluate
-(training stays float64).
+parameters' dtype, float64 or float32, in forward passes and in training:
+the loss casts its inputs to that dtype and Adam keeps its moments in it.
 """
 
 from __future__ import annotations
@@ -132,11 +132,11 @@ def forward(params: MlpParams, input_vec) -> np.ndarray:
 def _loss_and_grads(params: MlpParams, inputs: np.ndarray, targets: np.ndarray,
                     mask: np.ndarray | None) -> tuple[float, np.ndarray]:
     """Masked MSE (mean over masked entries) and its gradient in theta's layout."""
-    x = np.asarray(inputs, dtype=float)
-    t = np.asarray(targets, dtype=float)
+    x = np.asarray(inputs, dtype=params.theta.dtype)
+    t = np.asarray(targets, dtype=params.theta.dtype)
     if x.ndim != 2 or t.shape != (x.shape[0], params.spec.layer_sizes[-1]):
         raise ValueError("inputs/targets shape mismatch")
-    m = None if mask is None else np.asarray(mask, dtype=float)
+    m = None if mask is None else np.asarray(mask, dtype=params.theta.dtype)
     if m is not None and m.shape != t.shape:
         raise ValueError("mask shape must match targets")
     denom = float(t.size) if m is None else m.sum()
@@ -178,11 +178,12 @@ class AdamOptimizer:
 
     def step(self, params: MlpParams, grad: np.ndarray) -> None:
         if self._state is None:
-            self._state = np.zeros((4, grad.size))
+            self._state = np.zeros((4, grad.size), dtype=grad.dtype)
         m, v, a, b = self._state
         self._t += 1
-        lr_t = self.learning_rate * (np.sqrt(1.0 - self.BETA2 ** self._t)
-                                     / (1.0 - self.BETA1 ** self._t))
+        # a Python float, so that it does not upcast float32 moments
+        lr_t = self.learning_rate * float(np.sqrt(1.0 - self.BETA2 ** self._t)
+                                          / (1.0 - self.BETA1 ** self._t))
         m *= self.BETA1
         m += np.multiply(grad, 1.0 - self.BETA1, out=a)
         v *= self.BETA2

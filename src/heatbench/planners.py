@@ -117,7 +117,7 @@ class CemConfig:
     def __post_init__(self):
         check_ranges(self)
         if self.elite_count < 1:
-            raise ValueError("elite fraction yields an empty elite set")
+            raise ValueError("elite_fraction * population yields an empty elite set")
 
     @property
     def elite_count(self) -> int:

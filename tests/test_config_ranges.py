@@ -1,10 +1,12 @@
 """Every numeric field of every config dataclass declares its range, and a
 value outside it (NaN, an infinity, just past a finite bound) is rejected
 with a message that names the field: on construction, and through the INI
-section that sets the field."""
+section that sets the field.  A value inside it either runs to the end or
+is rejected where it enters."""
 
 import dataclasses
 import math
+import re
 import typing
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatbench import BackupConfig, Scenario, SuiteConfig
-from heatbench.harness import INI_SECTIONS, scenario_from_ini
+from heatbench.harness import AGENT_KINDS, INI_SECTIONS, run_scenario, scenario_from_ini
 from heatbench.model_free import QPair
 from heatbench.neural import MlpParams, MlpSpec
 
@@ -90,3 +92,60 @@ def test_ini_entries_outside_their_declared_range_are_rejected(tmp_path_factory,
     path.write_text(f"[{section}]\n{name} = {bad!r}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{name} must be "):
         scenario_from_ini(path)
+
+
+# Draws of an int field with no finite upper bound stop at this much above its
+# lower bound: `capacity`, `population`, `horizon` and the like have none, and
+# a large one allocates memory or runs for hours.  `days` stops at 3, the
+# length of every run below.
+INT_SPAN, INT_CAPS = 64, {"days": 3}
+# the agents a section's fields act on; every other section's run any agent
+SECTION_AGENTS = {"mpc": ("mpc",), "cem": ("mpc", "mbrl"), "ga": ("mpc", "mbrl"),
+                  "mbrl": ("mbrl",), "mfrl": ("mfrl",)}
+# short runs that still train: MB-RL and MF-RL update from day 2 on, and the
+# GA planner runs where a [ga] field is drawn
+BASE = {"scenario": {"days": 3}, "mfrl": {"warmup_samples": 24, "batch_size": 24}}
+FIELD_NAMES = {f.name for cls in INI_SECTIONS.values() for f in dataclasses.fields(cls)}
+
+
+def _inside(allowed: str, kind, name):
+    """Values of type `kind` inside the interval `allowed`, ints bounded as above."""
+    lo, hi = map(float, allowed[1:-1].split(","))
+    lo_in, hi_in = allowed[0] == "[", allowed[-1] == "]"
+    if kind is int:
+        first = int(lo) + (not lo_in)
+        last = int(hi) - (not hi_in) if hi < math.inf else first + INT_SPAN
+        return st.integers(first, min(last, INT_CAPS.get(name, last)))
+    return st.floats(lo, hi, exclude_min=not lo_in, exclude_max=not hi_in,
+                     allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("section, name, kind, is_tuple", [
+    pytest.param(section, *field, id=f"[{section}] {field[0]}")
+    for section, cls in INI_SECTIONS.items() for field in _numeric_fields(cls)])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_a_value_inside_its_range_runs_to_the_end_or_is_rejected_at_entry(
+        tmp_path_factory, section, name, kind, is_tuple, data):
+    inside = _inside(_allowed(INI_SECTIONS[section], name), kind, name)
+    value = data.draw(st.lists(inside, min_size=1, max_size=3) if is_tuple else inside,
+                      label=name)
+    agent = data.draw(st.sampled_from(SECTION_AGENTS.get(section, AGENT_KINDS)), label="agent")
+    entries = {key: dict(values) for key, values in BASE.items()}
+    entries["scenario"]["agent"] = agent
+    if section == "ga":
+        entries.setdefault("mpc", {})["planner"] = entries.setdefault("mbrl", {})["planner"] = "ga"
+    entries.setdefault(section, {})[name] = ", ".join(map(repr, value)) if is_tuple else repr(value)
+    base = tmp_path_factory.mktemp("inside")
+    path, out = base / "scenario.ini", base / "out"
+    path.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for sec, keys in entries.items()), encoding="utf-8")
+    try:
+        report = run_scenario(scenario_from_ini(path), out)
+    except ValueError as exc:
+        assert not out.exists(), f"rejected after writing: {exc}"
+        named = set(re.findall(r"\w+", str(exc))) & FIELD_NAMES
+        assert named, f"the message names no field: {exc}"
+        return
+    metrics = (report.consumption_change_pct, report.cost_change_pct, report.comfort_loss_eur)
+    assert all(map(math.isfinite, metrics)), metrics

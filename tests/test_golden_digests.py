@@ -16,6 +16,8 @@ taken on, and on any other the test skips, naming both.  A change that moves
 output bytes on purpose rewrites the file in the same commit with
 
     PYTHONPATH=src python tests/test_golden_digests.py
+
+which prints, for each case, "unchanged" or its old -> new digest prefix.
 """
 
 import json
@@ -88,6 +90,10 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: digest(s, Path(tmp) / name) for name, s in CASES.items()}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
+    for name, new in digests.items():
+        was = old.get(name)
+        print(f"{name}: " + ("unchanged" if was == new else f"{(was or 'none')[:8]} -> {new[:8]}"))
     recorded = {"platform": digest_platform(), "digests": digests}
     GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -454,18 +454,22 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[suite]\ndays = 2\n", r"unknown section \[suite\]"),
     ("[mfrl]\nselection_by_target = true\n", "unknown key 'selection_by_target'"),
     ("[mfrl]\nrandom_until_warmup = false\n", "unknown key 'random_until_warmup'"),
-    ("[mfrl]\npriority_offset = 0\n", "priority_offset must be finite and > 0"),
-    ("[mfrl]\npriority_alpha = nan\n", "priority_alpha must be finite"),
+    ("[mfrl]\npriority_offset = 0\n", r"priority_offset must be in \(0, 1\]"),
+    ("[mfrl]\npriority_alpha = nan\n", r"priority_alpha must be in \[0, 1\]"),
     ("[mfrl]\nlearning_rate = -1\n", r"learning_rate must be in \(0, 1\], got -1\.0"),
     ("[mbrl]\nlearning_rate = 0\n", r"learning_rate must be in \(0, 1\], got 0\.0"),
     ("[mbrl]\nlearning_rate = 1e300\n", r"learning_rate must be in \(0, 1\], got 1e\+300"),
     ("[mfrl]\nlearning_rate = 1e300\n", r"learning_rate must be in \(0, 1\], got 1e\+300"),
     ("[building]\nmax_power_w = 1e7\n[grid]\nlevels_w = 0, 1e7\n",
      r"max_power_w must be in \(0, 1e5\], got 10000000\.0"),
-    ("[tariff]\nflat_price = inf\n", "flat_price must be finite"),
+    ("[tariff]\nflat_price = inf\n", r"flat_price must be in \(0, 100\]"),
     ("[tariff]\nrtp_min = 0.5\nrtp_max = 0.1\n", "rtp_min must not exceed rtp_max"),
-    ("[tariff]\nrtp_step = inf\n", "rtp_step must be finite"),
-    ("[tariff]\nrtp_step = -0.5\n", "rtp_step must be finite and >= 0"),
+    ("[tariff]\nrtp_step = inf\n", r"rtp_step must be in \[0, 100\]"),
+    ("[tariff]\nrtp_step = -0.5\n", r"rtp_step must be in \[0, 100\]"),
+    ("[tariff]\nflat_price = 8.98846567431158e307\n", r"flat_price must be in \(0, 100\]"),
+    ("[mfrl]\npriority_alpha = 185\n", r"priority_alpha must be in \[0, 1\], got 185\.0"),
+    ("[mfrl]\npriority_offset = 1.7e308\n", r"priority_offset must be in \(0, 1\]"),
+    ("[ambient]\nnoise_sigma_c = 1555\n", r"noise_sigma_c must be in \[0, 50\], got 1555\.0"),
     ("[building]\nindoor_capacitance = 1e5\nsubstep_seconds = 3600\n", "unstable sub-step"),
     ("[scenario]\nhistory_length = -1\n", "history_length must be >= 0"),
     ("[scenario]\ninitial_temp_c = nan\n", r"initial_temp_c must be in \[-90, 60\], got nan"),
@@ -625,6 +629,20 @@ def test_cli_run_and_plot(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_plots_the_heatmap_on_the_grid_of_the_runs_scenario(tmp_path, capsys):
+    ini = _ini(tmp_path, "[grid]\nlevels_w = 0, 500, 1000\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(ini), "--agent", "rbc", "--days", "2",
+                     "--name", "grid", "--out", str(out)]) == 0
+    assert cli_main(["plot", "--kind", "hourly_action_heatmap", "--scenario", str(ini),
+                     "--log", str(out / "grid_rbc.csv"), "--out", str(out)]) == 0
+    header, *rows = (out / "grid_rbc_hourly_action_heatmap.csv").read_text().splitlines()
+    assert header == "hour_of_day,n_0w,n_500w,n_1000w"
+    counts = np.array([row.split(",")[1:] for row in rows], dtype=int)
+    assert counts.shape == (24, 3) and counts.sum() == 48
+    assert counts[:, 1:].sum() > 0  # the run heated at levels the default grid lacks
+
+
 @pytest.mark.parametrize("args, ini, message", [
     (["run", "--seed", "-1"], None, "seed must be >= 0"),
     (["run"], "[cem]\nelite_fraction = inf\n", "elite_fraction must be in (0, 1]"),
@@ -751,6 +769,17 @@ def test_cli_rejects_an_ambient_trace_hotter_than_the_generators_range(tmp_path,
     assert cli_main(["run", "--scenario", str(path), "--days", "3", "--out", str(out)]) == 2
     [line] = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line)["error"] == f"{hot} line 2: temp_c 10000.0 is outside [-90, 60] degC"
+    assert not out.exists()
+
+
+def test_cli_rejects_a_generated_ambient_trace_outside_the_generators_range(tmp_path, capsys):
+    path = _ini(tmp_path, "[ambient]\nmean_c = 60\ndaily_amplitude_c = 30\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(path), "--days", "3", "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert re.fullmatch(r"ambient -?[0-9.]+ degC at hour \d+ is outside \[-90, 60\] degC; lower "
+                        r"mean_c, the drift, daily_amplitude_c or noise_sigma_c",
+                        json.loads(line)["error"])
     assert not out.exists()
 
 

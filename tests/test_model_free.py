@@ -181,7 +181,7 @@ def test_replay_rejects_non_finite_alpha_and_priorities():
     for alpha in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
             PrioritizedReplay(8, alpha=alpha)
-        with pytest.raises(ValueError, match="priority_alpha must be finite and >= 0"):
+        with pytest.raises(ValueError, match=r"priority_alpha must be in \[0, 1\]"):
             MfrlConfig(priority_alpha=alpha)
     mem = _filled([1.0, 2.0], alpha=0.6)
     for bad in (float("inf"), float("nan"), 0.0, -1.0):

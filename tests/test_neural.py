@@ -225,7 +225,7 @@ def _reference_loss_and_grads(params, x, t, mask):
         np.sum(delta, axis=0, out=grad.biases[i])
         if i > 0:
             a = post[i]
-            slope = (a > 0.0).astype(float) if params.spec.activation == "relu" else 1.0 - a * a
+            slope = (a > 0.0).astype(a.dtype) if params.spec.activation == "relu" else 1.0 - a * a
             delta = (delta @ params.weights[i].T) * slope
     return loss, grad.theta
 
@@ -241,8 +241,8 @@ class _ReferenceAdam:
             self._m = np.zeros_like(grad)
             self._v = np.zeros_like(grad)
         self._t += 1
-        lr_t = self.learning_rate * (np.sqrt(1.0 - self.beta2 ** self._t)
-                                     / (1.0 - self.beta1 ** self._t))
+        lr_t = self.learning_rate * float(np.sqrt(1.0 - self.beta2 ** self._t)
+                                           / (1.0 - self.beta1 ** self._t))
         self._m *= self.beta1
         self._m += (1.0 - self.beta1) * grad
         self._v *= self.beta2
@@ -262,28 +262,45 @@ def _mask(kind, rng, shape):
     return mask
 
 
-@settings(max_examples=80, deadline=None)
+class _RecordingAdam(AdamOptimizer):
+    """AdamOptimizer that keeps the dtype of every gradient it is given."""
+
+    def step(self, params, grad):
+        self.grad_dtypes = getattr(self, "grad_dtypes", set()) | {grad.dtype}
+        super().step(params, grad)
+
+
+@settings(max_examples=120, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4), batch=st.integers(1, 40),
        activation=st.sampled_from(["relu", "tanh"]),
        mask_kind=st.sampled_from(["none", "one_hot", "partial"]),
        rate=st.sampled_from([1e-3, 1e-2, 0.3]), steps=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float64, np.float32]))
 def test_train_minibatch_is_bit_identical_to_the_out_of_place_step(sizes, batch, activation,
                                                                    mask_kind, rate, steps,
-                                                                   seed):
+                                                                   seed, dtype):
+    """float64 parameters step exactly as the out-of-place step did; float32
+    ones keep theta, the gradient and Adam's state in float32 and equal that
+    step computed in float32 (float64 inputs cast once to float32)."""
     rng = np.random.default_rng(seed)
-    params = MlpParams.init(MlpSpec(tuple(sizes), activation, init_seed=seed % 1000))
+    spec = MlpSpec(tuple(sizes), activation, init_seed=seed % 1000)
+    params = MlpParams(spec, MlpParams.init(spec).theta.astype(dtype))
     reference = params.copy()
-    optimizer, reference_optimizer = AdamOptimizer(rate), _ReferenceAdam(rate)
+    optimizer, reference_optimizer = _RecordingAdam(rate), _ReferenceAdam(rate)
     for _ in range(steps):
         x = rng.normal(size=(batch, sizes[0]))
         t = rng.normal(size=(batch, sizes[-1]))
         mask = _mask(mask_kind, rng, t.shape)
         _, loss = train_minibatch(params, x, t, optimizer, mask)
-        reference_loss, grad = _reference_loss_and_grads(reference, x, t, mask)
+        cast = None if mask is None else mask.astype(dtype)
+        reference_loss, grad = _reference_loss_and_grads(reference, x.astype(dtype),
+                                                         t.astype(dtype), cast)
         reference_optimizer.step(reference, grad)
         assert np.float64(loss).tobytes() == np.float64(reference_loss).tobytes()
         assert params.theta.tobytes() == reference.theta.tobytes()
+    state = [v for v in vars(optimizer).values() if isinstance(v, np.ndarray)]
+    assert params.theta.dtype == dtype and optimizer.grad_dtypes == {np.dtype(dtype)}
+    assert state and all(v.dtype == dtype for v in state)
 
 
 def test_the_network_follows_its_parameters_dtype():
