@@ -99,7 +99,7 @@ def test_ini_entries_outside_their_declared_range_are_rejected(tmp_path_factory,
 # a large one allocates memory or runs for hours.  `days` stops at 3, the
 # length of every run below.
 INT_SPAN, INT_CAPS = 64, {"days": 3}
-# the agents a section's fields act on; every other section's run any agent
+# the agents a section's fields act on; another section's field runs with any agent
 SECTION_AGENTS = {"mpc": ("mpc",), "cem": ("mpc", "mbrl"), "ga": ("mpc", "mbrl"),
                   "mbrl": ("mbrl",), "mfrl": ("mfrl",)}
 # short runs that still train: MB-RL and MF-RL update from day 2 on, and the
