@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatbench.emulator import (AmbientGenParams, BackupConfig, BuildingParams,
@@ -139,6 +139,58 @@ def test_affine_map_matches_loop_integrator():
         nxt, _ = step(BuildingState(t_i, t_m, 0), DEFAULT, ambient, power)
         assert fast[0] == pytest.approx(nxt.indoor_temp, abs=1e-9)
         assert fast[1] == pytest.approx(nxt.envelope_temp, abs=1e-9)
+
+
+def _reference_step(state, params, ambient, power, backup):
+    """The hour as the sub-step loop first wrote it, each node's flux computed
+    on its own: (T_i', T_m', applied power)."""
+    applied = power
+    if backup.enabled and state.indoor_temp < backup.low_trip:
+        applied = params.max_power_w
+    elif backup.enabled and state.indoor_temp > backup.high_trip:
+        applied = 0.0
+    dt, heat = float(params.substep_seconds), params.cop * applied
+    u_a, h_m = params.ambient_conductance, params.envelope_conductance
+    t_i, t_m = state.indoor_temp, state.envelope_temp
+    for _ in range(3600 // params.substep_seconds):
+        d_i = (u_a * (ambient - t_i) + h_m * (t_m - t_i) + heat) / params.indoor_capacitance
+        d_m = h_m * (t_i - t_m) / params.envelope_capacitance
+        t_i += dt * d_i
+        t_m += dt * d_m
+    return t_i, t_m, applied
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# + 0.0 turns -0.0 into 0.0: at one sub-step per hour, a state of two negative
+# zeros is the one input where the two forms differ, in the sign of a zero
+_temp = st.floats(-90.0, 60.0).map(lambda t: t + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t_i=_temp, t_m=_temp, ambient=_temp,
+       c_i=st.floats(5.0, 7.0).map(lambda e: 10.0 ** e),
+       c_m=st.floats(6.0, 8.0).map(lambda e: 10.0 ** e),
+       u_a=st.floats(10.0, 500.0), h_m=st.floats(10.0, 1000.0), cop=st.floats(1.0, 10.0),
+       max_power_w=st.floats(100.0, 1e5), dt=st.sampled_from([10, 60, 300, 900, 3600]),
+       enabled=st.booleans(), low_trip=st.floats(-10.0, 25.0), band=st.floats(0.1, 10.0))
+def test_step_is_bit_identical_to_the_reference_loop(data, t_i, t_m, ambient, c_i, c_m, u_a,
+                                                    h_m, cop, max_power_w, dt, enabled,
+                                                    low_trip, band):
+    assume(dt * (u_a + h_m) < c_i and dt * h_m < c_m)  # a stable sub-step
+    params = BuildingParams(indoor_capacitance=c_i, envelope_capacitance=c_m,
+                            ambient_conductance=u_a, envelope_conductance=h_m, cop=cop,
+                            max_power_w=max_power_w, substep_seconds=dt)
+    power = data.draw(st.floats(0.0, params.max_power_w))
+    backup = BackupConfig(enabled=enabled, low_trip=low_trip, high_trip=low_trip + band)
+    state = BuildingState(t_i, t_m, 4)
+    nxt, applied = step(state, params, ambient, power, backup)
+    want_i, want_m, want_applied = _reference_step(state, params, ambient, power, backup)
+    assert _bits(nxt.indoor_temp) == _bits(want_i)
+    assert _bits(nxt.envelope_temp) == _bits(want_m)
+    assert applied == want_applied and nxt.clock == 5
 
 
 @given(t=st.floats(-20.0, 40.0))

@@ -4,11 +4,11 @@ digest to the value recorded in `golden_digests.json`.
 Criterion 9 compares two runs made in one process, so it cannot see a change
 from one commit to the next; this test compares a run with the bytes recorded
 when the golden file was written.  The cases are the criterion-9 scenarios,
-the three benchmark workloads at seed 1 and their benchmark lengths, four
-short runs of the real-time tariff, a history-free MF-RL, and the exhaustive
-and GA planners, two learning agents whose 30 h warm-up ends mid-day, so
-that they act before their first daily update, and a 3-day suite of all four
-agents.
+the three benchmark workloads at seed 1 and their benchmark lengths, MF-RL
+and MPC on the real-time tariff, whose price changes every hour, a
+history-free MF-RL, the exhaustive and GA planners, two learning agents
+whose 30 h warm-up ends mid-day, so that they act before their first daily
+update, and a 3-day suite of all four agents.
 
 Digests depend on the platform: the numpy version, its BLAS build and the
 CPU and SIMD paths they take.  The golden file records the platform it was
@@ -43,6 +43,7 @@ CASES = {s.name: s for s in (
     Scenario(name="mbrl_flat", days=40, agent="mbrl", seed=1),
     Scenario(name="mfrl_flat", days=20, agent="mfrl", seed=1),
     Scenario(name="mfrl_real_time", days=10, agent="mfrl", seed=3, tariff_kind="real_time"),
+    Scenario(name="mpc_real_time", days=3, agent="mpc", seed=3, tariff_kind="real_time"),
     Scenario(name="mfrl_no_history", days=10, agent="mfrl", seed=5, history_length=0),
     Scenario(name="mpc_exhaustive", days=2, agent="mpc", seed=2,
              mpc=MpcConfig(planner="exhaustive", horizon=4)),

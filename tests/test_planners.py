@@ -497,3 +497,63 @@ def test_cem_matches_loop_reference(data, horizon, seed, smoothing, explore_floo
                                np.random.default_rng(seed), seed_sequence)
     assert plan.actions == actions
     assert plan.expected_return == value
+
+
+def _loop_ga(model, obs, horizon, grid, prices, ambient, config, rng, seed_sequence):
+    """Reference GA: plan_ga's random draws, one child at a time, with
+    candidate-by-candidate tracking."""
+    n_actions, levels = len(grid), np.asarray(grid.levels_w)
+
+    def score(population):
+        return evaluate_sequences(model, obs, levels[population], np.array(prices),
+                                  np.array(ambient), BAND)
+
+    population = rng.integers(n_actions, size=(config.population, horizon))
+    if seed_sequence is not None:
+        population[0] = seed_sequence
+    returns = score(population)
+    best = _loop_best(population, returns, grid)
+    n_children = config.population - 1
+    for _ in range(config.generations):
+        contenders = rng.integers(config.population,
+                                  size=(n_children, 2, config.tournament_size))
+        cross = rng.random(n_children) < config.crossover_rate
+        gene_mask = rng.random((n_children, horizon)) < 0.5
+        mutate = rng.random((n_children, horizon)) < config.mutation_rate
+        fresh = rng.integers(n_actions, size=(n_children, horizon))
+        children = []
+        for c in range(n_children):
+            a, b = (population[row[np.argmax(returns[row])]] for row in contenders[c])
+            child = [b[k] if cross[c] and gene_mask[c, k] else a[k] for k in range(horizon)]
+            children.append([fresh[c, k] if mutate[c, k] else child[k] for k in range(horizon)])
+        if config.immigrants > 0:
+            children[-config.immigrants:] = rng.integers(n_actions,
+                                                         size=(config.immigrants, horizon))
+        population = np.array([best[2]] + children)
+        returns = score(population)
+        best = _loop_best(population, returns, grid, best)
+    return best[0], tuple(int(a) for a in best[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), horizon=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       tournament_size=st.integers(1, 4), crossover_rate=st.floats(0.0, 1.0),
+       mutation_rate=st.floats(0.0, 0.5), immigrants=st.integers(0, 3), warm=st.booleans())
+def test_ga_matches_loop_reference(data, horizon, seed, tournament_size, crossover_rate,
+                                   mutation_rate, immigrants, warm):
+    table = data.draw(st.lists(st.lists(st.floats(15.0, 27.0), min_size=3, max_size=3),
+                               min_size=horizon, max_size=horizon))
+    prices = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]),
+                                min_size=horizon, max_size=horizon))
+    seed_sequence = (tuple(data.draw(st.lists(st.integers(0, 5), min_size=horizon,
+                                              max_size=horizon))) if warm else None)
+    config = GaConfig(population=12, generations=4, tournament_size=tournament_size,
+                      crossover_rate=crossover_rate, mutation_rate=mutation_rate,
+                      immigrants=immigrants)
+    model, obs, ambient = IndexSumModel(table), encode_state((21.0,) * 4, 5.0, 3), [5.0] * horizon
+    plan = plan_ga(model, obs, horizon, GRID, prices, ambient, BAND, config,
+                   np.random.default_rng(seed), seed_sequence)
+    value, actions = _loop_ga(model, obs, horizon, GRID, prices, ambient, config,
+                              np.random.default_rng(seed), seed_sequence)
+    assert plan.actions == actions
+    assert plan.expected_return == value
