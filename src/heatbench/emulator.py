@@ -148,10 +148,10 @@ def step(state: BuildingState, params: BuildingParams, ambient_c: float,
     t_i = state.indoor_temp
     t_m = state.envelope_temp
     for _ in range(n_sub):
-        d_i = (u_a * (ambient_c - t_i) + h_m * (t_m - t_i) + heat) / c_i
-        d_m = h_m * (t_i - t_m) / c_m
-        t_i += dt * d_i
-        t_m += dt * d_m
+        # the envelope-to-indoor flux once: h_m * (t_i - t_m) is exactly -q
+        q = h_m * (t_m - t_i)
+        t_i += dt * ((u_a * (ambient_c - t_i) + q + heat) / c_i)
+        t_m -= dt * (q / c_m)
 
     return BuildingState(t_i, t_m, state.clock + 1), applied
 

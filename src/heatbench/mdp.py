@@ -173,30 +173,35 @@ def comfort_reward(t_i: float, band: ComfortBand) -> float:
 
 
 def comfort_reward_batch(temps: np.ndarray, band: ComfortBand) -> np.ndarray:
-    """Vectorized :func:`comfort_reward`; a NaN or infinite temperature scores -inf."""
+    """Vectorized :func:`comfort_reward` as a new float64 array, which callers may
+    add into; a NaN or infinite temperature scores -inf."""
     out = np.zeros(np.shape(temps))  # C order, so that its flat view writes through
     flat, t = out.reshape(-1), np.ravel(temps)
     i = np.flatnonzero(t > band.t_max)
     flat[i] = -_ABOVE_SCALE * _ABOVE_GROWTH ** (t[i] - band.t_max)
     i = np.flatnonzero(t < band.t_min)
     flat[i] = -_BELOW_SCALE * _BELOW_GROWTH ** (band.t_min - t[i])
-    flat[np.isnan(t)] = -np.inf
+    nan = np.isnan(t)
+    if nan.any():
+        flat[nan] = -np.inf
     return out
 
 
 @dataclass(frozen=True)
 class TariffConfig:
-    """Price levels for the tariff generators (Eur/kWh; at most 100, so nothing overflows)."""
+    """Price levels for the tariff generators, in Eur/kWh: at most 100, so nothing
+    overflows, and at least 1e-6, so that every cost is a normal float that
+    keeps its precision."""
 
-    flat_price: float = ranged(0.24, "(0, 100]")
-    day_price: float = ranged(0.28, "(0, 100]")
-    night_price: float = ranged(0.20, "(0, 100]")
+    flat_price: float = ranged(0.24, "[1e-6, 100]")
+    day_price: float = ranged(0.28, "[1e-6, 100]")
+    night_price: float = ranged(0.20, "[1e-6, 100]")
     day_start_hour: int = ranged(7, "[0, 24)")
     day_end_hour: int = ranged(22, "(0, 24]")
-    rtp_base: float = ranged(0.24, "(0, 100]")
+    rtp_base: float = ranged(0.24, "[1e-6, 100]")
     rtp_step: float = ranged(0.02, "[0, 100]")
-    rtp_min: float = ranged(0.05, "(0, 100]")
-    rtp_max: float = ranged(0.60, "(0, 100]")
+    rtp_min: float = ranged(0.05, "[1e-6, 100]")
+    rtp_max: float = ranged(0.60, "[1e-6, 100]")
 
     def __post_init__(self):
         check_ranges(self)

@@ -166,26 +166,36 @@ def evaluate_sequences(model: DynamicsModel, start: np.ndarray, powers: np.ndarr
                        prices: np.ndarray, ambient: np.ndarray,
                        band: ComfortBand) -> np.ndarray:
     """Vectorized plan returns of an (n_sequences, horizon) matrix of powers in W."""
-    temps = model.rollout_temps(start, powers, ambient)
-    cons = -(powers / 1000.0) * prices
-    return (cons + comfort_reward_batch(temps, band)).sum(axis=1)
+    returns = comfort_reward_batch(model.rollout_temps(start, powers, ambient), band)
+    cost = powers / 1000.0
+    cost *= prices
+    returns -= cost  # comfort + (-cost): IEEE addition commutes, and a - b is a + (-b)
+    return returns.sum(axis=1)
 
 
 class _BestTracker:
-    """Keeps the best (return, lower-energy tie break) sequence seen so far."""
+    """Keeps the best sequence seen: the highest return, then the lowest total
+    energy, then the earliest candidate; a later population must beat it
+    strictly.  `offer` reads the top of the population's stable
+    `argsort(-returns)`, the order the CEM elite is cut from, and sums the
+    energies of the candidates tied there only."""
 
     def __init__(self):
         self.sequence: np.ndarray | None = None
         self.value = -np.inf
         self._energy = np.inf
 
-    def offer(self, actions: np.ndarray, returns: np.ndarray, energies: np.ndarray) -> None:
-        # stable sort: the earliest of exact ties; NaN sorts last and never wins
-        i = np.lexsort((energies, -returns))[0]
-        if (returns[i], -energies[i]) > (self.value, -self._energy):
-            self.value = float(returns[i])
-            self._energy = float(energies[i])
-            self.sequence = actions[i].copy()
+    def offer(self, actions: np.ndarray, returns: np.ndarray, powers: np.ndarray,
+              order: np.ndarray) -> None:
+        top = returns[order[0]]
+        if np.isnan(top) or top < self.value:  # NaN sorts last: every return is NaN
+            return
+        tied = np.flatnonzero(returns == top)  # ascending, so argmin keeps the earliest
+        energies = powers[tied].sum(axis=1)
+        j = np.argmin(energies)
+        if (top, -energies[j]) > (self.value, -self._energy):
+            self.value, self._energy = float(returns[tied[j]]), float(energies[j])
+            self.sequence = actions[tied[j]].copy()
 
     def plan(self) -> Plan:
         if self.sequence is None:
@@ -208,19 +218,23 @@ def plan_exhaustive(model: DynamicsModel, start: np.ndarray, horizon: int,
     returns = evaluate_sequences(model, start, powers, prices, ambient, band)
     # lexicographic enumeration + strict improvement keeps the lex-smallest tie
     tracker = _BestTracker()
-    tracker.offer(actions, returns, powers.sum(axis=1))
+    tracker.offer(actions, returns, powers, np.argsort(-returns, kind="stable"))
     return tracker.plan()
 
 
 def sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample (n, horizon) action indices from per-step categoricals: an index
     counts the cumulative bounds its uniform draw reaches, leaving out the last
-    so that a row summing to slightly less than 1 stays on the grid."""
+    so that a row summing to slightly less than 1 stays on the grid.  Each
+    comparison fills one reused bool buffer, whose uint8 view adds into a
+    counter of the smallest unsigned type that holds the top index."""
     u = rng.random((n, probs.shape[0]))
     cum = np.cumsum(probs, axis=1)
     out = np.zeros(u.shape, dtype=np.min_scalar_type(probs.shape[1] - 1))
+    reached = np.empty(u.shape, dtype=bool)
     for a in range(probs.shape[1] - 1):  # a few actions; candidates and hours vectorised
-        out += u >= cum[:, a]
+        np.greater_equal(u, cum[:, a], out=reached)
+        out += reached.view(np.uint8)
     return out.astype(np.intp)
 
 
@@ -242,8 +256,10 @@ def plan_cem(model: DynamicsModel, start: np.ndarray, horizon: int,
     tracker = _BestTracker()
     if seed_sequence is not None:
         _check_seed(seed_sequence, horizon, n_actions)
+        seed_sequence = np.asarray(seed_sequence)
         probs *= 1.0 - config.seed_bias
-        probs[np.arange(horizon), np.asarray(seed_sequence)] += config.seed_bias
+        probs[np.arange(horizon), seed_sequence] += config.seed_bias
+    offsets = n_actions * np.arange(horizon)  # hour k's counts start at k * n_actions
 
     for _ in range(config.iterations):
         population = sample_categorical(probs, config.population, rng)
@@ -251,10 +267,11 @@ def plan_cem(model: DynamicsModel, start: np.ndarray, horizon: int,
             population[0] = seed_sequence
         powers = levels[population]
         returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-        tracker.offer(population, returns, powers.sum(axis=1))
-        elite = population[np.argsort(-returns, kind="stable")[:config.elite_count]]
-        counts = np.bincount((elite + n_actions * np.arange(horizon)).ravel(),
-                             minlength=horizon * n_actions)
+        order = np.argsort(-returns, kind="stable")
+        tracker.offer(population, returns, powers, order)
+        elite = population[order[:config.elite_count]]
+        elite += offsets
+        counts = np.bincount(elite.ravel(), minlength=horizon * n_actions)
         freqs = counts.reshape(horizon, n_actions) / len(elite)
         probs = config.smoothing * freqs + (1.0 - config.smoothing) * probs
         probs = (1.0 - config.explore_floor) * probs + config.explore_floor / n_actions
@@ -278,7 +295,7 @@ def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
     tracker = _BestTracker()
     powers = levels[population]
     returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-    tracker.offer(population, returns, powers.sum(axis=1))
+    tracker.offer(population, returns, powers, np.argsort(-returns, kind="stable"))
 
     n_children = config.population - 1
     for _ in range(config.generations):
@@ -303,7 +320,7 @@ def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
         population = np.vstack([tracker.plan().actions, children])
         powers = levels[population]
         returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-        tracker.offer(population, returns, powers.sum(axis=1))
+        tracker.offer(population, returns, powers, np.argsort(-returns, kind="stable"))
     return tracker.plan()
 
 

@@ -462,11 +462,12 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[mfrl]\nlearning_rate = 1e300\n", r"learning_rate must be in \(0, 1\], got 1e\+300"),
     ("[building]\nmax_power_w = 1e7\n[grid]\nlevels_w = 0, 1e7\n",
      r"max_power_w must be in \(0, 1e5\], got 10000000\.0"),
-    ("[tariff]\nflat_price = inf\n", r"flat_price must be in \(0, 100\]"),
+    ("[tariff]\nflat_price = inf\n", r"flat_price must be in \[1e-6, 100\]"),
     ("[tariff]\nrtp_min = 0.5\nrtp_max = 0.1\n", "rtp_min must not exceed rtp_max"),
     ("[tariff]\nrtp_step = inf\n", r"rtp_step must be in \[0, 100\]"),
     ("[tariff]\nrtp_step = -0.5\n", r"rtp_step must be in \[0, 100\]"),
-    ("[tariff]\nflat_price = 8.98846567431158e307\n", r"flat_price must be in \(0, 100\]"),
+    ("[tariff]\nflat_price = 8.98846567431158e307\n", r"flat_price must be in \[1e-6, 100\]"),
+    ("[tariff]\nflat_price = 5e-324\n", r"flat_price must be in \[1e-6, 100\], got 5e-324"),
     ("[mfrl]\npriority_alpha = 185\n", r"priority_alpha must be in \[0, 1\], got 185\.0"),
     ("[mfrl]\npriority_offset = 1.7e308\n", r"priority_offset must be in \(0, 1\]"),
     ("[ambient]\nnoise_sigma_c = 1555\n", r"noise_sigma_c must be in \[0, 50\], got 1555\.0"),
