@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mdp import read_rows
-from .ranges import check_ranges, ranged
+from .ranges import check_ranges, declared, inside, ranged
 
 __all__ = [
     "BuildingParams",
@@ -212,6 +212,8 @@ class AmbientGenParams:
         check_ranges(self)
 
 
+_AMBIENT_C = declared(AmbientGenParams, "mean_c")  # also bounds every ambient trace
+
 # Daily sinusoid peaks mid-afternoon (15:00) and bottoms out at 03:00.
 _DAILY_PHASE_HOUR = 9.0
 
@@ -240,10 +242,11 @@ def make_synthetic_ambient(seed: int, days: int,
             noise[k] = x
 
     temps = gen_params.mean_c + drift + daily + noise
-    hour = int(np.argmax(~((-90.0 <= temps) & (temps <= 60.0))))  # as load_ambient_csv
-    if not -90.0 <= temps[hour] <= 60.0:
-        raise ValueError(f"ambient {float(temps[hour])!r} degC at hour {hour} is outside [-90, 60] "
-                         "degC; lower mean_c, the drift, daily_amplitude_c or noise_sigma_c")
+    hour = int(np.argmax(~inside(temps, _AMBIENT_C)))
+    if not inside(temps[hour], _AMBIENT_C):
+        raise ValueError(f"ambient {float(temps[hour])!r} degC at hour {hour} is outside "
+                         f"{_AMBIENT_C} degC; lower mean_c, the drift, daily_amplitude_c or "
+                         "noise_sigma_c")
     temps.setflags(write=False)
     return temps
 
@@ -258,8 +261,8 @@ def load_ambient_csv(path) -> np.ndarray:
     if rows[0][0] != 0:
         raise ValueError(f"{path} line 2: hour {rows[0][0]}, not 0")
     for line, (_, temp) in enumerate(rows, start=2):
-        if not -90.0 <= temp <= 60.0:
-            raise ValueError(f"{path} line {line}: temp_c {temp!r} is outside [-90, 60] degC")
+        if not inside(temp, _AMBIENT_C):
+            raise ValueError(f"{path} line {line}: temp_c {temp!r} is outside {_AMBIENT_C} degC")
     trace = np.array([temp for _, temp in rows])
     trace.setflags(write=False)
     return trace

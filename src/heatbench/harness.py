@@ -39,7 +39,7 @@ from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, Comfort
 from .model_based import MAE_CSV_HEADER, MbrlConfig, ModelBasedAgent, exploration_rate
 from .model_free import MfrlConfig, ModelFreeAgent
 from .planners import EXHAUSTIVE_CAP
-from .ranges import check_ranges, ranged
+from .ranges import check_ranges, declared, inside, ranged
 
 __all__ = [
     "Scenario",
@@ -86,7 +86,7 @@ class Scenario:
     backup_low_trip: float | None = None
     backup_high_trip: float | None = None
     warmup_hours: int = ranged(24, "[0, inf)")
-    initial_temp_c: float = ranged(21.0, "[-90, 60]")  # as ambient.mean_c
+    initial_temp_c: float = ranged(21.0, declared(AmbientGenParams, "mean_c"))
     building: BuildingParams = field(default_factory=BuildingParams)
     ambient: AmbientGenParams = field(default_factory=AmbientGenParams)
     ambient_csv: str | None = None
@@ -157,16 +157,16 @@ def build_traces(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return ambient, prices
 
 
-def _check_trace(name: str, trace: np.ndarray, hours: int, positive: bool) -> None:
+def _check_trace(name: str, trace: np.ndarray, hours: int, allowed: str) -> None:
     """Raise ValueError naming the trace unless it holds at least `hours`
-    finite values, each > 0 if `positive`."""
+    values, each in the interval `allowed`."""
     if trace.ndim != 1 or len(trace) < hours:
         raise ValueError(f"{name} trace must hold at least {hours} hourly values, "
                          f"got shape {trace.shape}")
-    bad = ~(trace > 0) | (trace == np.inf) if positive else ~np.isfinite(trace)
+    bad = ~inside(trace, allowed)
     if bad.any():
         hour = int(bad.argmax())
-        raise ValueError(f"{name} trace must be finite{' and > 0' * positive}, "
+        raise ValueError(f"{name} trace must be in {allowed}, "
                          f"got {float(trace[hour])!r} at hour {hour}")
 
 
@@ -179,8 +179,9 @@ def simulate(scenario: Scenario, agent_kind: str, ambient,
     """
     horizon = scenario.horizon_hours()
     ambient, prices = np.asarray(ambient, dtype=float), np.asarray(prices, dtype=float)
-    _check_trace("ambient", ambient, horizon + 1, positive=False)
-    _check_trace("prices", prices, horizon, positive=True)
+    # the ranges the trace builders enforce
+    _check_trace("ambient", ambient, horizon + 1, declared(AmbientGenParams, "mean_c"))
+    _check_trace("prices", prices, horizon, declared(TariffConfig, "flat_price"))
     ambient_c, price = ambient.tolist(), prices.tolist()  # the hourly path runs on floats
     n = scenario.history_length
     backup = scenario.backup_config()
@@ -479,8 +480,13 @@ def _section(parser, section: str, cls) -> dict:
 def _parse_band_phases(raw: str) -> BandSchedule:
     phases = []
     for part in raw.split(","):
-        start, t_min, t_max = part.strip().split(":")
-        phases.append((int(start), ComfortBand(float(t_min), float(t_max))))
+        try:
+            start, t_min, t_max = part.split(":")
+            start, band = int(start), (float(t_min), float(t_max))
+        except ValueError:
+            raise ValueError(f"phase {part.strip()!r} is not start:t_min:t_max, "
+                             "an integer hour and two temperatures") from None
+        phases.append((start, ComfortBand(*band)))
     return BandSchedule(tuple(phases))
 
 

@@ -135,16 +135,14 @@ def soft_update(pair: QPair) -> QPair:
     return pair
 
 
-def q_target(x_next: np.ndarray, rewards: np.ndarray, pair: QPair,
-             selection_by_target: bool = False) -> np.ndarray:
+def q_target(x_next: np.ndarray, rewards: np.ndarray, pair: QPair) -> np.ndarray:
     """Bootstrap targets for a batch of transitions, one per row.
 
     `x_next` holds the encoded next states.  The online network picks the
-    next action and the target network values it (double-Q);
-    `selection_by_target` switches the argmax to the target network instead.
+    next action and the target network values it (double-Q).
     """
     q_tgt = forward_batch(pair.target, x_next)
-    picks = np.argmax(q_tgt if selection_by_target else forward_batch(pair.online, x_next), axis=1)
+    picks = np.argmax(forward_batch(pair.online, x_next), axis=1)
     return rewards + pair.gamma * q_tgt[np.arange(len(q_tgt)), picks]
 
 

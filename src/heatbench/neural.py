@@ -31,7 +31,6 @@ __all__ = [
     "forward",
     "forward_batch",
     "train_minibatch",
-    "gradient_check",
     "fit_normalizer",
 ]
 
@@ -205,32 +204,6 @@ def train_minibatch(params: MlpParams, inputs, targets, optimizer,
         raise ValueError("non-finite gradient; lower the learning rate or check inputs")
     optimizer.step(params, grad)
     return params, loss
-
-
-def gradient_check(params: MlpParams, input_vec, target, mask=None,
-                   eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relu networks should be probed at inputs away from activation kinks.
-    """
-    x = np.atleast_2d(np.asarray(input_vec, dtype=float))
-    t = np.atleast_2d(np.asarray(target, dtype=float))
-    m = None if mask is None else np.atleast_2d(np.asarray(mask, dtype=float))
-
-    _, analytic = _loss_and_grads(params, x, t, m)
-    probe = params.copy()
-    numeric = np.empty_like(analytic)
-    for i in range(probe.theta.size):
-        orig = probe.theta[i]
-        probe.theta[i] = orig + eps
-        hi, _ = _loss_and_grads(probe, x, t, m)
-        probe.theta[i] = orig - eps
-        lo, _ = _loss_and_grads(probe, x, t, m)
-        probe.theta[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * eps)
-
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / scale))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,12 +10,18 @@ def ranged(default, allowed):
     return dataclasses.field(default=default, metadata={"allowed": allowed})
 
 
-def _inside(value, allowed) -> bool:
+def declared(cls, name):
+    """The allowed values that field `name` of dataclass `cls` declares."""
+    return next(f for f in dataclasses.fields(cls) if f.name == name).metadata["allowed"]
+
+
+def inside(value, allowed):
+    """Whether `value` lies in `allowed`; elementwise on an array for an interval."""
     if isinstance(allowed, tuple):
         return value in allowed
     lo, hi = map(float, allowed[1:-1].split(","))
     return ((lo <= value if allowed[0] == "[" else lo < value)
-            and (value <= hi if allowed[-1] == "]" else value < hi))
+            & (value <= hi if allowed[-1] == "]" else value < hi))
 
 
 def check_ranges(obj) -> None:
@@ -23,7 +29,7 @@ def check_ranges(obj) -> None:
     for f in dataclasses.fields(obj):
         allowed, value = f.metadata.get("allowed"), getattr(obj, f.name)
         values = value if isinstance(value, tuple) else (value,)
-        if allowed is None or all(_inside(v, allowed) for v in values):
+        if allowed is None or all(inside(v, allowed) for v in values):
             continue
         if isinstance(allowed, tuple):
             must = f"one of {allowed}"

@@ -17,6 +17,7 @@ from heatbench.cli import main as cli_main
 from heatbench.harness import (AGENT_KINDS, INI_SECTIONS, Scenario, SuiteConfig, build_traces,
                                emit_plot_data, estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
+from heatbench.emulator import BuildingParams
 from heatbench.mdp import ActionGrid, ComfortBand, EpisodeLog
 from heatbench.baselines import MpcConfig
 from heatbench.model_based import MbrlConfig
@@ -489,6 +490,10 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
      r"config\.ini, line 3: a section header repeats"),
     ("days = 2\n[scenario]\n", r"config\.ini, line 1: a key before the first \[section\]"),
     ("[scenario]\ndays\n", r"config\.ini, line 2: neither a \[section\] header"),
+    ("[band]\nphases = 0:19\n", r"phases: phase '0:19' is not start:t_min:t_max"),
+    ("[band]\nphases = 0:19:23:5\n", r"phases: phase '0:19:23:5' is not start:t_min:t_max"),
+    ("[band]\nphases = x:19:23\n", r"phases: phase 'x:19:23' is not start:t_min:t_max"),
+    ("[band]\nphases = 0:19:23,,24:20:22\n", r"phases: phase '' is not start:t_min:t_max"),
 ])
 def test_scenario_from_ini_rejects_bad_entries(tmp_path, capsys, text, match):
     path = _ini(tmp_path, text)
@@ -753,11 +758,13 @@ def test_cli_plot_creates_no_directory_for_a_rejected_log(tmp_path, capsys, kind
 
 
 def test_simulate_names_the_hour_and_temperature_of_a_comfort_overflow():
-    scenario = Scenario(days=3)
-    _, tariff = build_traces(scenario)
+    # in-range parameters and traces: a tiny room, a 100 kW heat pump and a cold start
+    scenario = Scenario(days=3, initial_temp_c=10.0, grid=ActionGrid((0.0, 1e5)),
+                        building=BuildingParams(indoor_capacitance=4000.0, max_power_w=1e5,
+                                                cop=10.0))
     with pytest.raises(ValueError) as err:
-        simulate(scenario, "rbc", np.full(73, 10000.0), tariff)
-    assert re.fullmatch(r"hour 3: indoor temperature \S+ degC is too far from the "
+        simulate(scenario, "rbc", *build_traces(scenario))
+    assert re.fullmatch(r"hour 24: indoor temperature \S+ degC is too far from the "
                         "comfort band to score", str(err.value))
 
 

@@ -7,6 +7,7 @@ without running a scenario, so a refactor that drops one fails in
 milliseconds, naming it.
 """
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -19,7 +20,8 @@ from heatbench.model_based import ModelBasedAgent
 from heatbench.model_free import ModelFreeAgent
 
 HOOKS = {"daily_update", "act", "observe", "tables"}
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _public_methods(cls) -> set[str]:
@@ -48,3 +50,30 @@ def test_every_tracer_target_resolves_on_heatbench():
         if not callable(owner):
             missing.append(name)
     assert not missing, f"perfbench traces names heatbench lacks: {missing}"
+
+
+def _top_level_reads():
+    """(file, name the statement defines or None, names and attributes it
+    reads) of each top-level statement under src/, scripts/ and perfbench/."""
+    for path in sorted(p for d in ("src", "scripts", "perfbench")
+                       for p in (ROOT / d).rglob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = getattr(stmt, "targets", [])
+            defines = getattr(stmt, "name", None) or (
+                targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else None)
+            yield path, defines, {n.id if isinstance(n, ast.Name) else n.attr
+                                  for n in ast.walk(stmt)
+                                  if isinstance(n, (ast.Name, ast.Attribute))
+                                  and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_exported_name_is_used_outside_its_definition():
+    reads = list(_top_level_reads())
+    unused = []
+    for path in sorted((ROOT / "src" / "heatbench").glob("*.py")):
+        module = importlib.import_module(f"heatbench.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if not any(name in names for file, defines, names in reads
+                       if (file, defines) != (path, name)):
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"exported but used only by tests: {unused}"

@@ -94,15 +94,21 @@ def test_simulate_takes_any_float_sequences():
 @pytest.mark.parametrize("name, keep, value, message", [
     ("ambient", 48, None, "ambient trace must hold at least 49 hourly values, got shape (48,)"),
     ("prices", 47, None, "prices trace must hold at least 48 hourly values, got shape (47,)"),
-    ("ambient", None, math.nan, "ambient trace must be finite, got nan at hour 30"),
-    ("ambient", None, math.inf, "ambient trace must be finite, got inf at hour 30"),
-    ("ambient", None, -math.inf, "ambient trace must be finite, got -inf at hour 30"),
-    ("prices", None, math.nan, "prices trace must be finite and > 0, got nan at hour 30"),
-    ("prices", None, math.inf, "prices trace must be finite and > 0, got inf at hour 30"),
-    ("prices", None, 0.0, "prices trace must be finite and > 0, got 0.0 at hour 30"),
-    ("prices", None, -0.24, "prices trace must be finite and > 0, got -0.24 at hour 30"),
+    ("ambient", None, math.nan, "ambient trace must be in [-90, 60], got nan at hour 30"),
+    ("ambient", None, math.inf, "ambient trace must be in [-90, 60], got inf at hour 30"),
+    ("ambient", None, -math.inf, "ambient trace must be in [-90, 60], got -inf at hour 30"),
+    ("ambient", None, 200.0, "ambient trace must be in [-90, 60], got 200.0 at hour 30"),
+    ("ambient", None, -90.5, "ambient trace must be in [-90, 60], got -90.5 at hour 30"),
+    ("prices", None, math.nan, "prices trace must be in [1e-6, 100], got nan at hour 30"),
+    ("prices", None, math.inf, "prices trace must be in [1e-6, 100], got inf at hour 30"),
+    ("prices", None, 0.0, "prices trace must be in [1e-6, 100], got 0.0 at hour 30"),
+    ("prices", None, -0.24, "prices trace must be in [1e-6, 100], got -0.24 at hour 30"),
+    ("prices", None, 1e300, "prices trace must be in [1e-6, 100], got 1e+300 at hour 30"),
+    ("prices", None, 5e-324, "prices trace must be in [1e-6, 100], got 5e-324 at hour 30"),
+    ("prices", None, 100.5, "prices trace must be in [1e-6, 100], got 100.5 at hour 30"),
 ], ids=["short-ambient", "short-prices", "nan-ambient", "inf-ambient", "minus-inf-ambient",
-        "nan-price", "inf-price", "zero-price", "negative-price"])
+        "hot-ambient", "cold-ambient", "nan-price", "inf-price", "zero-price",
+        "negative-price", "huge-price", "subnormal-price", "over-cap-price"])
 def test_simulate_rejects_bad_traces_naming_them(name, keep, value, message):
     scenario = Scenario(days=2, agent="rbc", seed=0)
     traces = dict(zip(("ambient", "prices"), build_traces(scenario)))
