@@ -9,7 +9,6 @@ import sys
 from .harness import (AGENT_KINDS, PLOT_KINDS, PRICE_KINDS, Scenario, SuiteConfig,
                       emit_plot_data, run_scenario, run_suite, scenario_from_ini,
                       suite_from_ini)
-from .mdp import ActionGrid, ComfortBand
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,9 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="derive plot-ready CSVs from a log")
     plot.add_argument("--kind", required=True, choices=PLOT_KINDS)
     plot.add_argument("--log", required=True)
-    plot.add_argument("--band-low", type=float, default=19.0)
-    plot.add_argument("--band-high", type=float, default=23.0)
-    plot.add_argument("--scenario", help="the run's INI scenario file; its [grid] bins the heatmap")
+    plot.add_argument("--scenario", help="the run's INI scenario file: its band and grid")
     plot.add_argument("--out", required=True)
     return parser
 
@@ -86,9 +83,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    band = ComfortBand(args.band_low, args.band_high)
-    grid = scenario_from_ini(args.scenario).grid if args.scenario else ActionGrid()
-    print(f"wrote {emit_plot_data(args.log, args.kind, args.out, band, grid)}")
+    scenario = scenario_from_ini(args.scenario) if args.scenario else None
+    print(f"wrote {emit_plot_data(args.log, args.kind, args.out, scenario)}")
     return 0
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import itertools
 import os
 import time
 import typing
@@ -63,6 +62,8 @@ PLOT_KINDS = ("temperature_trace", "action_histogram", "hourly_action_heatmap",
               "model_mae")
 # the columns of a run's metrics file and of a suite table; RunReport's field names
 _METRICS = ("consumption_change_pct", "cost_change_pct", "comfort_loss_eur")
+# the Scenario fields a suite sets on its base
+_SUITE_SHARED = ("days", "seed", "tariff_kind")
 
 
 def _check_name(name: str) -> None:
@@ -73,7 +74,7 @@ def _check_name(name: str) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one run needs; every field has an overridable default."""
+    """Everything one run needs, checked when built; every field has an overridable default."""
 
     name: str = "run"
     days: int = ranged(30, "[1, inf)")
@@ -121,6 +122,8 @@ class Scenario:
             except OverflowError:
                 raise ValueError(f"{section}.epsilon_exponent {cfg.epsilon_exponent!r}: day ** "
                                  f"epsilon_exponent overflows by day {last_day}") from None
+
+    __post_init__ = validate  # a Scenario is checked when it is built
 
     def backup_config(self) -> BackupConfig:
         band0 = self.band_schedule.band_at(0)
@@ -243,7 +246,6 @@ def _timed_simulate(scenario: Scenario, agent_kind: str, traces) -> tuple:
 
 def run_scenario(scenario: Scenario, out_dir) -> RunReport:
     """Run the scenario's agent plus the RBC denominator; write CSVs."""
-    scenario.validate()
     traces = build_traces(scenario)
     return _run_against(scenario, out_dir, traces, _timed_simulate(scenario, "rbc", traces))
 
@@ -301,9 +303,8 @@ class SuiteConfig:
             raise ValueError("a suite needs at least one agent")
         if len(set(self.agents)) < len(self.agents):
             raise ValueError(f"suite agents {self.agents} name an agent twice")
-        object.__setattr__(self, "base", replace(self.base, days=self.days, seed=self.seed,
-                                                 tariff_kind=self.tariff_kind))
-        self.base.validate()
+        object.__setattr__(self, "base", replace(
+            self.base, **{name: getattr(self, name) for name in _SUITE_SHARED}))
 
 
 def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
@@ -359,24 +360,26 @@ def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05) -> int | 
     return first_clean + 1 if first_clean < len(windows) else None
 
 
-def emit_plot_data(log_path, kind: str, out_dir, band: ComfortBand = ComfortBand(),
-                   grid: ActionGrid = ActionGrid()) -> str:
-    """Write a plot-ready CSV derived from an episode (or MAE) log; the log is
-    read and checked first, so a rejected log leaves nothing written."""
+def emit_plot_data(log_path, kind: str, out_dir, scenario: Scenario | None = None) -> str:
+    """Write a plot-ready CSV derived from an episode (or MAE) log, read and checked
+    first, so a rejected log leaves nothing written.  The run's `scenario` (default
+    `Scenario()`) gives the grid, and hour h the band_at(h + 1) its r_comfort was scored on."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     steps = None if kind == "model_mae" else EpisodeLog.read_csv(log_path).steps
+    scenario = scenario or Scenario()
     if kind == "model_mae":
         header, rows = MAE_CSV_HEADER, read_rows(log_path, MAE_CSV_HEADER)
     elif kind == "temperature_trace":
         header = ["hour", "t_i", "t_a", "band_low", "band_high"]
+        bands = [scenario.band_schedule.band_at(h + 1) for h in steps.hour.tolist()]
         rows = zip(steps.hour.tolist(), steps.t_i.tolist(), steps.t_a.tolist(),
-                   itertools.repeat(band.t_min), itertools.repeat(band.t_max))
+                   (b.t_min for b in bands), (b.t_max for b in bands))
     elif kind == "action_histogram":
         levels, counts = np.unique(steps.power_w, return_counts=True)
         header, rows = ["level_w", "count"], zip(levels.tolist(), counts.tolist())
     elif kind == "hourly_action_heatmap":
-        levels = grid.levels_w
+        levels = scenario.grid.levels_w
         match = steps.power_w[:, None] == np.asarray(levels)
         off_grid = ~match.any(axis=1)
         if off_grid.any():
@@ -539,9 +542,7 @@ def _config(parser, cls, section: str, overrides: dict | None = None):
 def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
     """Build a Scenario from an INI file whose sections are among INI_SECTIONS
     (see the module docstring); `overrides` wins over file values."""
-    scenario = _config(_read_ini(path, INI_SECTIONS), Scenario, "scenario", overrides)
-    scenario.validate()
-    return scenario
+    return _config(_read_ini(path, INI_SECTIONS), Scenario, "scenario", overrides)
 
 
 def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
@@ -551,5 +552,7 @@ def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
     parser = _read_ini(path, ("suite", *INI_SECTIONS))
     head = {**_section(parser, "suite", SuiteConfig), **(overrides or {})}
     if INI_SECTIONS.keys() & parser.sections():
-        head["base"] = _config(parser, Scenario, "scenario")
+        # a Scenario is checked when built, so the base is built with the suite's values
+        shared = {name: head.get(name, getattr(SuiteConfig, name)) for name in _SUITE_SHARED}
+        head["base"] = _config(parser, Scenario, "scenario", shared)
     return SuiteConfig(**head)

@@ -42,9 +42,8 @@ __all__ = [
 class PrioritizedReplay(SampleMemory):
     """Transition store with a proportional replay priority per slot.
 
-    Slot i's priority is `priorities[i]`.  Each slot also keeps its replay
-    weight priority**alpha, written with the priority, so a draw does not
-    raise the whole store to alpha.
+    Slot i keeps its replay weight priority**alpha in `weights[i]`, written
+    with the priority, so a draw does not raise the whole store to alpha.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
@@ -52,8 +51,7 @@ class PrioritizedReplay(SampleMemory):
         if not 0.0 <= alpha < np.inf:
             raise ValueError("alpha must be finite and >= 0")
         self.alpha = alpha
-        self.priorities = np.zeros(capacity)
-        self._weights = np.zeros(capacity)
+        self.weights = np.zeros(capacity)
 
     def _weight(self, priorities):
         p = np.asarray(priorities, dtype=float)
@@ -65,16 +63,15 @@ class PrioritizedReplay(SampleMemory):
             priority: float) -> int:
         weight = self._weight(priority)
         i = super().add(s, a, r, s_next)
-        self.priorities[i], self._weights[i] = priority, weight
+        self.weights[i] = weight
         return i
 
     def update_priorities(self, indices, priorities) -> None:
         """Overwrite the priorities of the given slots."""
-        self._weights[indices] = self._weight(priorities)
-        self.priorities[indices] = priorities
+        self.weights[indices] = self._weight(priorities)
 
     def probabilities(self) -> np.ndarray:
-        w = self._weights[:len(self)]
+        w = self.weights[:len(self)]
         return w / w.sum()
 
 
@@ -216,13 +213,19 @@ class ModelFreeAgent(Controller):
         self.q_trace.append((t, tuple(float(v) for v in q), action))
         return action
 
+    def _td_priority(self, x, actions, rewards, x_next) -> np.ndarray:
+        """Replay priority |q_target - Q(x)[a]| + priority_offset of encoded
+        transitions, one per row, on the current networks."""
+        q_sa = forward_batch(self.pair.online, x)[np.arange(len(x)), actions]
+        return compute_priority(q_target(x_next, rewards, self.pair), q_sa,
+                                self.cfg.priority_offset)
+
     def observe(self, obs: np.ndarray, action: int, reward: float,
                 obs_next: np.ndarray) -> None:
         """File the raw transition with its TD priority."""
-        q_sa = forward(self.pair.online, self.encode(obs))[action]
-        target = q_target(self.encode(obs_next[None, :]), np.array([reward]), self.pair)
-        self.replay.add(obs, action, reward, obs_next,
-                        compute_priority(float(target[0]), float(q_sa), self.cfg.priority_offset))
+        priority = self._td_priority(self.encode(obs[None, :]), [action], np.array([reward]),
+                                    self.encode(obs_next[None, :]))
+        self.replay.add(obs, action, reward, obs_next, priority[0])
         if self.normalizer is None and len(self.replay) >= self.cfg.warmup_samples:
             self.normalizer = fit_normalizer(self.replay.rows(self.replay.s))
 
@@ -247,10 +250,7 @@ class ModelFreeAgent(Controller):
 
         soft_update(self.pair)
 
-        new_targets = q_target(x_next, rewards, self.pair)
-        q_now = forward_batch(self.pair.online, x)[rows, actions]
-        mem.update_priorities(
-            idx, compute_priority(new_targets, q_now, self.cfg.priority_offset))
+        mem.update_priorities(idx, self._td_priority(x, actions, rewards, x_next))
         return True
 
     def daily_update(self, obs, prices, ambient, band) -> None:

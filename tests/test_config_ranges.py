@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatbench import BackupConfig, Scenario, SuiteConfig
+from heatbench import BackupConfig, SuiteConfig
 from heatbench.harness import AGENT_KINDS, INI_SECTIONS, run_scenario, scenario_from_ini
 from heatbench.model_free import QPair
 from heatbench.neural import MlpParams, MlpSpec
@@ -62,10 +62,7 @@ def _build(cls, **kwargs):
         return QPair(net, net.copy(), **kwargs)
     if cls is MlpSpec:
         return MlpSpec(**{"layer_sizes": (2, 2), **kwargs})
-    config = cls(**kwargs)
-    if cls is Scenario:
-        config.validate()
-    return config
+    return cls(**kwargs)
 
 
 @pytest.mark.parametrize("cls, name, kind, is_tuple", [

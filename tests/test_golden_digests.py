@@ -8,7 +8,8 @@ the three benchmark workloads at seed 1 and their benchmark lengths, MF-RL
 and MPC on the real-time tariff, whose price changes every hour, a
 history-free MF-RL, the exhaustive and GA planners, two learning agents
 whose 30 h warm-up ends mid-day, so that they act before their first daily
-update, and a 3-day suite of all four agents.
+update, MPC under a comfort band that rises at hour 48, MB-RL with the
+backup filter on, and a 3-day suite of all four agents.
 
 Digests depend on the platform: the numpy version, its BLAS build and the
 CPU and SIMD paths they take.  The golden file records the platform it was
@@ -29,6 +30,7 @@ import pytest
 
 from heatbench.baselines import MpcConfig
 from heatbench.harness import Scenario, SuiteConfig, run_scenario, run_suite
+from heatbench.mdp import BandSchedule, ComfortBand
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
@@ -50,6 +52,10 @@ CASES = {s.name: s for s in (
     Scenario(name="mpc_ga", days=2, agent="mpc", seed=2, mpc=MpcConfig(planner="ga")),
     Scenario(name="mbrl_odd_warmup", days=8, agent="mbrl", seed=6, warmup_hours=30),
     Scenario(name="mfrl_odd_warmup", days=8, agent="mfrl", seed=6, warmup_hours=30),
+    Scenario(name="mpc_band_phases", days=4, agent="mpc", seed=8,
+             band_schedule=BandSchedule(((0, ComfortBand(19.0, 23.0)),
+                                         (48, ComfortBand(21.0, 25.0))))),
+    Scenario(name="mbrl_backup", days=6, agent="mbrl", seed=2, backup_enabled=True),
     SuiteConfig(name="suite_all4", days=3, seed=4),
 )}
 

@@ -18,7 +18,7 @@ from heatbench.harness import (AGENT_KINDS, INI_SECTIONS, Scenario, SuiteConfig,
                                emit_plot_data, estimate_convergence, run_scenario, run_suite,
                                scenario_from_ini, simulate, suite_from_ini)
 from heatbench.emulator import BuildingParams
-from heatbench.mdp import ActionGrid, ComfortBand, EpisodeLog
+from heatbench.mdp import ActionGrid, BandSchedule, ComfortBand, EpisodeLog
 from heatbench.baselines import MpcConfig
 from heatbench.model_based import MbrlConfig
 from heatbench.model_free import MfrlConfig, ModelFreeAgent
@@ -235,10 +235,35 @@ def test_plot_action_histogram_single_bin(tmp_path):
 def test_plot_temperature_trace_columns(tmp_path):
     path = _episode_csv(tmp_path, [0.0, 400.0, 800.0])
     dest = emit_plot_data(path, "temperature_trace", tmp_path,
-                          band=ComfortBand(19.0, 23.0))
+                          Scenario(band_schedule=BandSchedule.constant(ComfortBand(19.0, 23.0))))
     lines = Path(dest).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "hour,t_i,t_a,band_low,band_high"
     assert len(lines) == 4
+
+
+def test_cli_plots_each_hour_against_the_band_its_comfort_was_scored_on(tmp_path, capsys):
+    ini = _ini(tmp_path, "[band]\nphases = 0:19:23, 48:21:25\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(ini), "--days", "4", "--name", "band",
+                     "--out", str(out)]) == 0
+    assert cli_main(["plot", "--kind", "temperature_trace", "--scenario", str(ini),
+                     "--log", str(out / "band_rbc.csv"), "--out", str(out)]) == 0
+    with open(out / "band_rbc_temperature_trace.csv", encoding="utf-8") as fh:
+        trace = [(float(r["t_i"]), float(r["band_low"]), float(r["band_high"]))
+                 for r in csv.DictReader(fh)]
+    # hour h is scored on the band at h + 1, the hour its temperature is reached
+    assert [band for _, *band in trace] == [[19.0, 23.0]] * 47 + [[21.0, 25.0]] * 49
+    outside = [not low <= t_i <= high for t_i, low, high in trace]
+    assert outside == (EpisodeLog.read_csv(out / "band_rbc.csv").steps.r_comfort < 0).tolist()
+    assert any(outside)
+
+
+def test_cli_plot_has_no_band_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["plot", "--kind", "temperature_trace", "--log", str(tmp_path / "x.csv"),
+                  "--band-low", "19", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --band-low 19" in capsys.readouterr().err
 
 
 def test_plot_heatmap_conserves_counts(tmp_path):
@@ -588,7 +613,7 @@ def test_suite_rejects_bad_agent_lists(tmp_path, capsys, agents, match):
 @pytest.mark.parametrize("name", ["../escaped", "sub/x", "a\0b"])
 def test_scenario_and_suite_names_must_prefix_a_file(name):
     with pytest.raises(ValueError, match="name must not contain a path separator or NUL"):
-        Scenario(name=name).validate()
+        Scenario(name=name)
     with pytest.raises(ValueError, match="name must not contain a path separator or NUL"):
         SuiteConfig(name=name)
 
@@ -612,6 +637,19 @@ def test_cli_rejects_a_name_that_cannot_prefix_a_file_before_running(tmp_path, c
     [line] = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line)["error"].startswith("name must not contain")
     assert not any(work.iterdir())
+
+
+def test_scenario_is_checked_when_it_is_built():
+    with pytest.raises(ValueError, match=r"warmup_hours must be < days \* 24"):
+        Scenario(days=1)
+    with pytest.raises(ValueError, match=r"warmup_hours must be < days \* 24"):
+        replace(Scenario(days=2), days=1)
+
+
+def test_suite_base_is_checked_with_the_suites_days(tmp_path):
+    cfg = suite_from_ini(_ini(tmp_path, "[suite]\ndays = 50\n"
+                                        "[scenario]\nwarmup_hours = 1000\n"))
+    assert (cfg.base.days, cfg.base.warmup_hours) == (50, 1000)
 
 
 def test_suite_from_ini_scenario_sections_set_the_base(tmp_path):
@@ -653,8 +691,7 @@ def test_cli_plots_the_heatmap_on_the_grid_of_the_runs_scenario(tmp_path, capsys
     (["run", "--seed", "-1"], None, "seed must be >= 0"),
     (["run"], "[cem]\nelite_fraction = inf\n", "elite_fraction must be in (0, 1]"),
     (["run"], "[cem]\nelite_fraction = -inf\n", "elite_fraction must be in (0, 1]"),
-    (["plot", "--kind", "temperature_trace", "--band-high", "inf"], None,
-     "t_max must be finite"),
+    (["plot", "--kind", "temperature_trace"], "[band]\nt_max = inf\n", "t_max must be finite"),
     (["suite", "--seed", "-1", "--days", "2"], None, "seed must be >= 0"),
     (["suite", "--days", "0"], None, "days must be >= 1"),
     (["run", "--agent", "rbc", "--days", "1"], None, "warmup_hours must be < days * 24"),

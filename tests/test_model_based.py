@@ -109,8 +109,8 @@ def test_exploration_rate_overflows_where_validate_expects():
         exploration_rate(cfg, 2)
     # three days after a 24 h warm-up hold two controlled day starts
     with pytest.raises(ValueError, match="overflows by day 2"):
-        Scenario(days=3, agent="mbrl", mbrl=cfg).validate()
-    Scenario(days=2, agent="mbrl", mbrl=cfg).validate()
+        Scenario(days=3, agent="mbrl", mbrl=cfg)
+    Scenario(days=2, agent="mbrl", mbrl=cfg)
 
 
 def test_train_skips_on_insufficient_samples():

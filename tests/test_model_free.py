@@ -127,7 +127,7 @@ def test_replay_ring_eviction_and_priority_floor():
         _add(mem, compute_priority(0.0, 0.0, 1e-3), a=i % 2)
     assert len(mem) == 2
     assert mem.rows(mem.a).tolist() == [1, 0]  # samples 3 and 4, oldest first
-    assert all(mem.priorities[:2] >= 1e-3)
+    assert all(mem.weights[:2] >= np.asarray(1e-3) ** 0.6)
     with pytest.raises(ValueError):
         _add(mem, 0.0)
 
@@ -192,7 +192,8 @@ def test_replay_rejects_non_finite_alpha_and_priorities():
             _add(mem, bad)
         with pytest.raises(ValueError, match="priority must be finite and > 0"):
             mem.update_priorities(np.array([0, 1]), np.array([1.0, bad]))
-    assert len(mem) == 2 and mem.priorities[:2].tolist() == [1.0, 2.0]
+    assert len(mem) == 2
+    assert np.array_equal(mem.weights, _filled([1.0, 2.0], alpha=0.6).weights)
 
 
 def test_config_rejects_non_positive_or_non_finite_learning_rate():
@@ -378,15 +379,21 @@ def test_observe_stores_with_td_priority():
     agent = _agent()
     agent.observe(S0, 0, -2.0, S1)
     assert len(agent.replay) == 1
-    assert agent.replay.priorities[0] >= agent.cfg.priority_offset
+    assert agent.replay.weights[0] >= _weight(agent, agent.cfg.priority_offset)
 
 
-def _expected_priority(agent, obs, action, reward, obs_next):
-    """The priority of a fresh forward on the current online network."""
+def _weight(agent, priority):
+    """The replay weight priority**alpha, with the replay's numpy power."""
+    return np.asarray(priority, dtype=float) ** agent.cfg.priority_alpha
+
+
+def _expected_weight(agent, obs, action, reward, obs_next):
+    """The replay weight of a fresh forward on the current online network."""
     q_sa = forward(agent.pair.online, agent.normalizer.apply(obs))[action]
     target = q_target(agent.normalizer.apply(obs_next[None, :]),
                       np.array([reward]), agent.pair)[0]
-    return compute_priority(float(target), float(q_sa), agent.cfg.priority_offset)
+    return _weight(agent, compute_priority(float(target), float(q_sa),
+                                           agent.cfg.priority_offset))
 
 
 def test_observe_after_act_scores_like_a_fresh_forward():
@@ -395,8 +402,7 @@ def test_observe_after_act_scores_like_a_fresh_forward():
     action = _act(agent, obs)
     agent.observe(obs, action, -1.0, obs_next)
     slot = len(agent.replay) - 1
-    assert agent.replay.priorities[slot] == _expected_priority(agent, obs, action, -1.0,
-                                                             obs_next)
+    assert agent.replay.weights[slot] == _expected_weight(agent, obs, action, -1.0, obs_next)
     assert np.array_equal(agent.replay.s[slot], obs)
     assert np.array_equal(agent.replay.s_next[slot], obs_next)
 
@@ -421,8 +427,7 @@ def test_observe_does_not_reuse_q_values_across_training(between, monkeypatch):
         agent.pair.online.biases[-1][...] += 1.0
     agent.observe(obs, 3, -1.0, obs_next)
     slot = len(agent.replay) - 1
-    expected = _expected_priority(agent, obs, 3, -1.0, obs_next)
-    assert agent.replay.priorities[slot] == expected
+    assert agent.replay.weights[slot] == _expected_weight(agent, obs, 3, -1.0, obs_next)
     fresh = forward(agent.pair.online, agent.normalizer.apply(obs))
     assert fresh[3] != stale[3]
 
@@ -452,19 +457,21 @@ def test_act_encodes_and_values_its_observation_afresh(monkeypatch):
 def test_mfrl_run_encodes_and_values_each_use(monkeypatch):
     # seed 7, 20 flat days, 456 controlled hours: each act encodes and
     # forwards its observation, each observe encodes both of its own and
-    # forwards the first, and each useful training cycle encodes its batch
-    # and its next states
+    # values its transition, and each useful training cycle encodes its batch
+    # and its next states and values the batch for the priority write-back
     scenario = Scenario(days=20, agent="mfrl", seed=7)
     traces = build_traces(scenario)
     forwards = _count_calls(monkeypatch, model_free, "forward")
     encodes = _count_calls(monkeypatch, ModelFreeAgent, "encode")
+    valuations = _count_calls(monkeypatch, model_free, "compute_priority")
     cycles = []
     cycle = ModelFreeAgent.train_cycle
     monkeypatch.setattr(ModelFreeAgent, "train_cycle",
                         lambda self: cycles.append(cycle(self)) or cycles[-1])
     simulate(scenario, "mfrl", *traces)
     assert sum(cycles) == 15 * scenario.mfrl.train_cycles_per_update
-    assert (len(forwards), len(encodes)) == (2 * 456, 3 * 456 + 2 * sum(cycles))
+    assert (len(forwards), len(encodes)) == (456, 3 * 456 + 2 * sum(cycles))
+    assert len(valuations) == 456 + sum(cycles)
 
 
 def test_act_after_the_normalizer_fit_encodes_afresh():
@@ -491,11 +498,11 @@ def test_train_cycle_updates_priorities_in_place():
     agent = _agent()
     for i in range(6):
         agent.observe(S0, 0, -float(i), S1)
-    priorities_before = agent.replay.priorities[:6].tolist()
+    weights_before = agent.replay.weights[:6].tolist()
     assert agent.train_cycle() is True
-    priorities_after = agent.replay.priorities[:6].tolist()
-    assert priorities_before != priorities_after
-    assert all(p >= agent.cfg.priority_offset for p in priorities_after)
+    weights_after = agent.replay.weights[:6].tolist()
+    assert weights_before != weights_after
+    assert all(w >= _weight(agent, agent.cfg.priority_offset) for w in weights_after)
 
 
 def test_toy_mdp_converges_to_value_iteration():

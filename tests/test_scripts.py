@@ -32,6 +32,14 @@ def test_learning_curve_file_equals_the_runs_model_mae_file(tmp_path, monkeypatc
     assert curve == Path(report.extra_paths["model_mae"]).read_bytes()
 
 
+def test_learning_curve_rejects_a_run_without_a_controlled_hour(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["model_learning_curve.py", "--days", "1", "--seeds", "0",
+                                      "--out", str(tmp_path / "curve")])
+    with pytest.raises(ValueError, match=r"warmup_hours must be < days \* 24"):
+        runpy.run_path(str(SCRIPTS / "model_learning_curve.py"), run_name="__main__")
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
 def test_scripts_import_only_public_names(script):
     tree = ast.parse((SCRIPTS / script).read_text(encoding="utf-8"))
