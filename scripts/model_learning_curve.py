@@ -21,11 +21,14 @@ def main():
     parser.add_argument("--out", default="results/model_curve")
     args = parser.parse_args()
 
+    for i, seed in enumerate(args.seeds):
+        if seed in args.seeds[:i]:
+            raise ValueError(f"--seeds names seed {seed} twice")
+    scenarios = [Scenario(days=args.days, agent="mbrl", seed=seed) for seed in args.seeds]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curves = {}
-    for seed in args.seeds:
-        scenario = Scenario(days=args.days, agent="mbrl", seed=seed)
+    for seed, scenario in zip(args.seeds, scenarios):
         _, agent = simulate(scenario, "mbrl", *build_traces(scenario))
         header, rows = agent.tables()["model_mae"]
         curves[seed] = dict(rows)

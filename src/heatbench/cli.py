@@ -6,9 +6,8 @@ import argparse
 import json
 import sys
 
-from .harness import (AGENT_KINDS, PLOT_KINDS, PRICE_KINDS, Scenario, SuiteConfig,
-                      emit_plot_data, run_scenario, run_suite, scenario_from_ini,
-                      suite_from_ini)
+from .harness import (AGENT_KINDS, PLOT_KINDS, PRICE_KINDS, emit_plot_data, run_scenario,
+                      run_suite, scenario_from_ini, suite_from_ini)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    """The Scenario/SuiteConfig fields set on the command line."""
+    """The Scenario fields, and a suite's name, set on the command line."""
     out = {k: getattr(args, k, None) for k in ("agent", "days", "seed", "name")}
     out = {k: v for k, v in out.items() if v is not None}
     if args.price:
@@ -52,10 +51,7 @@ def _overrides(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    overrides = _overrides(args)
-    scenario = (scenario_from_ini(args.scenario, overrides) if args.scenario
-                else Scenario(**overrides))
-    report = run_scenario(scenario, args.out)
+    report = run_scenario(scenario_from_ini(args.scenario, _overrides(args)), args.out)
     print(f"scenario {report.scenario_name}: agent={report.agent} "
           f"consumption={report.consumption_change_pct:+.2f}% "
           f"cost={report.cost_change_pct:+.2f}% "
@@ -66,9 +62,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    overrides = _overrides(args)
-    cfg = suite_from_ini(args.config, overrides) if args.config else SuiteConfig(**overrides)
-    rows = run_suite(cfg, args.out)
+    rows = run_suite(suite_from_ini(args.config, _overrides(args)), args.out)
     width = max(len(r["agent"]) for r in rows)
     print(f"{'agent':<{width}}  consumption%  cost%     comfort EUR  wall s  status")
     for r in rows:
@@ -83,7 +77,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    scenario = scenario_from_ini(args.scenario) if args.scenario else None
+    scenario = scenario_from_ini(args.scenario)
     print(f"wrote {emit_plot_data(args.log, args.kind, args.out, scenario)}")
     return 0
 

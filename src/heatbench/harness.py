@@ -13,7 +13,8 @@ determines every output byte.
 An INI file's schema, `INI_SECTIONS`, is derived from `Scenario`'s type
 hints: `[scenario]` sets its own fields, and each dataclass-typed field, at
 any depth, is set by the section named after it, so `[cem]` sets both
-`mpc.cem` and `mbrl.cem`; `[band]` sets `band_schedule`.
+`mpc.cem` and `mbrl.cem`; `[band]` sets `band_schedule`.  A suite file adds
+`[suite]`, whose `days`, `seed` and `price` win over `[scenario]`'s; flags win over both.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ PLOT_KINDS = ("temperature_trace", "action_histogram", "hourly_action_heatmap",
               "model_mae")
 # the columns of a run's metrics file and of a suite table; RunReport's field names
 _METRICS = ("consumption_change_pct", "cost_change_pct", "comfort_loss_eur")
-# the Scenario fields a suite sets on its base
+# the Scenario fields that a suite file's [suite] section also sets
 _SUITE_SHARED = ("days", "seed", "tariff_kind")
 
 
@@ -287,12 +288,9 @@ def _run_against(scenario: Scenario, out_dir, traces, baseline) -> RunReport:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Runs each of `agents` on `base`, which takes on the suite's days, seed and tariff_kind."""
+    """Runs each of `agents` on `base`, which holds the suite's days, seed and tariff_kind."""
 
     name: str = "suite"
-    days: int = ranged(30, "[1, inf)")
-    seed: int = ranged(0, "[0, inf)")
-    tariff_kind: str = ranged("flat", TARIFF_KINDS)
     agents: tuple[str, ...] = ranged(AGENT_KINDS, AGENT_KINDS)
     base: Scenario = field(default_factory=Scenario)
 
@@ -303,8 +301,6 @@ class SuiteConfig:
             raise ValueError("a suite needs at least one agent")
         if len(set(self.agents)) < len(self.agents):
             raise ValueError(f"suite agents {self.agents} name an agent twice")
-        object.__setattr__(self, "base", replace(
-            self.base, **{name: getattr(self, name) for name in _SUITE_SHARED}))
 
 
 def run_suite(cfg: SuiteConfig, out_dir) -> list[dict]:
@@ -410,6 +406,8 @@ _INI_FAULTS = {configparser.DuplicateOptionError: "a key repeats within its sect
 def _read_ini(path, sections) -> configparser.ConfigParser:
     """Parse an INI file whose sections must all be among `sections`; `%` reads as itself."""
     parser = configparser.ConfigParser(interpolation=None)
+    if path is None:
+        return parser
     with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
@@ -451,8 +449,9 @@ def _caster(tp):
     return None
 
 
-def _section(parser, section: str, cls) -> dict:
-    """Keyword arguments for dataclass `cls` from one INI section.
+def _section(parser, section: str, hints: dict) -> dict:
+    """Keyword arguments from one INI section for the fields of `hints`, a
+    name -> type map such as `typing.get_type_hints` of a dataclass.
 
     The keys are the names of the fields that one value can set, each cast
     to the field's annotated type.  The section's `_ALIASES` map further keys
@@ -460,12 +459,11 @@ def _section(parser, section: str, cls) -> dict:
     """
     aliases = _ALIASES.get(section, {})
     hidden = {name for name, _ in aliases.values()}
-    hints = typing.get_type_hints(cls)
     keys = {}
-    for f in dataclasses.fields(cls):
-        cast = _caster(hints[f.name])
-        if cast is not None and f.name not in hidden:
-            keys[f.name] = (f.name, cast)
+    for name, tp in hints.items():
+        cast = _caster(tp)
+        if cast is not None and name not in hidden:
+            keys[name] = (name, cast)
     keys.update(aliases)
     out = {}
     if parser.has_section(section):
@@ -522,7 +520,7 @@ INI_SECTIONS = _sections(Scenario, "scenario", {})
 
 
 def _band(parser) -> BandSchedule:
-    band = _section(parser, "band", ComfortBand)
+    band = _section(parser, "band", typing.get_type_hints(ComfortBand))
     if "phases" not in band:
         return BandSchedule.constant(ComfortBand(**band))
     if len(band) > 1:
@@ -533,26 +531,26 @@ def _band(parser) -> BandSchedule:
 def _config(parser, cls, section: str, overrides: dict | None = None):
     """`cls` from its section, each config field under it built from that
     field's own section in turn; `overrides` wins over the file."""
-    kwargs = _section(parser, section, cls)
+    kwargs = _section(parser, section, typing.get_type_hints(cls))
     for name, sub, tp in _config_fields(cls):
         kwargs[name] = _band(parser) if sub == "band" else _config(parser, tp, sub)
     return cls(**{**kwargs, **(overrides or {})})
 
 
-def scenario_from_ini(path, overrides: dict | None = None) -> Scenario:
-    """Build a Scenario from an INI file whose sections are among INI_SECTIONS
-    (see the module docstring); `overrides` wins over file values."""
+def scenario_from_ini(path=None, overrides: dict | None = None) -> Scenario:
+    """Build a Scenario from an INI file (None reads as an empty one) whose sections
+    are among INI_SECTIONS (see the module docstring); `overrides` wins over the file."""
     return _config(_read_ini(path, INI_SECTIONS), Scenario, "scenario", overrides)
 
 
-def suite_from_ini(path, overrides: dict | None = None) -> SuiteConfig:
-    """Build a SuiteConfig from the `[suite]` section of an INI file; the
-    sections of a scenario file (see scenario_from_ini) there make the base
-    scenario of every run.  Any other section is rejected."""
+def suite_from_ini(path=None, overrides: dict | None = None) -> SuiteConfig:
+    """Build a SuiteConfig from the `[suite]` section of an INI file (None reads as an
+    empty one); the sections of a scenario file (see scenario_from_ini) there make
+    the base scenario of every run, and any other section is rejected.  `[suite]`
+    also sets the base's _SUITE_SHARED fields over `[scenario]`; `overrides` wins."""
     parser = _read_ini(path, ("suite", *INI_SECTIONS))
-    head = {**_section(parser, "suite", SuiteConfig), **(overrides or {})}
-    if INI_SECTIONS.keys() & parser.sections():
-        # a Scenario is checked when built, so the base is built with the suite's values
-        shared = {name: head.get(name, getattr(SuiteConfig, name)) for name in _SUITE_SHARED}
-        head["base"] = _config(parser, Scenario, "scenario", shared)
-    return SuiteConfig(**head)
+    hints = typing.get_type_hints(Scenario)
+    keys = {**typing.get_type_hints(SuiteConfig), **{n: hints[n] for n in _SUITE_SHARED}}
+    head = {**_section(parser, "suite", keys), **(overrides or {})}
+    shared = {name: head.pop(name) for name in _SUITE_SHARED if name in head}
+    return SuiteConfig(**head, base=_config(parser, Scenario, "scenario", shared))

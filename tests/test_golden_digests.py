@@ -56,7 +56,7 @@ CASES = {s.name: s for s in (
              band_schedule=BandSchedule(((0, ComfortBand(19.0, 23.0)),
                                          (48, ComfortBand(21.0, 25.0))))),
     Scenario(name="mbrl_backup", days=6, agent="mbrl", seed=2, backup_enabled=True),
-    SuiteConfig(name="suite_all4", days=3, seed=4),
+    SuiteConfig(name="suite_all4", base=Scenario(days=3, seed=4)),
 )}
 
 

@@ -6,7 +6,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,8 @@ def test_run_scenario_mpc_smoke_row_count(tmp_path):
 
 @pytest.mark.parametrize("run, cfg", [
     (run_scenario, Scenario(name="det", days=4, agent="mfrl", seed=5)),
-    (run_suite, SuiteConfig(name="twice", days=3, seed=4)),  # its table holds no wall clock
+    # a suite's table holds no wall clock
+    (run_suite, SuiteConfig(name="twice", base=Scenario(days=3, seed=4))),
 ], ids=["scenario", "suite"])
 def test_run_writes_the_same_bytes_on_every_run(tmp_path, run, cfg):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -78,8 +79,8 @@ def test_run_scenario_validates_before_simulating(tmp_path):
 
 
 def test_suite_runs_all_agents_on_shared_traces(tmp_path):
-    rows = run_suite(SuiteConfig(name="mini", days=3, seed=0,
-                                 agents=("rbc", "mpc")), tmp_path)
+    rows = run_suite(SuiteConfig(name="mini", agents=("rbc", "mpc"),
+                                 base=Scenario(days=3, seed=0)), tmp_path)
     assert [r["agent"] for r in rows] == ["rbc", "mpc"]
     assert all(r["status"] == "ok" for r in rows)
     rbc_row = rows[0]
@@ -95,12 +96,12 @@ def test_suite_runs_all_agents_on_shared_traces(tmp_path):
 
 
 def test_suite_single_agent(tmp_path):
-    rows = run_suite(SuiteConfig(name="one", days=2, agents=("rbc",)), tmp_path)
+    rows = run_suite(SuiteConfig(name="one", agents=("rbc",), base=Scenario(days=2)), tmp_path)
     assert len(rows) == 1
 
 
 def test_suite_four_agent_table_shape(tmp_path):
-    rows = run_suite(SuiteConfig(name="all4", days=3, seed=1), tmp_path)
+    rows = run_suite(SuiteConfig(name="all4", base=Scenario(days=3, seed=1)), tmp_path)
     assert [r["agent"] for r in rows] == ["rbc", "mpc", "mbrl", "mfrl"]
     assert rows[0]["consumption_change_pct"] == 0.0
     assert rows[0]["cost_change_pct"] == 0.0
@@ -110,8 +111,8 @@ def test_suite_four_agent_table_shape(tmp_path):
 
 def test_suite_records_partial_failure(tmp_path):
     # the base fails with a message that contains a comma
-    base = Scenario(ambient_csv="/nonexistent, file.csv")
-    rows = run_suite(SuiteConfig(name="broken", days=2, agents=("rbc", "mpc"), base=base),
+    base = Scenario(days=2, ambient_csv="/nonexistent, file.csv")
+    rows = run_suite(SuiteConfig(name="broken", agents=("rbc", "mpc"), base=base),
                      tmp_path)
     assert all(r["status"].startswith("error") for r in rows)
     with open(tmp_path / "broken_table.csv", newline="", encoding="utf-8") as fh:
@@ -122,7 +123,7 @@ def test_suite_records_partial_failure(tmp_path):
 
 def test_suite_rejects_an_invalid_base_at_entry(tmp_path, capsys):
     with pytest.raises(ValueError, match="warmup_hours"):
-        SuiteConfig(days=2, base=Scenario(warmup_hours=400))
+        SuiteConfig(base=Scenario(days=2, warmup_hours=400))
     out = tmp_path / "never"
     assert cli_main(["suite", "--days", "1", "--out", str(out)]) == 2
     assert "warmup_hours" in json.loads(capsys.readouterr().err.strip())["error"]
@@ -134,7 +135,8 @@ def test_suite_error_row_names_the_exception_type(tmp_path, monkeypatch):
         raise ValueError("no action")
 
     monkeypatch.setattr(ModelFreeAgent, "act", failing_act)
-    rows = run_suite(SuiteConfig(name="fail", days=2, agents=("rbc", "mfrl")), tmp_path)
+    rows = run_suite(SuiteConfig(name="fail", agents=("rbc", "mfrl"), base=Scenario(days=2)),
+                     tmp_path)
     assert [r["status"] for r in rows] == ["ok", "error: ValueError: no action"]
     with open(tmp_path / "fail_table.csv", newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh))[2][-1] == "error: ValueError: no action"
@@ -148,17 +150,16 @@ def test_suite_simulates_the_rbc_baseline_once(tmp_path, monkeypatch):
         return simulate(scenario, agent_kind, trace, tariff)
 
     monkeypatch.setattr(harness, "simulate", counting_simulate)
-    rows = run_suite(SuiteConfig(name="once", days=2, seed=1), tmp_path)
+    rows = run_suite(SuiteConfig(name="once", base=Scenario(days=2, seed=1)), tmp_path)
     assert [r["status"] for r in rows] == ["ok"] * 4
     assert kinds == {"rbc": 1, "mpc": 1, "mbrl": 1, "mfrl": 1}
 
 
 def test_suite_files_equal_those_of_lone_runs(tmp_path):
-    cfg = SuiteConfig(name="same", days=2, seed=3, tariff_kind="dual")
+    cfg = SuiteConfig(name="same", base=Scenario(days=2, seed=3, tariff_kind="dual"))
     run_suite(cfg, tmp_path / "suite")
     for agent in cfg.agents:
-        scenario = replace(cfg.base, name=f"same_{agent}", agent=agent, days=cfg.days,
-                           seed=cfg.seed, tariff_kind=cfg.tariff_kind)
+        scenario = replace(cfg.base, name=f"same_{agent}", agent=agent)
         run_scenario(scenario, tmp_path / agent)
         names = sorted(p.name for p in (tmp_path / agent).iterdir())
         _, differ, missing = filecmp.cmpfiles(tmp_path / agent, tmp_path / "suite", names,
@@ -170,7 +171,7 @@ def test_suite_files_equal_those_of_lone_runs(tmp_path):
 def test_suite_convergence_cell_is_the_hours_before_the_estimated_day(tmp_path, monkeypatch,
                                                                       day, cell):
     monkeypatch.setattr(harness, "estimate_convergence", lambda log: day)
-    [row] = run_suite(SuiteConfig(name="conv", days=8, agents=("rbc",)), tmp_path)
+    [row] = run_suite(SuiteConfig(name="conv", agents=("rbc",), base=Scenario(days=8)), tmp_path)
     assert row["convergence_hours"] == ("" if day is None else int(cell))
     with open(tmp_path / "conv_table.csv", newline="", encoding="utf-8") as fh:
         table = list(csv.DictReader(fh))
@@ -582,7 +583,7 @@ def test_suite_from_ini(tmp_path):
                     "agents = rbc,mpc\n", encoding="utf-8")
     cfg = suite_from_ini(path)
     assert cfg.name == "table"
-    assert cfg.tariff_kind == "dual"
+    assert cfg.base.tariff_kind == "dual"
     assert cfg.agents == ("rbc", "mpc")
 
     with pytest.raises(ValueError, match="agents must be one of"):
@@ -657,6 +658,83 @@ def test_suite_from_ini_scenario_sections_set_the_base(tmp_path):
                                         "[mfrl]\ngamma = 0.5\n"))
     assert cfg.base.mfrl.gamma == 0.5
     assert (cfg.base.days, cfg.base.seed) == (2, 4)
+
+
+def test_suite_config_keeps_days_seed_and_tariff_only_in_its_base():
+    assert [f.name for f in fields(SuiteConfig)] == ["name", "agents", "base"]
+
+
+def test_suite_from_ini_scenario_section_sets_days_seed_and_price(tmp_path):
+    cfg = suite_from_ini(_ini(tmp_path, "[scenario]\ndays = 2\nseed = 9\nprice = dual\n"
+                                        "[suite]\nagents = rbc\n"))
+    assert (cfg.base.days, cfg.base.seed, cfg.base.tariff_kind) == (2, 9, "dual")
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({}, (4, 5, "real_time")),
+    ({"days": 3, "seed": 6, "tariff_kind": "flat"}, (3, 6, "flat")),
+], ids=["suite-over-scenario", "flags-over-both"])
+def test_suite_keys_win_over_scenario_keys_and_flags_over_both(tmp_path, overrides, expected):
+    cfg = suite_from_ini(_ini(tmp_path, "[suite]\ndays = 4\nseed = 5\nprice = rtp\n"
+                                        "[scenario]\ndays = 150\nseed = 9\nprice = dual\n"),
+                         overrides)
+    assert (cfg.base.days, cfg.base.seed, cfg.base.tariff_kind) == expected
+
+
+@pytest.mark.parametrize("ini, flags, hours, scenario", [
+    ("[scenario]\ndays = 2\nseed = 9\nprice = dual\n[suite]\nagents = rbc\n", [], 48,
+     Scenario(days=2, seed=9, tariff_kind="dual")),
+    ("[suite]\nagents = rbc\ndays = 4\n[scenario]\ndays = 150\nprice = dual\n",
+     ["--days", "3", "--price", "flat"], 72, Scenario(days=3, tariff_kind="flat")),
+], ids=["scenario-section", "flags"])
+def test_cli_suite_runs_the_files_days_seed_and_price(tmp_path, capsys, ini, flags, hours,
+                                                      scenario):
+    out = tmp_path / "out"
+    assert cli_main(["suite", "--config", str(_ini(tmp_path, ini)), *flags,
+                     "--out", str(out)]) == 0
+    log = EpisodeLog.read_csv(out / "suite_rbc_rbc.csv")
+    assert len(log) == hours
+    assert log.steps.price.tolist() == build_traces(scenario)[1].tolist()
+
+
+class _Built(Exception):
+    """Raised in place of a run, once the command has built its config."""
+
+
+@pytest.mark.parametrize("command, runner, flags, expected", [
+    ("run", "run_scenario", [], Scenario()),
+    ("run", "run_scenario",
+     ["--agent", "mpc", "--days", "3", "--seed", "2", "--price", "dual", "--name", "x"],
+     Scenario(name="x", agent="mpc", days=3, seed=2, tariff_kind="dual")),
+    ("suite", "run_suite", [], SuiteConfig()),
+    ("suite", "run_suite", ["--days", "3", "--seed", "2", "--price", "rtp", "--name", "x"],
+     SuiteConfig(name="x", base=Scenario(days=3, seed=2, tariff_kind="real_time"))),
+], ids=["run-defaults", "run-flags", "suite-defaults", "suite-flags"])
+def test_cli_without_a_file_builds_the_config_of_its_flags(tmp_path, monkeypatch, command,
+                                                           runner, flags, expected):
+    built = []
+
+    def capture(cfg, out_dir):
+        built.append(cfg)
+        raise _Built
+
+    monkeypatch.setattr(f"heatbench.cli.{runner}", capture)
+    with pytest.raises(_Built):
+        cli_main([command, *flags, "--out", str(tmp_path / "out")])
+    assert built == [expected]
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "days must be >= 1, got 0"),
+    ("x", "[suite] days: invalid literal for int() with base 10: 'x'"),
+], ids=["zero", "not-a-number"])
+def test_cli_suite_rejects_a_bad_suite_days_before_writing(tmp_path, capsys, value, message):
+    out = tmp_path / "out"
+    path = _ini(tmp_path, f"[suite]\ndays = {value}\nagents = rbc\n")
+    assert cli_main(["suite", "--config", str(path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == message
+    assert not out.exists()
 
 
 def test_cli_run_and_plot(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -38,6 +39,22 @@ def test_learning_curve_rejects_a_run_without_a_controlled_hour(tmp_path, monkey
     with pytest.raises(ValueError, match=r"warmup_hours must be < days \* 24"):
         runpy.run_path(str(SCRIPTS / "model_learning_curve.py"), run_name="__main__")
     assert list(tmp_path.rglob("*.csv")) == []
+    assert not (tmp_path / "curve").exists()
+
+
+@pytest.mark.parametrize("seeds, message", [
+    (["0", "-1"], "seed must be >= 0"),
+    (["0", "0"], "--seeds names seed 0 twice"),
+    (["1", "2", "1"], "--seeds names seed 1 twice"),
+], ids=["negative", "repeated", "repeated-apart"])
+def test_learning_curve_checks_every_seed_before_writing(tmp_path, monkeypatch, seeds,
+                                                         message):
+    out = tmp_path / "curve"
+    monkeypatch.setattr(sys, "argv", ["model_learning_curve.py", "--days", "2", "--seeds",
+                                      *seeds, "--out", str(out)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        runpy.run_path(str(SCRIPTS / "model_learning_curve.py"), run_name="__main__")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
