@@ -8,7 +8,7 @@ dynamics is the upper bound they can at best approach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class RbcController(Controller):
 class MpcConfig:
     planner: str = ranged("cem", ("cem", "ga", "exhaustive"))
     horizon: int = ranged(24, "[1, inf)")
-    warm_start: bool = True
-    cem: CemConfig = field(default_factory=CemConfig)
-    ga: GaConfig = field(default_factory=GaConfig)
 
     def __post_init__(self):
         check_ranges(self)
@@ -80,10 +77,11 @@ class MpcController(Controller):
     """
 
     def __init__(self, params: BuildingParams, grid: ActionGrid, config: MpcConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, *, cem: CemConfig, ga: GaConfig):
         self.params = params
         self.grid = grid
         self.config = config
+        self.cem, self.ga = cem, ga
         self._rng = rng
         self._previous: tuple[int, ...] | None = None
 
@@ -95,13 +93,13 @@ class MpcController(Controller):
             raise ValueError("no lookahead left to plan over")
         model = ExactDynamicsModel(self.params, state)
 
-        seed_seq = None
-        if self.config.warm_start and self._previous is not None:
-            shifted = self._previous[1:] + (0,)
-            seed_seq = shifted[:horizon] + (0,) * max(0, horizon - len(shifted))
+        seed_seq = None  # the previous plan, shifted one hour and padded with idle hours
+        if self._previous is not None:
+            seed_seq = (self._previous[1:] + (0,) * horizon)[:horizon]
 
-        self._previous = plan(self.config, model, obs, horizon, self.grid, tariff_window,
-                              ambient_window, band, self._rng, seed_seq).actions
+        self._previous = plan(self.config.planner, self.cem, self.ga, model, obs, horizon,
+                              self.grid, tariff_window, ambient_window, band, self._rng,
+                              seed_seq).actions
         return self._previous[0]
 
     def act(self, t, state, obs, prices, ambient, band) -> int:

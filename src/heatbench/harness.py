@@ -10,11 +10,12 @@ hour's grid index and `observe` for the hour's transition.  All
 randomness derives from the scenario seed, so a (scenario, seed) pair
 determines every output byte.
 
-An INI file's schema, `INI_SECTIONS`, is derived from `Scenario`'s type
-hints: `[scenario]` sets its own fields, and each dataclass-typed field, at
-any depth, is set by the section named after it, so `[cem]` sets both
-`mpc.cem` and `mbrl.cem`; `[band]` sets `band_schedule`.  A suite file adds
-`[suite]`, whose `days`, `seed` and `price` win over `[scenario]`'s; flags win over both.
+An INI file's schema, `INI_SECTIONS`, is derived from `Scenario`'s type hints:
+`[scenario]` sets its own fields and each dataclass-typed field is set by the
+section named after it (`[band]` sets `band_schedule`), so `[cem]` and `[ga]`
+set the one copy of the planner settings that MPC and MB-RL share.  A suite
+file adds `[suite]`: its `days`, `seed` and `price` win over `[scenario]`'s, and
+it alone sets `agents` and `name`; flags win over both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .mdp import (EPISODE_DTYPE, TARIFF_KINDS, ActionGrid, BandSchedule, Comfort
                   write_rows)
 from .model_based import MAE_CSV_HEADER, MbrlConfig, ModelBasedAgent, exploration_rate
 from .model_free import MfrlConfig, ModelFreeAgent
-from .planners import EXHAUSTIVE_CAP
+from .planners import EXHAUSTIVE_CAP, CemConfig, GaConfig
 from .ranges import check_ranges, declared, inside, ranged
 
 __all__ = [
@@ -85,8 +86,8 @@ class Scenario:
     tariff: TariffConfig = field(default_factory=TariffConfig)
     band_schedule: BandSchedule = field(default_factory=BandSchedule.constant)
     backup_enabled: bool = False
-    backup_low_trip: float | None = None
-    backup_high_trip: float | None = None
+    backup_low_trip: float | None = ranged(None, "(-inf, inf)")
+    backup_high_trip: float | None = ranged(None, "(-inf, inf)")
     warmup_hours: int = ranged(24, "[0, inf)")
     initial_temp_c: float = ranged(21.0, declared(AmbientGenParams, "mean_c"))
     building: BuildingParams = field(default_factory=BuildingParams)
@@ -96,6 +97,8 @@ class Scenario:
     history_length: int = ranged(3, "[0, inf)")
     rbc: RbcConfig = field(default_factory=RbcConfig)
     mpc: MpcConfig = field(default_factory=MpcConfig)
+    cem: CemConfig = field(default_factory=CemConfig)  # the planner settings of MPC and MB-RL
+    ga: GaConfig = field(default_factory=GaConfig)
     mbrl: MbrlConfig = field(default_factory=MbrlConfig)
     mfrl: MfrlConfig = field(default_factory=MfrlConfig)
 
@@ -130,6 +133,9 @@ class Scenario:
         band0 = self.band_schedule.band_at(0)
         low = self.backup_low_trip if self.backup_low_trip is not None else band0.t_min
         high = self.backup_high_trip if self.backup_high_trip is not None else band0.t_max
+        if not low < high:
+            raise ValueError(f"backup_low_trip {low!r} must be below backup_high_trip {high!r}; "
+                             "an unset trip is the band's t_min/t_max at hour 0")
         return BackupConfig(self.backup_enabled, low, high)
 
 
@@ -195,9 +201,10 @@ def simulate(scenario: Scenario, agent_kind: str, ambient,
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(3)[2])
     controllers = {
         "rbc": lambda: RbcController(scenario.rbc, grid),
-        "mpc": lambda: MpcController(scenario.building, grid, scenario.mpc, rng),
+        "mpc": lambda: MpcController(scenario.building, grid, scenario.mpc, rng,
+                                     cem=scenario.cem, ga=scenario.ga),
         "mbrl": lambda: ModelBasedAgent(scenario.mbrl, grid, rng, seed=scenario.seed,
-                                        history_length=n),
+                                        history_length=n, cem=scenario.cem, ga=scenario.ga),
         "mfrl": lambda: ModelFreeAgent(scenario.mfrl, grid, rng, seed=scenario.seed,
                                        history_length=n),
     }
@@ -498,25 +505,13 @@ _ALIASES = {"suite": _PRICE_ALIAS,
             "band": {"phases": ("phases", _parse_band_phases)}}
 
 
-def _config_fields(cls):
-    """(field, section, dataclass) of each config field of `cls`; [band] sets
-    band_schedule from ComfortBand's fields or a `phases` schedule."""
-    for name, tp in typing.get_type_hints(cls).items():
-        if tp is BandSchedule:
-            yield name, "band", ComfortBand
-        elif dataclasses.is_dataclass(tp):
-            yield name, name, tp
-
-
-def _sections(cls, section: str, table: dict) -> dict:
-    table[section] = cls
-    for _, sub, tp in _config_fields(cls):
-        _sections(tp, sub, table)
-    return table
-
-
+# each config field of Scenario -> (its section, the dataclass that section sets);
+# [band] sets band_schedule from ComfortBand's fields or a `phases` schedule
+_CONFIG_FIELDS = {name: ("band", ComfortBand) if tp is BandSchedule else (name, tp)
+                  for name, tp in typing.get_type_hints(Scenario).items()
+                  if dataclasses.is_dataclass(tp)}
 # each section of a scenario INI file -> the dataclass whose fields it sets
-INI_SECTIONS = _sections(Scenario, "scenario", {})
+INI_SECTIONS = {"scenario": Scenario, **dict(_CONFIG_FIELDS.values())}
 
 
 def _band(parser) -> BandSchedule:
@@ -528,19 +523,20 @@ def _band(parser) -> BandSchedule:
     return band["phases"]
 
 
-def _config(parser, cls, section: str, overrides: dict | None = None):
-    """`cls` from its section, each config field under it built from that
-    field's own section in turn; `overrides` wins over the file."""
-    kwargs = _section(parser, section, typing.get_type_hints(cls))
-    for name, sub, tp in _config_fields(cls):
-        kwargs[name] = _band(parser) if sub == "band" else _config(parser, tp, sub)
-    return cls(**{**kwargs, **(overrides or {})})
+def _scenario(parser, overrides: dict | None = None) -> Scenario:
+    """The Scenario of `[scenario]`, each config field built from its own
+    section; `overrides` wins over the file."""
+    kwargs = _section(parser, "scenario", typing.get_type_hints(Scenario))
+    for name, (section, cls) in _CONFIG_FIELDS.items():
+        kwargs[name] = (_band(parser) if section == "band"
+                        else cls(**_section(parser, section, typing.get_type_hints(cls))))
+    return Scenario(**{**kwargs, **(overrides or {})})
 
 
 def scenario_from_ini(path=None, overrides: dict | None = None) -> Scenario:
     """Build a Scenario from an INI file (None reads as an empty one) whose sections
     are among INI_SECTIONS (see the module docstring); `overrides` wins over the file."""
-    return _config(_read_ini(path, INI_SECTIONS), Scenario, "scenario", overrides)
+    return _scenario(_read_ini(path, INI_SECTIONS), overrides)
 
 
 def suite_from_ini(path=None, overrides: dict | None = None) -> SuiteConfig:
@@ -549,8 +545,11 @@ def suite_from_ini(path=None, overrides: dict | None = None) -> SuiteConfig:
     the base scenario of every run, and any other section is rejected.  `[suite]`
     also sets the base's _SUITE_SHARED fields over `[scenario]`; `overrides` wins."""
     parser = _read_ini(path, ("suite", *INI_SECTIONS))
+    for key, instead in (("agent", "agents"), ("name", "name")):
+        if parser.has_option("scenario", key):
+            raise ValueError(f"a suite file's [scenario] takes no {key}; set [suite] {instead}")
     hints = typing.get_type_hints(Scenario)
     keys = {**typing.get_type_hints(SuiteConfig), **{n: hints[n] for n in _SUITE_SHARED}}
     head = {**_section(parser, "suite", keys), **(overrides or {})}
     shared = {name: head.pop(name) for name in _SUITE_SHARED if name in head}
-    return SuiteConfig(**head, base=_config(parser, Scenario, "scenario", shared))
+    return SuiteConfig(**head, base=_scenario(parser, shared))

@@ -9,7 +9,7 @@ Exploration decays harmonically over days, eps(d) = eps0 / d**x (`exploration_ra
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +90,6 @@ class MbrlConfig:
     min_train_samples: int = ranged(24, "[2, inf)")
     holdout_fraction: float = ranged(0.2, "(0, 1)")
     planner: str = ranged("cem", ("cem", "ga"))
-    cem: CemConfig = field(default_factory=CemConfig)
-    ga: GaConfig = field(default_factory=GaConfig)
 
     def __post_init__(self):
         check_ranges(self)
@@ -228,9 +226,10 @@ class ModelBasedAgent(Controller):
     the model and plans the next day on a `LearnedDynamicsModel` of it.
     """
 
-    def __init__(self, cfg: MbrlConfig, grid: ActionGrid,
-                 rng: np.random.Generator, seed: int = 0, *, history_length: int):
+    def __init__(self, cfg: MbrlConfig, grid: ActionGrid, rng: np.random.Generator,
+                 seed: int = 0, *, history_length: int, cem: CemConfig, ga: GaConfig):
         self.cfg = cfg
+        self.cem, self.ga = cem, ga
         self.grid = grid
         self.memory = SampleMemory(cfg.memory_capacity)
         self.day = 0  # daily updates so far
@@ -256,8 +255,8 @@ class ModelBasedAgent(Controller):
                                                  self.grid, self.cfg, self._rng)
         if mae is not None:
             self.mae_history.append((self.day, mae))
-        actions = plan(self.cfg, LearnedDynamicsModel(self.model), obs, min(24, len(prices)),
-                       self.grid, prices, ambient, band, self._rng).actions
+        actions = plan(self.cfg.planner, self.cem, self.ga, LearnedDynamicsModel(self.model), obs,
+                       min(24, len(prices)), self.grid, prices, ambient, band, self._rng).actions
         self._plan = actions + (0,) * max(0, 24 - len(actions))
 
     def tables(self) -> dict:

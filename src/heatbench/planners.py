@@ -324,12 +324,12 @@ def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
     return tracker.plan()
 
 
-def plan(config, model: DynamicsModel, start: np.ndarray, horizon: int, grid: ActionGrid,
-         tariff_window, ambient_window, band: ComfortBand, rng: np.random.Generator,
-         seed_sequence=None) -> Plan:
-    """Plan with `config.planner` ("cem", "ga" or "exhaustive") and `config.cem`/`config.ga`."""
-    if config.planner == "exhaustive":
+def plan(planner: str, cem: CemConfig, ga: GaConfig, model: DynamicsModel, start: np.ndarray,
+         horizon: int, grid: ActionGrid, tariff_window, ambient_window, band: ComfortBand,
+         rng: np.random.Generator, seed_sequence=None) -> Plan:
+    """Plan with `planner` ("cem", "ga" or "exhaustive"); CEM reads `cem`, GA reads `ga`."""
+    if planner == "exhaustive":
         return plan_exhaustive(model, start, horizon, grid, tariff_window, ambient_window, band)
-    planner, settings = (plan_cem, config.cem) if config.planner == "cem" else (plan_ga, config.ga)
-    return planner(model, start, horizon, grid, tariff_window, ambient_window, band, settings,
-                   rng, seed_sequence)
+    search, settings = (plan_cem, cem) if planner == "cem" else (plan_ga, ga)
+    return search(model, start, horizon, grid, tariff_window, ambient_window, band, settings,
+                  rng, seed_sequence)

@@ -25,11 +25,12 @@ def inside(value, allowed):
 
 
 def check_ranges(obj) -> None:
-    """Raise ValueError naming the first field of `obj` outside its range, and its value."""
+    """Raise ValueError naming the first field of `obj` outside its range, and its value;
+    a field holding None is unset and passes."""
     for f in dataclasses.fields(obj):
         allowed, value = f.metadata.get("allowed"), getattr(obj, f.name)
         values = value if isinstance(value, tuple) else (value,)
-        if allowed is None or all(inside(v, allowed) for v in values):
+        if allowed is None or value is None or all(inside(v, allowed) for v in values):
             continue
         if isinstance(allowed, tuple):
             must = f"one of {allowed}"

@@ -317,7 +317,8 @@ def test_criterion_10_relative_compute_ordering():
     act_seconds = (time.perf_counter() - t0) / n_act
 
     # an empty memory skips training: each daily update is one plan of the day
-    mb = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0), history_length=3)
+    mb = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(0), history_length=3,
+                         cem=CemConfig(), ga=GaConfig())
     n_plan = 5
     t0 = time.perf_counter()
     for _ in range(n_plan):

@@ -7,6 +7,7 @@ from heatbench.baselines import MpcConfig, MpcController, RbcConfig, rbc_action
 from heatbench.emulator import BuildingParams, BuildingState, step
 from heatbench.harness import Scenario, build_traces, simulate
 from heatbench.mdp import ActionGrid, ComfortBand, encode_state, log_metrics
+from heatbench.planners import CemConfig, GaConfig
 
 PARAMS = BuildingParams()
 GRID = ActionGrid()
@@ -54,7 +55,7 @@ def test_rbc_undershoot_regression_bound():
 
 def _controller(planner="exhaustive", horizon=3):
     return MpcController(PARAMS, GRID, MpcConfig(planner=planner, horizon=horizon),
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), cem=CemConfig(), ga=GaConfig())
 
 
 def test_mpc_idles_when_warm_and_mild():

@@ -22,8 +22,12 @@ CONFIGS = (*INI_SECTIONS.values(), BackupConfig, QPair, SuiteConfig, MlpSpec)
 
 
 def _numeric_fields(cls):
-    """(name, number type, is a tuple of them) of each int or float field."""
+    """(name, number type, is a tuple of them) of each int or float field, or of
+    such a field that may also be None."""
     for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if len(args) == 2 and type(None) in args:  # X | None: X's values
+            hint = next(a for a in args if a is not type(None))
         is_tuple = typing.get_origin(hint) is tuple
         kind = typing.get_args(hint)[0] if is_tuple else hint
         if kind in (int, float):

@@ -6,13 +6,14 @@ import json
 import math
 import operator
 import re
-from dataclasses import fields, replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatbench import harness
+from heatbench import baselines, harness, model_based, planners
 from heatbench.cli import main as cli_main
 from heatbench.harness import (AGENT_KINDS, INI_SECTIONS, Scenario, SuiteConfig, build_traces,
                                emit_plot_data, estimate_convergence, run_scenario, run_suite,
@@ -22,7 +23,7 @@ from heatbench.mdp import ActionGrid, BandSchedule, ComfortBand, EpisodeLog
 from heatbench.baselines import MpcConfig
 from heatbench.model_based import MbrlConfig
 from heatbench.model_free import MfrlConfig, ModelFreeAgent
-from heatbench.planners import CemConfig
+from heatbench.planners import CemConfig, GaConfig
 
 
 def test_run_scenario_rbc_self_metrics(tmp_path):
@@ -393,7 +394,7 @@ def test_scenario_from_ini(tmp_path):
     assert scenario.tariff.day_price == 0.30
     assert scenario.building.cop == 2.5
     assert scenario.band_schedule.band_at(0) == ComfortBand(20.0, 24.0)
-    assert scenario.mpc.cem.population == 32
+    assert scenario.cem.population == 32
 
     overridden = scenario_from_ini(path, {"agent": "mpc", "days": 2, "seed": 1})
     assert overridden.agent == "mpc" and overridden.days == 2 and overridden.seed == 1
@@ -441,11 +442,49 @@ def test_scenario_from_ini_round_trips_every_default(tmp_path):
     assert scenario_from_ini(_ini(tmp_path, text)) == Scenario()
 
 
-def test_a_section_sets_the_config_field_of_its_name_wherever_it_occurs(tmp_path):
+def test_a_section_sets_the_config_field_of_its_name(tmp_path):
     scenario = scenario_from_ini(_ini(tmp_path, "[grid]\nlevels_w = 0, 500, 1000\n"
                                                 "[cem]\npopulation = 16\n"))
     assert scenario.grid == ActionGrid((0.0, 500.0, 1000.0))
-    assert scenario.mpc.cem == scenario.mbrl.cem == CemConfig(population=16)
+    assert scenario.cem == CemConfig(population=16)
+
+
+def _dataclass_fields(cls):
+    """The dataclass types of the fields of `cls`, and of theirs, at any depth."""
+    for tp in typing.get_type_hints(cls).values():
+        if is_dataclass(tp):
+            yield tp
+            yield from _dataclass_fields(tp)
+
+
+def test_ini_sections_are_one_level_deep_and_hold_one_copy_of_the_planner_settings():
+    for cls in INI_SECTIONS.values():
+        if cls is not Scenario:
+            assert not list(_dataclass_fields(cls)), cls.__name__
+    found = collections.Counter(_dataclass_fields(Scenario))
+    assert found[CemConfig] == found[GaConfig] == 1
+
+
+@pytest.mark.parametrize("agent, planner", [
+    ("mpc", "cem"), ("mpc", "ga"), ("mbrl", "cem"), ("mbrl", "ga")])
+def test_both_planning_agents_plan_with_the_scenarios_cem_and_ga(monkeypatch, agent,
+                                                                  planner):
+    scenario = Scenario(days=2, agent=agent, seed=3, mpc=MpcConfig(planner=planner, horizon=4),
+                        mbrl=MbrlConfig(planner=planner),
+                        cem=CemConfig(population=16, iterations=3),
+                        ga=GaConfig(population=8, generations=2))
+    calls = []
+
+    def recording(*args):
+        calls.append(args[:3])
+        return planners.plan(*args)
+
+    for module in (baselines, model_based):
+        monkeypatch.setattr(module, "plan", recording)
+    simulate(scenario, agent, *build_traces(scenario))
+    assert len(calls) == {"mpc": 24, "mbrl": 1}[agent]
+    for name, cem, ga in calls:
+        assert name == planner and cem is scenario.cem and ga is scenario.ga
 
 
 @pytest.mark.parametrize("raw", ["a%b", "a%%b", "%(days)s"])
@@ -454,9 +493,9 @@ def test_scenario_from_ini_reads_a_percent_sign_as_itself(tmp_path, raw):
 
 
 @pytest.mark.parametrize("section, key, raw, field, value", [
-    ("cem", "seed_bias", "0.25", lambda s: s.mpc.cem.seed_bias, 0.25),
-    ("cem", "explore_floor", "0.1", lambda s: s.mbrl.cem.explore_floor, 0.1),
-    ("ga", "immigrants", "4", lambda s: s.mpc.ga.immigrants, 4),
+    ("cem", "seed_bias", "0.25", lambda s: s.cem.seed_bias, 0.25),
+    ("cem", "explore_floor", "0.1", lambda s: s.cem.explore_floor, 0.1),
+    ("ga", "immigrants", "4", lambda s: s.ga.immigrants, 4),
     ("scenario", "price", "rtp", lambda s: s.tariff_kind, "real_time"),
     ("scenario", "backup_low_trip", "18.5", lambda s: s.backup_low_trip, 18.5),
     ("scenario", "ambient_csv", "weather.csv", lambda s: s.ambient_csv, "weather.csv"),
@@ -476,7 +515,8 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[scenario]\ntariff_kind = dual\n", "unknown key 'tariff_kind'"),
     ("[scenario]\nprice = hourly\n", "expected a price"),
     ("[scenario]\ndays = many\n", r"\[scenario\] days"),
-    ("[mpc]\nwarm_start = maybe\n", "expected a boolean"),
+    ("[scenario]\nbackup = maybe\n", "expected a boolean"),
+    ("[mpc]\nwarm_start = true\n", "unknown key 'warm_start'"),
     ("[mfrl_typo]\ngamma = 0.5\n", r"unknown section \[mfrl_typo\]"),
     ("[suite]\ndays = 2\n", r"unknown section \[suite\]"),
     ("[mfrl]\nselection_by_target = true\n", "unknown key 'selection_by_target'"),
@@ -508,8 +548,14 @@ def test_scenario_from_ini_sets_dataclass_fields(tmp_path, section, key, raw, fi
     ("[ambient]\ndaily_amplitude_c = 99\n", r"daily_amplitude_c must be in \[-30, 30\]"),
     ("[mfrl]\nepsilon_exponent = 2000\n",
      r"mfrl\.epsilon_exponent 2000\.0: day \*\* epsilon_exponent overflows by day 29"),
-    ("[scenario]\nbackup_low_trip = -inf\n", "low_trip must be finite"),
-    ("[scenario]\nbackup_high_trip = inf\n", "high_trip must be finite"),
+    ("[scenario]\nbackup_low_trip = -inf\n", "^backup_low_trip must be finite"),
+    ("[scenario]\nbackup_high_trip = inf\n", "^backup_high_trip must be finite"),
+    ("[scenario]\nbackup_low_trip = nan\n", "^backup_low_trip must be finite, got nan"),
+    ("[scenario]\nbackup_low_trip = 25\n",
+     r"^backup_low_trip 25\.0 must be below backup_high_trip 23\.0; an unset trip is "
+     r"the band's t_min/t_max at hour 0"),
+    ("[scenario]\nbackup_high_trip = 18\n",
+     r"^backup_low_trip 19\.0 must be below backup_high_trip 18\.0"),
     ("[grid]\nlevels_w = 0, 5000\n", "action grid exceeds the heat pump's max power"),
     ("[scenario]\ndays = 2\ndays = 3\n", r"config\.ini, line 3: a key repeats"),
     ("[scenario]\ndays = 2\n[scenario]\nseed = 1\n",
@@ -645,6 +691,20 @@ def test_scenario_is_checked_when_it_is_built():
         Scenario(days=1)
     with pytest.raises(ValueError, match=r"warmup_hours must be < days \* 24"):
         replace(Scenario(days=2), days=1)
+
+
+@pytest.mark.parametrize("key, instead", [("agent", "agents"), ("name", "name")])
+def test_a_suite_file_rejects_the_scenario_keys_that_suite_keys_replace(tmp_path, capsys, key,
+                                                                        instead):
+    path = _ini(tmp_path, f"[scenario]\n{key} = mpc\n[suite]\nagents = rbc\ndays = 2\n")
+    message = f"a suite file's [scenario] takes no {key}; set [suite] {instead}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        suite_from_ini(path)
+    out = tmp_path / "out"
+    assert cli_main(["suite", "--config", str(path), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == message
+    assert not out.exists()
 
 
 def test_suite_base_is_checked_with_the_suites_days(tmp_path):

@@ -11,7 +11,7 @@ from heatbench.model_based import (LearnedDynamicsModel, MbrlConfig, ModelBasedA
                                    train_transition_model, training_matrix)
 from heatbench.model_free import MfrlConfig
 from heatbench.neural import MlpParams, forward_batch
-from heatbench.planners import ExactDynamicsModel, plan_cem
+from heatbench.planners import CemConfig, ExactDynamicsModel, GaConfig, plan_cem
 
 GRID = ActionGrid()
 BAND = ComfortBand(19.0, 23.0)
@@ -266,7 +266,7 @@ def test_transition_model_trains_and_plans_in_float32():
 def _agent(seed=0, **overrides):
     cfg = MbrlConfig(**overrides)
     return ModelBasedAgent(cfg, GRID, np.random.default_rng(seed), seed=seed,
-                           history_length=3)
+                           history_length=3, cem=CemConfig(), ga=GaConfig())
 
 
 def _act(agent, t):
@@ -328,7 +328,7 @@ def test_exact_model_injection_reduces_to_mpc_plan(monkeypatch):
     monkeypatch.setattr(model_based, "plan",
                         lambda *args: plans.append(planners.plan(*args)) or plans[-1])
     agent = ModelBasedAgent(MbrlConfig(), GRID, np.random.default_rng(123),
-                            seed=0, history_length=3)
+                            seed=0, history_length=3, cem=CemConfig(), ga=GaConfig())
     obs = encode_state((19.5,) * 4, 2.0, 3)
     tariff = np.full(24, 0.24)
     ambient = np.linspace(2.0, 4.0, 24)
@@ -336,7 +336,7 @@ def test_exact_model_injection_reduces_to_mpc_plan(monkeypatch):
     agent.daily_update(obs, tariff, ambient, BAND)  # an empty memory: no training
     [plan_agent] = plans
     plan_mpc = plan_cem(ExactDynamicsModel(params, state), obs, 24, GRID,
-                        tariff, ambient, BAND, MbrlConfig().cem,
+                        tariff, ambient, BAND, CemConfig(),
                         np.random.default_rng(123))
     assert agent._plan == plan_agent.actions == plan_mpc.actions
     assert plan_agent.expected_return == pytest.approx(plan_mpc.expected_return)
