@@ -89,8 +89,6 @@ class MpcController(Controller):
                ambient_window, band: ComfortBand) -> int:
         """Plan over min(horizon, window) hours and return the first action."""
         horizon = min(self.config.horizon, len(tariff_window), len(ambient_window))
-        if horizon < 1:
-            raise ValueError("no lookahead left to plan over")
         model = ExactDynamicsModel(self.params, state)
 
         seed_seq = None  # the previous plan, shifted one hour and padded with idle hours

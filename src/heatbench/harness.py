@@ -366,7 +366,8 @@ def estimate_convergence(log: EpisodeLog, threshold_eur: float = 0.05) -> int | 
 def emit_plot_data(log_path, kind: str, out_dir, scenario: Scenario | None = None) -> str:
     """Write a plot-ready CSV derived from an episode (or MAE) log, read and checked
     first, so a rejected log leaves nothing written.  The run's `scenario` (default
-    `Scenario()`) gives the grid, and hour h the band_at(h + 1) its r_comfort was scored on."""
+    `Scenario()`) gives the grid, plus `max_power_w` where its backup may force that
+    power, and hour h the band_at(h + 1) its r_comfort was scored on."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     steps = None if kind == "model_mae" else EpisodeLog.read_csv(log_path).steps
@@ -383,6 +384,8 @@ def emit_plot_data(log_path, kind: str, out_dir, scenario: Scenario | None = Non
         header, rows = ["level_w", "count"], zip(levels.tolist(), counts.tolist())
     elif kind == "hourly_action_heatmap":
         levels = scenario.grid.levels_w
+        if scenario.backup_enabled and scenario.building.max_power_w not in levels:
+            levels = (*levels, scenario.building.max_power_w)  # the backup's forced hours
         match = steps.power_w[:, None] == np.asarray(levels)
         off_grid = ~match.any(axis=1)
         if off_grid.any():

@@ -79,10 +79,10 @@ def exploration_rate(cfg, days: int) -> float:
 
 @dataclass(frozen=True)
 class MbrlConfig:
-    memory_capacity: int = ranged(4096, "[1, inf)")
+    memory_capacity: int = ranged(4096, "[1, 1000000]")
     epsilon_initial: float = ranged(0.5, "(0, 1]")
     epsilon_exponent: float = ranged(0.7, "(0, inf)")
-    hidden: tuple[int, ...] = ranged((32, 32), "[1, inf)")
+    hidden: tuple[int, ...] = ranged((32, 32), "[1, 1024]")
     activation: str = ranged("tanh", ACTIVATIONS)
     learning_rate: float = ranged(1e-3, "(0, 1]")
     epochs_per_update: int = ranged(50, "[1, inf)")

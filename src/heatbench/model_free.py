@@ -153,7 +153,7 @@ def compute_priority(target, q_sa, offset: float):
 
 @dataclass(frozen=True)
 class MfrlConfig:
-    hidden: tuple[int, ...] = ranged((64, 64), "[1, inf)")
+    hidden: tuple[int, ...] = ranged((64, 64), "[1, 1024]")
     activation: str = ranged("relu", ACTIVATIONS)
     learning_rate: float = ranged(1e-3, "(0, 1]")
     # a short discount horizon keeps the steep below-band penalty from
@@ -162,7 +162,7 @@ class MfrlConfig:
     gamma: float = ranged(0.70, "[0, 1)")
     tau: float = ranged(0.01, "(0, 1]")
     batch_size: int = ranged(96, "[1, inf)")
-    capacity: int = ranged(4096, "[1, inf)")
+    capacity: int = ranged(4096, "[1, 1000000]")
     warmup_samples: int = ranged(96, "[2, inf)")  # the normalizer fit needs 2 rows
     priority_alpha: float = ranged(0.6, "[0, 1]")
     priority_offset: float = ranged(1e-3, "(0, 1]")

@@ -103,7 +103,7 @@ class Plan:
 
 @dataclass(frozen=True)
 class CemConfig:
-    population: int = ranged(128, "[1, inf)")
+    population: int = ranged(128, "[1, 10000]")
     elite_fraction: float = ranged(0.125, "(0, 1]")
     iterations: int = ranged(20, "[1, inf)")
     smoothing: float = ranged(0.7, "(0, 1]")
@@ -126,7 +126,7 @@ class CemConfig:
 
 @dataclass(frozen=True)
 class GaConfig:
-    population: int = ranged(64, "[2, inf)")
+    population: int = ranged(64, "[2, 10000]")
     generations: int = ranged(30, "[1, inf)")
     tournament_size: int = ranged(3, "[1, inf)")
     crossover_rate: float = ranged(0.9, "[0, 1]")
@@ -173,35 +173,44 @@ def evaluate_sequences(model: DynamicsModel, start: np.ndarray, powers: np.ndarr
     return returns.sum(axis=1)
 
 
-class _BestTracker:
-    """Keeps the best sequence seen: the highest return, then the lowest total
-    energy, then the earliest candidate; a later population must beat it
-    strictly.  `offer` reads the top of the population's stable
-    `argsort(-returns)`, the order the CEM elite is cut from, and sums the
-    energies of the candidates tied there only."""
+class _Search:
+    """One plan's evaluation path, which the planners feed populations: the
+    horizon's checked prices and ambient, and the best sequence scored so far,
+    which is the highest return, then the lowest total energy, then the
+    earliest candidate; a later population must beat it strictly, and a NaN
+    return never wins."""
 
-    def __init__(self):
-        self.sequence: np.ndarray | None = None
-        self.value = -np.inf
-        self._energy = np.inf
+    def __init__(self, model: DynamicsModel, start: np.ndarray, horizon: int, grid: ActionGrid,
+                 tariff_window, ambient_window, band: ComfortBand):
+        self._prices, self._ambient = _check_windows(horizon, tariff_window, ambient_window)
+        self._model, self._start, self._band = model, start, band
+        self._levels = np.asarray(grid.levels_w)
+        self._sequence: np.ndarray | None = None
+        self._value, self._energy = -np.inf, np.inf
 
-    def offer(self, actions: np.ndarray, returns: np.ndarray, powers: np.ndarray,
-              order: np.ndarray) -> None:
+    def score(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The returns of an (n_sequences, horizon) matrix of action indices and
+        their stable `argsort(-returns)`; the energies are summed only for the
+        candidates tied at the top."""
+        powers = self._levels[actions]
+        returns = evaluate_sequences(self._model, self._start, powers, self._prices,
+                                     self._ambient, self._band)
+        order = np.argsort(-returns, kind="stable")
         top = returns[order[0]]
-        if np.isnan(top) or top < self.value:  # NaN sorts last: every return is NaN
-            return
-        tied = np.flatnonzero(returns == top)  # ascending, so argmin keeps the earliest
-        energies = powers[tied].sum(axis=1)
-        j = np.argmin(energies)
-        if (top, -energies[j]) > (self.value, -self._energy):
-            self.value, self._energy = float(returns[tied[j]]), float(energies[j])
-            self.sequence = actions[tied[j]].copy()
+        if top >= self._value:  # NaN sorts last, so a NaN top (every return NaN) fails this
+            tied = np.flatnonzero(returns == top)  # ascending, so argmin keeps the earliest
+            energies = powers[tied].sum(axis=1)
+            j = np.argmin(energies)
+            if (top, -energies[j]) > (self._value, -self._energy):
+                self._value, self._energy = float(returns[tied[j]]), float(energies[j])
+                self._sequence = actions[tied[j]].copy()
+        return returns, order
 
     def plan(self) -> Plan:
-        if self.sequence is None:
+        if self._sequence is None:
             raise ValueError("no plan: every candidate sequence's return was NaN "
                              "(an idle hour at an infinite price returns NaN)")
-        return Plan(tuple(int(a) for a in self.sequence), self.value)
+        return Plan(tuple(int(a) for a in self._sequence), self._value)
 
 
 def plan_exhaustive(model: DynamicsModel, start: np.ndarray, horizon: int,
@@ -209,17 +218,13 @@ def plan_exhaustive(model: DynamicsModel, start: np.ndarray, horizon: int,
                     band: ComfortBand) -> Plan:
     """True argmax over every action sequence; ties resolved toward lower
     total energy, then the lexicographically smaller sequence."""
-    prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
+    search = _Search(model, start, horizon, grid, tariff_window, ambient_window, band)
     n_actions = len(grid)
     if n_actions ** horizon > EXHAUSTIVE_CAP:
         raise ValueError(f"{n_actions}^{horizon} sequences exceed the cap of {EXHAUSTIVE_CAP}")
-    actions = np.array(list(itertools.product(range(n_actions), repeat=horizon)))
-    powers = np.asarray(grid.levels_w)[actions]
-    returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-    # lexicographic enumeration + strict improvement keeps the lex-smallest tie
-    tracker = _BestTracker()
-    tracker.offer(actions, returns, powers, np.argsort(-returns, kind="stable"))
-    return tracker.plan()
+    # lexicographic enumeration keeps the lex-smallest tie
+    search.score(np.array(list(itertools.product(range(n_actions), repeat=horizon))))
+    return search.plan()
 
 
 def sample_categorical(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,11 +254,9 @@ def plan_cem(model: DynamicsModel, start: np.ndarray, horizon: int,
     optional seed_sequence (e.g. the previous plan shifted one step) is
     injected into every population.
     """
-    prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
-    levels = np.asarray(grid.levels_w)
-    n_actions = len(levels)
+    search = _Search(model, start, horizon, grid, tariff_window, ambient_window, band)
+    n_actions = len(grid)
     probs = np.full((horizon, n_actions), 1.0 / n_actions)
-    tracker = _BestTracker()
     if seed_sequence is not None:
         _check_seed(seed_sequence, horizon, n_actions)
         seed_sequence = np.asarray(seed_sequence)
@@ -265,17 +268,14 @@ def plan_cem(model: DynamicsModel, start: np.ndarray, horizon: int,
         population = sample_categorical(probs, config.population, rng)
         if seed_sequence is not None:
             population[0] = seed_sequence
-        powers = levels[population]
-        returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-        order = np.argsort(-returns, kind="stable")
-        tracker.offer(population, returns, powers, order)
+        _, order = search.score(population)
         elite = population[order[:config.elite_count]]
         elite += offsets
         counts = np.bincount(elite.ravel(), minlength=horizon * n_actions)
         freqs = counts.reshape(horizon, n_actions) / len(elite)
         probs = config.smoothing * freqs + (1.0 - config.smoothing) * probs
         probs = (1.0 - config.explore_floor) * probs + config.explore_floor / n_actions
-    return tracker.plan()
+    return search.plan()
 
 
 def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
@@ -284,18 +284,13 @@ def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
             seed_sequence=None) -> Plan:
     """Genetic-algorithm planning: tournament selection, uniform crossover,
     per-gene mutation, with elitism; returns the best sequence ever seen."""
-    prices, ambient = _check_windows(horizon, tariff_window, ambient_window)
-    levels = np.asarray(grid.levels_w)
-    n_actions = len(levels)
+    search = _Search(model, start, horizon, grid, tariff_window, ambient_window, band)
+    n_actions = len(grid)
     population = rng.integers(n_actions, size=(config.population, horizon))
     if seed_sequence is not None:
         _check_seed(seed_sequence, horizon, n_actions)
         population[0] = seed_sequence
-
-    tracker = _BestTracker()
-    powers = levels[population]
-    returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-    tracker.offer(population, returns, powers, np.argsort(-returns, kind="stable"))
+    returns, _ = search.score(population)
 
     n_children = config.population - 1
     for _ in range(config.generations):
@@ -317,11 +312,9 @@ def plan_ga(model: DynamicsModel, start: np.ndarray, horizon: int,
             children[-config.immigrants:] = rng.integers(
                 n_actions, size=(config.immigrants, horizon))
 
-        population = np.vstack([tracker.plan().actions, children])
-        powers = levels[population]
-        returns = evaluate_sequences(model, start, powers, prices, ambient, band)
-        tracker.offer(population, returns, powers, np.argsort(-returns, kind="stable"))
-    return tracker.plan()
+        population = np.vstack([search.plan().actions, children])
+        returns, _ = search.score(population)
+    return search.plan()
 
 
 def plan(planner: str, cem: CemConfig, ga: GaConfig, model: DynamicsModel, start: np.ndarray,

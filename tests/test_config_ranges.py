@@ -95,10 +95,11 @@ def test_ini_entries_outside_their_declared_range_are_rejected(tmp_path_factory,
         scenario_from_ini(path)
 
 
-# Draws of an int field with no finite upper bound stop at this much above its
-# lower bound: `capacity`, `population`, `horizon` and the like have none, and
-# a large one allocates memory or runs for hours.  `days` stops at 3, the
-# length of every run below.
+# Draws of an int field stop at this much above its lower bound, or at its
+# upper bound if that is lower: `horizon`, `iterations` and the like have no
+# upper bound, and the bounds of `population`, `hidden` and the capacities lie
+# far past the span, where one run can take minutes and far more memory.
+# `days` stops at 3, the length of every run below.
 INT_SPAN, INT_CAPS = 64, {"days": 3}
 # the agents a section's fields act on; another section's field runs with any agent
 SECTION_AGENTS = {"mpc": ("mpc",), "cem": ("mpc", "mbrl"), "ga": ("mpc", "mbrl"),
@@ -115,7 +116,9 @@ def _inside(allowed: str, kind, name):
     lo_in, hi_in = allowed[0] == "[", allowed[-1] == "]"
     if kind is int:
         first = int(lo) + (not lo_in)
-        last = int(hi) - (not hi_in) if hi < math.inf else first + INT_SPAN
+        last = first + INT_SPAN
+        if hi < math.inf:
+            last = min(last, int(hi) - (not hi_in))
         return st.integers(first, min(last, INT_CAPS.get(name, last)))
     return st.floats(lo, hi, exclude_min=not lo_in, exclude_max=not hi_in,
                      allow_nan=False, allow_infinity=False)

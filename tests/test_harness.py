@@ -825,6 +825,22 @@ def test_cli_plots_the_heatmap_on_the_grid_of_the_runs_scenario(tmp_path, capsys
     assert counts[:, 1:].sum() > 0  # the run heated at levels the default grid lacks
 
 
+def test_cli_plots_the_heatmap_of_a_backup_run_with_a_max_power_column(tmp_path, capsys):
+    # the backup forces max_power_w, 2000 W, which this grid lacks
+    ini = _ini(tmp_path, "[scenario]\nbackup = true\n[grid]\nlevels_w = 0, 400, 800\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(ini), "--agent", "mpc", "--days", "3",
+                     "--name", "backup", "--out", str(out)]) == 0
+    for log in ("backup_mpc", "backup_rbc_baseline"):
+        assert cli_main(["plot", "--kind", "hourly_action_heatmap", "--scenario", str(ini),
+                         "--log", str(out / f"{log}.csv"), "--out", str(out)]) == 0
+        header, *rows = (out / f"{log}_hourly_action_heatmap.csv").read_text().splitlines()
+        assert header == "hour_of_day,n_0w,n_400w,n_800w,n_2000w"
+        counts = np.array([row.split(",")[1:] for row in rows], dtype=int)
+        assert counts.sum() == 72
+    assert counts[:, -1].sum() > 0  # the baseline has backup hours
+
+
 @pytest.mark.parametrize("args, ini, message", [
     (["run", "--seed", "-1"], None, "seed must be >= 0"),
     (["run"], "[cem]\nelite_fraction = inf\n", "elite_fraction must be in (0, 1]"),
@@ -833,8 +849,16 @@ def test_cli_plots_the_heatmap_on_the_grid_of_the_runs_scenario(tmp_path, capsys
     (["suite", "--seed", "-1", "--days", "2"], None, "seed must be >= 0"),
     (["suite", "--days", "0"], None, "days must be >= 1"),
     (["run", "--agent", "rbc", "--days", "1"], None, "warmup_hours must be < days * 24"),
+    # sizes that were once in range and then ran out of memory mid-run
+    (["run", "--agent", "mpc", "--days", "2"], "[cem]\npopulation = 100000000\n",
+     "population must be in [1, 10000]"),
+    (["run", "--agent", "mfrl", "--days", "3"], "[mfrl]\ncapacity = 1000000000\n",
+     "capacity must be in [1, 1000000]"),
+    (["run", "--agent", "mbrl", "--days", "3"], "[mbrl]\nhidden = 100000, 100000\n",
+     "hidden must be in [1, 1024]"),
 ], ids=["negative-seed", "inf-elite-fraction", "minus-inf-elite-fraction", "inf-band",
-        "suite-negative-seed", "suite-zero-days", "warmup-fills-the-run"])
+        "suite-negative-seed", "suite-zero-days", "warmup-fills-the-run", "huge-cem-population",
+        "huge-mfrl-capacity", "huge-mbrl-hidden"])
 def test_cli_rejects_out_of_range_values_naming_the_field(tmp_path, capsys, args, ini,
                                                            message):
     if args[0] == "plot":

@@ -84,7 +84,7 @@ def test_config_rejects_non_positive_batch_size_and_epochs(field, value):
 
 @pytest.mark.parametrize("hidden", [(0,), (32, -1)])
 def test_config_rejects_hidden_layers_below_one_unit(hidden):
-    with pytest.raises(ValueError, match="hidden must be >= 1"):
+    with pytest.raises(ValueError, match=r"hidden must be in \[1, 1024\]"):
         MbrlConfig(hidden=hidden)
 
 

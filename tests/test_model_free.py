@@ -365,7 +365,7 @@ def test_config_rejects_non_positive_batch_size():
 
 @pytest.mark.parametrize("hidden", [(0,), (64, -1)])
 def test_config_rejects_hidden_layers_below_one_unit(hidden):
-    with pytest.raises(ValueError, match="hidden must be >= 1"):
+    with pytest.raises(ValueError, match=r"hidden must be in \[1, 1024\]"):
         MfrlConfig(hidden=hidden)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatbench import planners
 from heatbench.emulator import BuildingParams, BuildingState, hour_affine_map, step
 from heatbench.mdp import ActionGrid, ComfortBand, encode_state, comfort_reward
 from heatbench.planners import (CemConfig, ExactDynamicsModel, GaConfig, sample_categorical,
@@ -557,3 +558,22 @@ def test_ga_matches_loop_reference(data, horizon, seed, tournament_size, crossov
                               np.random.default_rng(seed), seed_sequence)
     assert plan.actions == actions
     assert plan.expected_return == value
+
+
+@pytest.mark.parametrize("planner, calls", [("exhaustive", 1), ("cem", CemConfig().iterations),
+                                            ("ga", GaConfig().generations + 1)])
+def test_each_population_is_scored_in_one_call(monkeypatch, planner, calls):
+    """One `evaluate_sequences` call per population, each on a (population,
+    horizon) power matrix: the count perfbench reports for the planners."""
+    shapes = []
+
+    def recording(model, start, powers, *rest):
+        shapes.append(powers.shape)
+        return evaluate_sequences(model, start, powers, *rest)
+
+    monkeypatch.setattr(planners, "evaluate_sequences", recording)
+    model, obs = _exact(20.0, 20.0, 5.0)
+    _plan(planner, model, obs, GRID, [0.2] * 3, [5.0] * 3)
+    population = {"exhaustive": len(GRID) ** 3, "cem": CemConfig().population,
+                  "ga": GaConfig().population}[planner]
+    assert shapes == [(population, 3)] * calls
